@@ -162,19 +162,14 @@ class PolylogSymbol:
 
 
 def _merge(pairs: Iterable[tuple[object, Fraction]]) -> list[tuple[object, Fraction]]:
-    acc: dict = {}
-    order: dict = {}
+    acc: dict = {}  # sort key -> [object, coefficient]; keys are unique
     for obj, coeff in pairs:
         key = obj._key() if hasattr(obj, "_key") else tuple(w._key() for w in obj)
         if key in acc:
-            acc[key] += coeff
+            acc[key][1] += coeff
         else:
-            acc[key] = coeff
-            order[key] = obj
-    out = [(order[k], c) for k, c in acc.items() if c != 0]
-    out.sort(key=lambda pair: pair[0]._key() if hasattr(pair[0], "_key")
-             else tuple(w._key() for w in pair[0]))
-    return out
+            acc[key] = [obj, coeff]
+    return [(obj, c) for _, (obj, c) in sorted(acc.items()) if c != 0]
 
 
 @dataclass(frozen=True)
@@ -358,16 +353,12 @@ def cobracket_image(
     compositions n_1 + ... + n_d = n with all n_i >= 2 of the word
     Li_{n_1}(a_1) x ... x Li_{n_d}(a_d); empty when n < 2d.
     """
-    if isinstance(g, GeneratorCombination):
-        out = TensorElement()
-        for term, coeff in g.terms:
-            out = out + cobracket_image(term).scale(coeff)
-        return out
-    words = []
-    for comp in compositions_min2(g.weight, g.depth):
-        word = tuple(PolylogSymbol(n, a) for n, a in zip(comp, g.args))
-        words.append((word, Fraction(1)))
-    return TensorElement.from_terms(words)
+    pairs = g.terms if isinstance(g, GeneratorCombination) else ((g, Fraction(1)),)
+    return TensorElement.from_terms(
+        (tuple(PolylogSymbol(n, a) for n, a in zip(comp, term.args)), coeff)
+        for term, coeff in pairs
+        for comp in compositions_min2(term.weight, term.depth)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -545,10 +536,11 @@ def construct_preimage(
             remaining -= target
             continue
         coeffs = _isolation_coefficients(domain, target)
-        acc = GeneratorCombination()
-        for s, q in sorted(coeffs.items()):
-            acc = acc + root_sum_generator(combo, slot, s, term_cap=term_cap).scale(q)
-        combo = acc
+        combo = GeneratorCombination.from_terms(
+            (g, q * c)
+            for s, q in sorted(coeffs.items())
+            for g, c in root_sum_generator(combo, slot, s, term_cap=term_cap).terms
+        )
         if len(combo.terms) > term_cap:
             raise RootCapExceeded(
                 f"{len(combo.terms)} terms exceed the cap {term_cap}"

@@ -23,6 +23,7 @@ from .symalg import (
     ArgMonomial,
     Expr,
     Identity,
+    Term,
     li_expr,
     li_factor,
     rename_variables,
@@ -62,7 +63,7 @@ def _triple_root_sum(n: int, alpha: int, beta: int) -> Expr:
     c_zx = Fraction((-gamma * alpha) ** (n - 2), beta)
     ea, eb, eg = Fraction(1, alpha), Fraction(1, beta), Fraction(1, gamma)
     top = [n - 1, 1]
-    acc = Expr.zero()
+    terms = []
     for i in range(alpha):
         for j in range(beta):
             for k in range(gamma):
@@ -72,22 +73,20 @@ def _triple_root_sum(n: int, alpha: int, beta: int) -> Expr:
                 z_over_x = _mono({"x": eg - ea, "y": eg}, pg - pa)
                 y_root = _mono({"y": eb}, pb)
                 x_root = _mono({"x": ea}, pa)
-                acc = acc + li_expr(top, [x_over_y, y_root], c_xy)
-                acc = acc + li_expr(top, [z_over_y, y_root], c_zy)
-                acc = acc + li_expr(top, [z_over_x, x_root], c_zx)
-    return acc
+                terms.append(Term(c_xy, (li_factor(top, [x_over_y, y_root]),)))
+                terms.append(Term(c_zy, (li_factor(top, [z_over_y, y_root]),)))
+                terms.append(Term(c_zx, (li_factor(top, [z_over_x, x_root]),)))
+    return Expr.from_terms(terms)
 
 
 def _depth2_probe(n: int, alpha: int, beta: int) -> Expr:
     """sum_{k+l=n, k,l>0} Li_{k,l}(y, x) (-alpha)^{k-1} beta^{l-1}."""
     y = ArgMonomial.variable("y")
     x = ArgMonomial.variable("x")
-    acc = Expr.zero()
-    for k in range(1, n):
-        l = n - k
-        coeff = Fraction((-alpha) ** (k - 1) * beta ** (l - 1))
-        acc = acc + li_expr([k, l], [y, x], coeff)
-    return acc
+    return Expr.from_terms(
+        Term((-alpha) ** (k - 1) * beta ** (n - k - 1), (li_factor([k, n - k], [y, x]),))
+        for k in range(1, n)
+    )
 
 
 def _classical_term(n: int, alpha: int, beta: int) -> Expr:
@@ -183,12 +182,12 @@ def reduce_li(k: int, l: int) -> Identity:
     if n < 3:
         raise WeightTooSmall(f"need weight >= 3, got {n}")
     mat = build_reduction_matrix(n)
-    combo = Expr.zero()
+    terms = []
     for i in range(1, n):
         c = mat.inverse[k - 1][i - 1]
-        if c == 0:
-            continue
-        combo = combo + build_weighted_sum(n, i, n - i).reduced_form.scale(c)
+        if c != 0:
+            terms.extend(build_weighted_sum(n, i, n - i).reduced_form.scale(c).terms)
+    combo = Expr.from_terms(terms)
     rhs = rename_variables(combo, {"x": "y", "y": "x"})
     lhs = li_expr([k, l], [ArgMonomial.variable("x"), ArgMonomial.variable("y")])
     return Identity(

@@ -23,7 +23,6 @@ from .numeval import (
     DivergentRequest,
     choose_cutoff,
     series_value_batch,
-    suffix_moduli,
 )
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "Expr",
     "Identity",
     "MPLFactor",
-    "Rational",
     "Term",
     "UnboundVariable",
     "ZeroBase",
@@ -45,9 +43,6 @@ __all__ = [
     "root_expand",
     "stuffle_product",
 ]
-
-# Exact rational coefficients: always reduced, positive denominator.
-Rational = Fraction
 
 STUFFLE_DEPTH_CAP = 4
 
@@ -286,15 +281,6 @@ class Expr:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def homogeneous_weight(self) -> int | None:
-        """The common term weight, or None for the empty expression."""
-        weights = {t.weight for t in self.terms}
-        if not weights:
-            return None
-        if len(weights) > 1:
-            raise ValueError(f"mixed weights {sorted(weights)}")
-        return weights.pop()
-
     def __add__(self, other: "Expr") -> "Expr":
         return Expr.from_terms(self.terms + other.terms)
 
@@ -354,38 +340,6 @@ def rename_variables(e: Expr, mapping: Mapping[str, str]) -> Expr:
 # numeric instantiation
 
 
-def _factor_values_batch(
-    factor: MPLFactor,
-    assignments: Sequence[Mapping[str, complex]],
-    per_factor_target: float,
-    rho_max: float,
-    max_cutoff: int,
-) -> np.ndarray:
-    npts = len(assignments)
-    d = factor.depth
-    argmat = np.empty((d, npts), dtype=np.complex128)
-    for i, mono in enumerate(factor.args):
-        for p, asg in enumerate(assignments):
-            argmat[i, p] = mono.instantiate(asg)
-    if factor.indices.parts == (1,):
-        return -np.log(1.0 - argmat[0])
-    cutoff = 1
-    for p in range(npts):
-        moduli = suffix_moduli(argmat[:, p])
-        rho = max(moduli)
-        if rho > rho_max:
-            k = moduli.index(rho) + 1
-            raise DivergentRequest(
-                f"{factor}: suffix product |a_{k}...a_{d}| = {rho:.6g} exceeds "
-                f"rho_max = {rho_max} at point {p}"
-            )
-        cutoff = max(
-            cutoff,
-            choose_cutoff(factor.indices, rho, per_factor_target, max_cutoff=max_cutoff),
-        )
-    return series_value_batch(factor.indices, argmat, cutoff)
-
-
 def eval_expr_batch(
     e: Expr,
     assignments: Sequence[Mapping[str, complex]],
@@ -398,6 +352,13 @@ def eval_expr_batch(
 
     The absolute truncation budget is split evenly: each factor evaluation
     targets target_error / (number of factor evaluations * max |coeff|).
+    The distinct factors are grouped by composition, and each group is
+    evaluated in one series kernel call over all its factors and points,
+    at one cutoff chosen from the largest suffix modulus in the group.
+    tail_bound increases with that modulus, so every factor of the group
+    meets its budget.  Li_1 groups use the closed form -log(1-x).  Every
+    factor, Li_1 included, must pass the suffix-product check at every
+    point before any series is summed.
     """
     npts = len(assignments)
     values = np.zeros(npts, dtype=np.complex128)
@@ -407,16 +368,52 @@ def eval_expr_batch(
         return values, masses
     max_coeff = max(abs(float(t.coeff)) for t in e.terms)
     per_factor = float(target_error) / (n_evals * max(max_coeff, 1e-300))
+
+    groups: dict[Composition, dict[MPLFactor, None]] = {}
+    for term in e.terms:
+        for factor in term.factors:
+            groups.setdefault(factor.indices, {})[factor] = None
+    row = {f: i for factors in groups.values() for i, f in enumerate(factors)}
+    monomial_values = {
+        mono: np.array([mono.instantiate(asg) for asg in assignments], dtype=complex)
+        for mono in dict.fromkeys(m for factor in row for m in factor.args)
+    }
+    # one (depth, n_factors * npts) argument matrix per group, factor-major
+    argmats, moduli = {}, {}
+    for indices, factors in groups.items():
+        argmats[indices] = a = np.concatenate(
+            [np.stack([monomial_values[m] for m in f.args]) for f in factors], axis=1
+        )
+        moduli[indices] = np.cumprod(np.abs(a[::-1]), axis=0)[::-1].reshape(
+            indices.depth, len(factors), npts
+        )
+    for term in e.terms:
+        for factor in term.factors:
+            fm = moduli[factor.indices][:, row[factor]]
+            over = (fm > rho_max).any(axis=0)
+            if over.any():
+                p = int(np.argmax(over))
+                k = int(np.argmax(fm[:, p])) + 1
+                raise DivergentRequest(
+                    f"term {term}: {factor}: suffix product |a_{k}...a_{factor.depth}| "
+                    f"= {fm[k - 1, p]:.6g} exceeds rho_max = {rho_max} at point {p}"
+                )
+
+    results = {}
+    for indices, a in argmats.items():
+        if indices.parts == (1,):
+            flat = -np.log(1.0 - a[0])
+        else:
+            rho = float(moduli[indices].max(initial=0.0))
+            cutoff = choose_cutoff(indices, rho, per_factor, max_cutoff=max_cutoff)
+            flat = series_value_batch(indices, a, cutoff)
+        results[indices] = flat.reshape(len(groups[indices]), npts)
+
     for term in e.terms:
         tv = np.ones(npts, dtype=np.complex128)
         ta = np.ones(npts, dtype=np.float64)
         for factor in term.factors:
-            try:
-                fv = _factor_values_batch(
-                    factor, assignments, per_factor, rho_max, max_cutoff
-                )
-            except DivergentRequest as exc:
-                raise DivergentRequest(f"term {term}: {exc}") from exc
+            fv = results[factor.indices][row[factor]]
             tv *= fv
             ta *= np.abs(fv)
         c = float(term.coeff)

@@ -80,6 +80,12 @@ def test_image_is_linear():
         ).scale(-1)
     )
     assert lhs == rhs
+    preimage = construct_preimage((3, 3, 2), (A, B, C))
+    termwise = TensorElement()
+    for g, c in preimage.terms:
+        termwise = termwise + cobracket_image(g).scale(c)
+    assert len(preimage.terms) > 1
+    assert cobracket_image(preimage) == termwise
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from mplkit import symalg
 from mplkit.symalg import (
     ArgMonomial,
     DepthCapExceeded,
@@ -14,6 +16,7 @@ from mplkit.symalg import (
     UnboundVariable,
     ZeroBase,
     eval_expr,
+    eval_expr_batch,
     li_expr,
     li_factor,
     normalize,
@@ -152,6 +155,105 @@ def test_eval_expr_annotates_divergent_term():
     e = li_expr([2], [X], 1) + li_expr([2, 1], [X, Y], 3)
     with pytest.raises(DivergentRequest, match=r"term .*Li_\(2,1\)"):
         eval_expr(e, {"x": 0.5, "y": 1.2}, 1e-10)
+
+
+def test_eval_expr_li1_outside_domain_diverges():
+    from mplkit.numeval import DivergentRequest
+
+    with pytest.raises(DivergentRequest, match=r"Li_\(1\)\(x\).*at point 0"):
+        eval_expr(li_expr([1], [X]), {"x": 3}, 1e-10)
+
+
+def counting(monkeypatch, name):
+    calls = []
+    original = getattr(symalg, name)
+
+    def wrapper(indices, *args, **kwargs):
+        result = original(indices, *args, **kwargs)
+        calls.append((indices, args, result))
+        return result
+
+    monkeypatch.setattr(symalg, name, wrapper)
+    return calls
+
+
+def test_eval_batch_one_cutoff_and_kernel_call_per_composition(monkeypatch):
+    from mplkit.reduction import reduce_li
+
+    cutoffs = counting(monkeypatch, "choose_cutoff")
+    kernels = counting(monkeypatch, "series_value_batch")
+    instantiated = []
+    instantiate = ArgMonomial.instantiate
+    monkeypatch.setattr(
+        ArgMonomial, "instantiate", lambda m, a: instantiated.append(m) or instantiate(m, a)
+    )
+    ident = reduce_li(3, 2)
+    rng = random.Random(4)
+    points = [{"x": random_point(rng), "y": random_point(rng)} for _ in range(5)]
+    for side in (ident.lhs, ident.rhs):
+        cutoffs.clear()
+        kernels.clear()
+        instantiated.clear()
+        eval_expr_batch(side, points, 1e-10)
+        compositions = {f.indices for t in side.terms for f in t.factors}
+        monomials = {m for t in side.terms for f in t.factors for m in f.args}
+        assert len(instantiated) == 5 * len(monomials)
+        for calls in (cutoffs, kernels):
+            called = [indices for indices, _, _ in calls]
+            assert len(called) == len(set(called)) == len(compositions)
+            assert set(called) == compositions
+        assert all(args[0].shape[1] % 5 == 0 for _, args, _ in kernels)
+
+
+def test_eval_batch_grouped_values_match_eval_li(monkeypatch):
+    from mplkit.numeval import EvalRequest, eval_li
+
+    kernels = counting(monkeypatch, "series_value_batch")
+    xy = ArgMonomial.make({"x": 1, "y": 1})
+    li2x = li_factor([2], [X])
+    li1y = li_factor([1], [Y])
+    e = Expr.from_terms(
+        [
+            Term(Fraction(2), (li2x,)),
+            Term(Fraction(-3, 2), (li2x, li1y)),  # product term, repeated factor
+            Term(Fraction(1), (li_factor([2, 1], [X, Y]),)),
+            Term(Fraction(5), (li_factor([2, 1], [Y, xy]),)),
+            Term(Fraction(-1), (li_factor([1, 2, 1], [Y, X, xy]),)),
+            Term(Fraction(1, 3), (li1y,)),
+        ]
+    )
+    rng = random.Random(11)
+    points = [{"x": random_point(rng), "y": random_point(rng)} for _ in range(4)]
+    target = 1e-10
+    values, _ = eval_expr_batch(e, points, target)
+
+    n_evals = sum(len(t.factors) for t in e.terms)
+    per_factor = target / (n_evals * max(abs(float(t.coeff)) for t in e.terms))
+    eps = np.finfo(float).eps
+    assert sorted(str(indices) for indices, _, _ in kernels) == ["(1,2,1)", "(2)", "(2,1)"]
+    for indices, (argmat, cutoff), got in kernels:
+        for j in range(argmat.shape[1]):
+            ref = eval_li(EvalRequest(indices, tuple(argmat[:, j]), per_factor)).value
+            rounding = 64 * eps * math.sqrt(cutoff * indices.depth) * max(1.0, abs(ref))
+            assert abs(got[j] - ref) <= 2 * per_factor + rounding
+
+    # the assembled value against eval_li factor by factor, with the per-factor
+    # error 2 * per_factor + rounding propagated through each product
+    delta = 2 * per_factor + 1e-13
+    for p, asg in enumerate(points):
+        expected, allowed = 0j, 0.0
+        for t in e.terms:
+            refs = [
+                eval_li(
+                    EvalRequest(f.indices, [a.instantiate(asg) for a in f.args], per_factor)
+                ).value
+                for f in t.factors
+            ]
+            expected += float(t.coeff) * np.prod(refs)
+            allowed += abs(float(t.coeff)) * (
+                np.prod([abs(r) + delta for r in refs]) - np.prod(np.abs(refs))
+            )
+        assert abs(values[p] - expected) <= allowed
 
 
 # ---------------------------------------------------------------------------
