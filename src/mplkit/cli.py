@@ -133,6 +133,7 @@ def cmd_reduce(args) -> int:
         print("error: need k, l >= 1 and k + l <= 8", file=sys.stderr)
         return EXIT_PRECONDITION
     try:
+        plan = _plan_from_args(args) if args.verify else None
         identity = reduce_li(args.k, args.l)
     except (WeightTooSmall, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -145,7 +146,7 @@ def cmd_reduce(args) -> int:
     _emit(text, args.out)
     if args.verify:
         try:
-            report = verify_identity(identity, _plan_from_args(args))
+            report = verify_identity(identity, plan)
         except ConvergenceViolation as exc:
             print(f"convergence violation: {exc}", file=sys.stderr)
             return EXIT_PRECONDITION
@@ -157,13 +158,18 @@ def cmd_reduce(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
+        plan = _plan_from_args(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    try:
         with open(args.file) as handle:
             identity = identity_loads(handle.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     try:
-        report = verify_identity(identity, _plan_from_args(args))
+        report = verify_identity(identity, plan)
     except ConvergenceViolation as exc:
         print(f"convergence violation: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

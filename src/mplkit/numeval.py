@@ -20,6 +20,11 @@ because each chain with outermost index m contributes at most rho^m in
 modulus (rewrite the term through the suffix products b_k).  The bound is
 evaluated by summing the leading terms and closing with a geometric tail
 once the term ratio rho*m/(m-d+1) has dropped safely below 1.
+
+The recurrence runs on numpy arrays, one row per depth level and one column
+per point, when there are two or more points.  A single point runs it on
+Python complex scalars instead, because at one column the cost of each
+numpy ufunc call is almost all dispatch overhead.
 """
 
 from __future__ import annotations
@@ -214,6 +219,10 @@ def series_value_batch(
 
     Returns the length-npoints vector of partial sums up to the cutoff,
     running the suffix-scaled prefix-sum recurrence at every point at once.
+    A single column runs the same recurrence, in the same operation order,
+    on Python complex scalars: at one point each numpy ufunc call costs
+    its dispatch overhead and almost no arithmetic, so the scalar loop is
+    faster there.  Two or more columns run on numpy.
     """
     parts = indices.parts
     d = len(parts)
@@ -228,6 +237,17 @@ def series_value_batch(
     b = np.ones((d + 2, npts), dtype=np.complex128)
     for k in range(d, 0, -1):
         b[k] = a[k - 1] * b[k + 1]
+
+    if npts == 1:
+        bs = b[:, 0].tolist()
+        cs = [1.0 + 0.0j] + [0.0j] * d  # C_0(0) = 1
+        for m in range(1, cutoff + 1):
+            fm = float(m)
+            for k in range(d, 0, -1):
+                scale = 1.0 / fm ** parts[k - 1]
+                cs[k] = cs[k] * bs[k + 1] + bs[k] * scale * cs[k - 1]
+            cs[0] *= bs[1]
+        return np.array([cs[d]], dtype=np.complex128)
 
     c = np.zeros((d + 1, npts), dtype=np.complex128)
     c[0] = 1.0  # C_0(0)

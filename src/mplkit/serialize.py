@@ -64,8 +64,23 @@ def _fraction_dict(q: Fraction) -> dict:
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
+def _ratio(num, den) -> Fraction:
+    if int(den) == 0:
+        raise ValueError("zero denominator")
+    return Fraction(int(num), int(den))
+
+
 def _fraction_from(d: Mapping) -> Fraction:
-    return Fraction(int(d["num"]), int(d["den"]))
+    if not isinstance(d, Mapping):
+        raise ValueError(f"expected a rational {{num, den}}, got {d!r}")
+    return _ratio(d["num"], d["den"])
+
+
+def _check_kind(d, kind: str) -> None:
+    if not isinstance(d, Mapping):
+        raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+    if d.get("kind") != kind:
+        raise ValueError(f"expected kind={kind!r}, got kind={d.get('kind')!r}")
 
 
 def _monomial_dict(m: ArgMonomial | GroupElement) -> dict:
@@ -78,14 +93,14 @@ def _monomial_dict(m: ArgMonomial | GroupElement) -> dict:
 
 def _arg_monomial_from(d: Mapping) -> ArgMonomial:
     return ArgMonomial(
-        Fraction(int(d["zeta_pow"]), int(d["zeta_order"])),
+        _ratio(d["zeta_pow"], d["zeta_order"]),
         tuple((v, _fraction_from(e)) for v, e in d["exponents"].items()),
     )
 
 
 def _group_element_from(d: Mapping) -> GroupElement:
     return GroupElement(
-        Fraction(int(d["zeta_pow"]), int(d["zeta_order"])),
+        _ratio(d["zeta_pow"], d["zeta_order"]),
         tuple((v, _fraction_from(e)) for v, e in d["exponents"].items()),
     )
 
@@ -133,8 +148,7 @@ def identity_to_dict(identity: Identity) -> dict:
 
 
 def identity_from_dict(d: Mapping) -> Identity:
-    if d.get("kind") != "identity":
-        raise ValueError(f"expected an identity document, got kind={d.get('kind')!r}")
+    _check_kind(d, "identity")
     return Identity(
         Expr.from_terms(_term_from(t) for t in d["lhs"]),
         Expr.from_terms(_term_from(t) for t in d["rhs"]),
@@ -173,8 +187,7 @@ def generator_combination_to_dict(c: GeneratorCombination) -> dict:
 
 
 def generator_combination_from_dict(d: Mapping) -> GeneratorCombination:
-    if d.get("kind") != "generator_combination":
-        raise ValueError(f"unexpected kind={d.get('kind')!r}")
+    _check_kind(d, "generator_combination")
     return GeneratorCombination.from_terms(
         (
             GeneratorTerm(
@@ -212,8 +225,7 @@ def tensor_element_to_dict(te: TensorElement) -> dict:
 
 
 def tensor_element_from_dict(d: Mapping) -> TensorElement:
-    if d.get("kind") != "tensor_element":
-        raise ValueError(f"unexpected kind={d.get('kind')!r}")
+    _check_kind(d, "tensor_element")
     return TensorElement.from_terms(
         (
             tuple(

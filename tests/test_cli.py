@@ -120,6 +120,60 @@ def test_verify_parse_error_exit_2(tmp_path, capsys):
     assert "parse error" in err
 
 
+def _fixture_doc():
+    from mplkit.reduction import weight4_fixture_identity
+    from mplkit.serialize import identity_dumps
+
+    return json.loads(identity_dumps(weight4_fixture_identity()))
+
+
+def _with_first_rhs(field, value):
+    doc = _fixture_doc()
+    doc["rhs"][0][field] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1, 2], "JSON object"),
+        (_with_first_rhs("coeff", {"num": "1", "den": "0"}), "zero denominator"),
+        (_with_first_rhs("coeff", 4), "rational"),
+        (_with_first_rhs("factors", 4), "not iterable"),
+    ],
+    ids=["top-level-list", "zero-denominator", "integer-coefficient", "integer-factors"],
+)
+def test_verify_malformed_identity_exit_2(tmp_path, capsys, doc, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert err.startswith("parse error: ")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(("--points", "0"), "point_count"), (("--radius", "1.5"), "radius")],
+    ids=["points-0", "radius-1.5"],
+)
+def test_invalid_plan_exit_2_without_output(tmp_path, capsys, flags, message):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(_fixture_doc()))
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", str(path), "--report", str(report), *flags)
+    assert code == 2 and message in err and out == ""
+    assert not report.exists()
+
+    out_file = tmp_path / "li21.json"
+    code, out, err = run(
+        capsys, "reduce", "--k", "2", "--l", "1", "--verify", "--out", str(out_file), *flags
+    )
+    assert code == 2 and message in err and out == ""
+    assert not out_file.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fixture.json"]
+
+
 def test_verify_reports_byte_identical(tmp_path, capsys):
     from mplkit.reduction import weight4_fixture_identity
     from mplkit.serialize import identity_dumps

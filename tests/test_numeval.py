@@ -1,7 +1,9 @@
 import cmath
 import math
 import random
+import sys
 
+import numpy as np
 import pytest
 
 from mplkit.numeval import (
@@ -14,11 +16,14 @@ from mplkit.numeval import (
     eval_generating_series,
     eval_li,
     series_value,
+    series_value_batch,
     suffix_moduli,
     tail_bound,
 )
 
 from _oracles import generating_direct, li_direct
+
+EPS = sys.float_info.epsilon
 
 
 def test_composition_validation():
@@ -68,6 +73,76 @@ def test_prefix_sum_matches_nested_loops():
         v = series_value(Composition(parts), args, 60)
         w = li_direct(parts, args, 60)
         assert abs(v - w) < 1e-13 * max(1, abs(w))
+
+
+def _one_column_cases():
+    """Seeded (parts, args, cutoff) at depth 1-4: generic arguments, a zero
+    argument, one |a_k| > 1 with every suffix product below 1, cutoff 1,
+    and a cutoff of 2048 at largest suffix modulus 0.98."""
+    rng = random.Random(20261018)
+
+    def point(modulus):
+        return modulus * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+
+    cases = []
+    for d in range(1, 5):
+        parts = tuple(rng.randint(1, 3) for _ in range(d))
+        generic = [point(rng.uniform(0.2, 0.8)) for _ in range(d)]
+        cases.append((parts, generic, rng.randint(2, 30)))
+        cases.append((parts, generic, 1))
+        zero = list(generic)
+        zero[rng.randrange(d)] = 0.0
+        cases.append((parts, zero, 25))
+        # unit moduli except the last slot: every suffix modulus is 0.98
+        cases.append((parts, [point(1.0) for _ in range(d - 1)] + [point(0.98)], 2048))
+        if d >= 2:
+            k = rng.randrange(d - 1)
+            large = list(generic)
+            large[k], large[k + 1] = point(1.5), point(0.4)
+            assert max(suffix_moduli(large)) < 1.0
+            cases.append((parts, large, 25))
+    return cases
+
+
+def test_one_column_kernel_matches_numpy_columns():
+    for parts, args, cutoff in _one_column_cases():
+        comp = Composition(parts)
+        column = np.array(args, dtype=np.complex128)[:, None]
+        other = np.full_like(column, 0.3 - 0.2j)
+        v = series_value_batch(comp, column, cutoff)  # one column: scalar loop
+        w = series_value_batch(comp, np.hstack([other, column]), cutoff)[1]  # numpy
+        assert v.shape == (1,) and v.dtype == np.complex128
+        allowance = 64 * EPS * math.sqrt(cutoff * len(parts)) * max(1.0, abs(w))
+        assert abs(v[0] - w) <= allowance, (parts, args, cutoff)
+        if cutoff <= 30:
+            ref = li_direct(parts, args, cutoff)
+            assert abs(v[0] - ref) <= 1e-13 * max(1.0, abs(ref)), (parts, args, cutoff)
+        if 0.0 in args:
+            assert v[0] == 0
+
+
+def test_one_column_kernel_checks_shape_and_cutoff():
+    comp = Composition((2, 1))
+    with pytest.raises(ValueError):
+        series_value_batch(comp, np.full((3, 1), 0.5), 10)
+    with pytest.raises(ValueError):
+        series_value_batch(comp, np.full(2, 0.5), 10)
+    for cutoff in (0, -1):
+        with pytest.raises(ValueError):
+            series_value_batch(comp, np.full((2, 1), 0.5), cutoff)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_eval_li_depth1_against_mpmath(n):
+    import mpmath  # the "test" extra; an independent oracle, not a library dependency
+    for modulus in (0.5, 0.9, 0.98):
+        for phase in (0.0, 2.0, math.pi):
+            x = modulus * cmath.exp(1j * phase)
+            r = eval_li(EvalRequest(Composition((n,)), (x,), 1e-12))
+            with mpmath.workdps(40):
+                ref = complex(mpmath.polylog(n, mpmath.mpc(x.real, x.imag)))
+            allowance = r.tail_bound + 64 * EPS * math.sqrt(r.cutoff) * max(1.0, abs(ref))
+            assert abs(r.value - ref) <= allowance, (n, x)
 
 
 def test_divergent_request():
