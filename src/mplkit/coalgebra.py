@@ -81,6 +81,10 @@ class GroupElement:
                     f"exponent {e} of {v} has a non-2-power denominator"
                 )
         object.__setattr__(self, "exponents", exps)
+        # sort and hash key; its hash is not stored, as str hashes vary by process
+        key = tuple((v, e.numerator, e.denominator) for v, e in exps)
+        phase = self.phase
+        object.__setattr__(self, "_k", (phase.numerator, phase.denominator, key))
 
     @classmethod
     def generator(cls, name: str) -> "GroupElement":
@@ -126,11 +130,10 @@ class GroupElement:
         return value
 
     def _key(self):
-        return (
-            self.phase.numerator,
-            self.phase.denominator,
-            tuple((v, e.numerator, e.denominator) for v, e in self.exponents),
-        )
+        return self._k
+
+    def __hash__(self) -> int:
+        return hash(self._k)
 
     def __str__(self) -> str:
         bits = []
@@ -153,9 +156,13 @@ class PolylogSymbol:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"symbol weight must be >= 2, got {self.n}")
+        object.__setattr__(self, "_k", (self.n, self.arg._key()))
 
     def _key(self):
-        return (self.n, self.arg._key())
+        return self._k
+
+    def __hash__(self) -> int:
+        return hash(self._k)
 
     def __str__(self) -> str:
         return f"Li_{self.n}({self.arg})"
@@ -365,29 +372,51 @@ def cobracket_image(
 # distribution relations
 
 
-def _contract_once(
-    terms: list[tuple[PolylogSymbol, Fraction]], r: int
-) -> tuple[list[tuple[PolylogSymbol, Fraction]], bool]:
-    groups: dict = {}
-    for sym, coeff in terms:
-        key = (sym.n, sym.arg.exponents, (sym.arg.phase * r) % 1)
-        groups.setdefault(key, []).append((sym, coeff))
-    out: list[tuple[PolylogSymbol, Fraction]] = []
-    changed = False
-    for members in groups.values():
-        coeffs = {c for _, c in members}
-        if len(members) == r and len(coeffs) == 1:
-            sym0, c = members[0]
-            out.append(
-                (
-                    PolylogSymbol(sym0.n, sym0.arg.power(r)),
-                    c * Fraction(1, r ** (sym0.n - 1)),
-                )
-            )
-            changed = True
-        else:
-            out.extend(members)
-    return out, changed
+def _contract(
+    pairs: Iterable[tuple[Word, Fraction]], r: int
+) -> list[tuple[Word, Fraction]]:
+    if r < 1:
+        raise ValueError("orbit order must be a positive integer")
+    syms: list[PolylogSymbol] = []  # id -> symbol; ids maps symbol keys back to ids
+    ids, orbits, orbit_of, powered = {}, {}, [], {}  # powered: id -> id of Li_n(arg^r)
+
+    def intern(sym: PolylogSymbol) -> int:
+        i = ids.setdefault(sym._key(), len(syms))
+        if i == len(syms):
+            syms.append(sym)
+            p, q, exps = sym.arg._key()
+            g = math.gcd(p * r, q)  # phase * r mod 1 is (p*r/g mod q/g) / (q/g)
+            key = (sym.n, exps, p * r // g % (q // g), q // g)
+            orbit_of.append(orbits.setdefault(key, len(orbits)))
+        return i
+
+    def merged(items) -> dict:
+        acc: dict = {}
+        for w, c in items:
+            acc[w] = acc[w] + c if w in acc else c
+        return {w: c for w, c in acc.items() if c}
+
+    words = merged((tuple(map(intern, w)), c) for w, c in pairs)
+    while True:
+        before = words
+        for slot in range(len(next(iter(words), ()))):
+            groups: dict = {}
+            for w, c in words.items():
+                key = (w[:slot], w[slot + 1 :], orbit_of[w[slot]])
+                groups.setdefault(key, []).append((w, c))
+            out = []
+            for members in groups.values():
+                (w, c), i = members[0], members[0][0][slot]
+                if len(members) != r or any(q != c for _, q in members):
+                    out.extend(members)
+                    continue
+                if i not in powered:
+                    powered[i] = intern(PolylogSymbol(syms[i].n, syms[i].arg.power(r)))
+                w = w[:slot] + (powered[i],) + w[slot + 1 :]
+                out.append((w, c * Fraction(1, r ** (syms[i].n - 1))))
+            words = merged(out)
+        if words == before:  # a collapse drops a word, or is the identity at r = 1
+            return [(tuple(syms[i] for i in w), c) for w, c in words.items()]
 
 
 def distribution_contract(e: PolylogCombination, r: int) -> PolylogCombination:
@@ -395,18 +424,12 @@ def distribution_contract(e: PolylogCombination, r: int) -> PolylogCombination:
 
     Each orbit {Li_n(zeta b) : zeta^r = 1} with common coefficient c becomes
     c * r^{1-n} * Li_n(b^r); partial orbits and orbits with unequal
-    coefficients are left untouched.  Passes repeat until nothing collapses,
-    so a second call is a no-op.
+    coefficients are left untouched.  This is the depth-1 case of
+    `tensor_distribution_contract`, so a second call is a no-op.
     """
-    if r < 1:
-        raise ValueError("orbit order must be a positive integer")
-    if r == 1:
-        return PolylogCombination.from_terms(e.terms)
-    terms = list(e.terms)
-    changed = True
-    while changed:
-        terms, changed = _contract_once(terms, r)
-    return PolylogCombination.from_terms(terms)
+    return PolylogCombination.from_terms(
+        (w[0], c) for w, c in _contract((((s,), c) for s, c in e.terms), r)
+    )
 
 
 def distribution_expand(e: PolylogCombination, r: int) -> PolylogCombination:
@@ -428,37 +451,16 @@ def distribution_expand(e: PolylogCombination, r: int) -> PolylogCombination:
 
 
 def tensor_distribution_contract(te: TensorElement, r: int) -> TensorElement:
-    """Slot-wise orbit contraction on tensor words, iterated to a fixpoint."""
-    if r < 1:
-        raise ValueError("orbit order must be a positive integer")
-    if r == 1 or te.is_zero():
-        return te
-    depth = len(te.terms[0][0])
-    terms = list(te.terms)
-    changed = True
-    while changed:
-        changed = False
-        for slot in range(depth):
-            groups: dict = {}
-            for word, coeff in terms:
-                sym = word[slot]
-                rest = tuple(w._key() for i, w in enumerate(word) if i != slot)
-                key = (rest, sym.n, sym.arg.exponents, (sym.arg.phase * r) % 1)
-                groups.setdefault(key, []).append((word, coeff))
-            new_terms: list[tuple[Word, Fraction]] = []
-            for members in groups.values():
-                coeffs = {c for _, c in members}
-                if len(members) == r and len(coeffs) == 1:
-                    word0, c = members[0]
-                    sym0 = word0[slot]
-                    new_sym = PolylogSymbol(sym0.n, sym0.arg.power(r))
-                    new_word = word0[:slot] + (new_sym,) + word0[slot + 1 :]
-                    new_terms.append((new_word, c * Fraction(1, r ** (sym0.n - 1))))
-                    changed = True
-                else:
-                    new_terms.extend(members)
-            terms = list(TensorElement.from_terms(new_terms).terms)
-    return TensorElement.from_terms(terms)
+    """Slot-wise orbit contraction on tensor words, iterated to a fixpoint.
+
+    Slot by slot, words equal outside the slot whose slot symbols form a
+    complete orbit with one coefficient collapse as in `distribution_contract`
+    (its depth-1 case); equal words merge and zeros drop after every slot.
+    The fixpoint runs on words of interned int symbol ids, each id mapped
+    once to its orbit and to the id of its r-th power.  Which words collapse
+    does not depend on term order, so words are sorted only for output.
+    """
+    return TensorElement.from_terms(_contract(te.terms, r))
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,11 @@ def _check_kind(d, kind: str) -> None:
         raise ValueError(f"expected a JSON object, got {type(d).__name__}")
     if d.get("kind") != kind:
         raise ValueError(f"expected kind={kind!r}, got kind={d.get('kind')!r}")
+    version = d.get("schema_version")  # None when missing
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(
+            f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}"
+        )
 
 
 def _monomial_dict(m: ArgMonomial | GroupElement) -> dict:
@@ -91,15 +96,8 @@ def _monomial_dict(m: ArgMonomial | GroupElement) -> dict:
     }
 
 
-def _arg_monomial_from(d: Mapping) -> ArgMonomial:
-    return ArgMonomial(
-        _ratio(d["zeta_pow"], d["zeta_order"]),
-        tuple((v, _fraction_from(e)) for v, e in d["exponents"].items()),
-    )
-
-
-def _group_element_from(d: Mapping) -> GroupElement:
-    return GroupElement(
+def _monomial_from(cls: type[ArgMonomial] | type[GroupElement], d: Mapping):
+    return cls(
         _ratio(d["zeta_pow"], d["zeta_order"]),
         tuple((v, _fraction_from(e)) for v, e in d["exponents"].items()),
     )
@@ -124,7 +122,7 @@ def _term_from(d: Mapping) -> Term:
         tuple(
             MPLFactor(
                 Composition(tuple(int(i) for i in f["indices"])),
-                tuple(_arg_monomial_from(a) for a in f["args"]),
+                tuple(_monomial_from(ArgMonomial, a) for a in f["args"]),
             )
             for f in d["factors"]
         ),
@@ -192,7 +190,7 @@ def generator_combination_from_dict(d: Mapping) -> GeneratorCombination:
         (
             GeneratorTerm(
                 int(t["weight"]),
-                tuple(_group_element_from(a) for a in t["args"]),
+                tuple(_monomial_from(GroupElement, a) for a in t["args"]),
             ),
             _fraction_from(t["coeff"]),
         )
@@ -229,7 +227,7 @@ def tensor_element_from_dict(d: Mapping) -> TensorElement:
     return TensorElement.from_terms(
         (
             tuple(
-                PolylogSymbol(int(s["n"]), _group_element_from(s["arg"]))
+                PolylogSymbol(int(s["n"]), _monomial_from(GroupElement, s["arg"]))
                 for s in t["word"]
             ),
             _fraction_from(t["coeff"]),

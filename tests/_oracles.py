@@ -41,3 +41,41 @@ def compositions_brute(total, parts, minimum):
         if sum(tup) == total:
             out.append(tup)
     return out
+
+
+def tensor_contract_reference(te, r):
+    """Slot-wise orbit contraction, re-normalized by a sorted `from_terms`
+    after every slot: the straightforward form of the fixpoint that
+    `tensor_distribution_contract` computes on interned ids."""
+    from fractions import Fraction
+
+    from mplkit.coalgebra import PolylogSymbol, TensorElement
+
+    if r == 1 or te.is_zero():
+        return te
+    depth = len(te.terms[0][0])
+    terms = list(te.terms)
+    changed = True
+    while changed:
+        changed = False
+        for slot in range(depth):
+            groups = {}
+            for word, coeff in terms:
+                sym = word[slot]
+                rest = tuple(w._key() for i, w in enumerate(word) if i != slot)
+                key = (rest, sym.n, sym.arg.exponents, (sym.arg.phase * r) % 1)
+                groups.setdefault(key, []).append((word, coeff))
+            new_terms = []
+            for members in groups.values():
+                coeffs = {c for _, c in members}
+                if len(members) == r and len(coeffs) == 1:
+                    word0, c = members[0]
+                    sym0 = word0[slot]
+                    new_sym = PolylogSymbol(sym0.n, sym0.arg.power(r))
+                    new_word = word0[:slot] + (new_sym,) + word0[slot + 1 :]
+                    new_terms.append((new_word, c * Fraction(1, r ** (sym0.n - 1))))
+                    changed = True
+                else:
+                    new_terms.extend(members)
+            terms = list(TensorElement.from_terms(new_terms).terms)
+    return TensorElement.from_terms(terms)

@@ -140,8 +140,15 @@ def _with_first_rhs(field, value):
         (_with_first_rhs("coeff", {"num": "1", "den": "0"}), "zero denominator"),
         (_with_first_rhs("coeff", 4), "rational"),
         (_with_first_rhs("factors", 4), "not iterable"),
+        ({**_fixture_doc(), "schema_version": 2}, "unsupported schema_version 2"),
     ],
-    ids=["top-level-list", "zero-denominator", "integer-coefficient", "integer-factors"],
+    ids=[
+        "top-level-list",
+        "zero-denominator",
+        "integer-coefficient",
+        "integer-factors",
+        "schema-version-2",
+    ],
 )
 def test_verify_malformed_identity_exit_2(tmp_path, capsys, doc, message):
     path = tmp_path / "malformed.json"

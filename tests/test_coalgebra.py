@@ -1,9 +1,16 @@
 import cmath
+import dataclasses
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mplkit.coalgebra import (
     GeneratorCombination,
@@ -25,7 +32,7 @@ from mplkit.coalgebra import (
 )
 from mplkit.numeval import Composition, EvalRequest, eval_li
 
-from _oracles import compositions_brute
+from _oracles import compositions_brute, tensor_contract_reference
 
 A = GroupElement.generator("a1")
 B = GroupElement.generator("a2")
@@ -34,6 +41,68 @@ C = GroupElement.generator("a3")
 
 def word(*pairs):
     return tuple(PolylogSymbol(n, g) for n, g in pairs)
+
+
+# ---------------------------------------------------------------------------
+# cached identity
+
+
+def _fields_key(g):
+    return (
+        g.phase.numerator,
+        g.phase.denominator,
+        tuple((v, e.numerator, e.denominator) for v, e in g.exponents),
+    )
+
+
+def test_cached_key_is_consistent():
+    g = GroupElement.make({"a1": 2, "a2": Fraction(-1, 2)}, 4, 1)
+    routes = [
+        GroupElement.make({"a2": Fraction(-1, 2), "a1": Fraction(2)}, 8, 2),
+        GroupElement.make({"a1": 2, "a2": Fraction(-1, 2), "a3": 0}, 4, 5),
+        g.roots(2)[3].power(4),
+        g.roots(1)[0].power(2),
+        GroupElement.make({"a1": 1, "a2": Fraction(-1, 4)}, 8, 1).power(2),
+    ]
+    assert GroupElement.generator("a1").power(2) == GroupElement.make({"a1": 2})
+    assert hash(GroupElement.generator("a1").power(2)) == hash(GroupElement.make({"a1": 2}))
+    for other in routes:
+        assert other == g and hash(other) == hash(g) and other._key() == g._key()
+        assert other._key() == _fields_key(other)
+        s, t = PolylogSymbol(3, g), PolylogSymbol(3, other)
+        assert s == t and hash(s) == hash(t) and s._key() == t._key() == (3, _fields_key(g))
+
+    h = dataclasses.replace(g, phase=Fraction(1, 2))
+    assert h == GroupElement.make({"a1": 2, "a2": Fraction(-1, 2)}, 2, 1)
+    assert h._key() == _fields_key(h) and hash(h) == hash(_fields_key(h))
+    assert h != g and h._key() != g._key()
+    s = dataclasses.replace(PolylogSymbol(3, g), n=4, arg=h)
+    assert s == PolylogSymbol(4, h) and s._key() == (4, _fields_key(h))
+    assert hash(s) == hash(PolylogSymbol(4, h))
+
+
+def test_pickled_group_element_is_a_dict_key_under_another_hash_seed():
+    g = GroupElement.make({"a1": Fraction(3, 2), "b": -1}, 8, 3)
+    assert {g: 1}[g] == 1  # hashed here before it is pickled
+    script = (
+        "import pickle, sys\n"
+        "from fractions import Fraction\n"
+        "from mplkit.coalgebra import GroupElement, PolylogSymbol\n"
+        "g = pickle.loads(bytes.fromhex(sys.argv[1]))\n"
+        "fresh = GroupElement.make({'b': -1, 'a1': Fraction(3, 2)}, 8, 3)\n"
+        "assert g in {fresh: 1} and fresh in {g: 1}\n"
+        "assert PolylogSymbol(2, g) in {PolylogSymbol(2, fresh): 1}\n"
+        "print(hash('a1'))\n"
+    )
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, pickle.dumps(g).hex()],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) != hash("a1")  # the string hashes really differ
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +213,89 @@ def test_contract_numeric_consistency():
         z = rng.uniform(0.1, 0.8) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         asg = {"a2": z}
         assert abs(e.complex_value(asg, classical) - out.complex_value(asg, classical)) < 1e-10
+
+
+def test_contract_merges_collapsed_orbit_with_existing_term():
+    # Li_2(x) + Li_2(-x) collapses to 1/2 Li_2(x^2), which completes the
+    # orbit {Li_2(x^2), Li_2(-x^2)} with coefficient 1
+    x2 = B.power(2)
+    e = PolylogCombination.from_terms(
+        [
+            (PolylogSymbol(2, B), Fraction(1)),
+            (PolylogSymbol(2, minus(B)), Fraction(1)),
+            (PolylogSymbol(2, x2), Fraction(1, 2)),
+            (PolylogSymbol(2, minus(x2)), Fraction(1)),
+        ]
+    )
+    once = distribution_contract(e, 2)
+    assert once.terms == ((PolylogSymbol(2, B.power(4)), Fraction(1, 2)),)
+    assert distribution_contract(once, 2) == once
+
+
+def _orbit(sym, r):
+    """Every Li_n(zeta * arg) with zeta^r = 1."""
+    return [
+        PolylogSymbol(sym.n, GroupElement(sym.arg.phase + Fraction(j, r), sym.arg.exponents))
+        for j in range(r)
+    ]
+
+
+_COEFFS = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2, 3), Fraction(3)])
+
+
+@st.composite
+def _contraction_cases(draw):
+    """(tensor element, r): random words from a small symbol pool plus
+    planted complete orbits with equal or unequal coefficients, partial
+    orbits, and orbits whose contraction lands on a word already present
+    and completes the next orbit up."""
+    r = draw(st.sampled_from((2, 3, 4)))
+    weights = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+
+    def symbol(n):
+        phase = Fraction(draw(st.integers(0, r * r - 1)), r * r)
+        var = draw(st.sampled_from(("a1", "a2")))
+        e = draw(st.sampled_from((Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1))))
+        return PolylogSymbol(n, GroupElement(phase, ((var, e),)))
+
+    def with_slot(w, k, sym):
+        return w[:k] + (sym,) + w[k + 1 :]
+
+    pairs = []
+    for _ in range(draw(st.integers(1, 5))):
+        w = tuple(symbol(n) for n in weights)
+        c = draw(_COEFFS)
+        kind = draw(st.sampled_from(("word", "equal", "unequal", "partial", "collide")))
+        if kind == "word":
+            pairs.append((w, c))
+            continue
+        k = draw(st.integers(0, len(w) - 1))
+        orbit = [with_slot(w, k, s) for s in _orbit(w[k], r)]
+        if kind == "partial":
+            orbit = orbit[: draw(st.integers(1, r - 1))]
+        pairs += [(v, c) for v in orbit]
+        if kind == "unequal":
+            pairs.append((orbit[draw(st.integers(0, r - 1))], Fraction(1)))
+        if kind == "collide":
+            up = _orbit(PolylogSymbol(w[k].n, w[k].arg.power(r)), r)
+            c_up = c / r ** (w[k].n - 1)
+            pairs.append((with_slot(w, k, up[0]), c_up))
+            if draw(st.booleans()):
+                pairs += [(with_slot(w, k, s), 2 * c_up) for s in up[1:]]
+    return TensorElement.from_terms(pairs), r
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_contraction_cases())
+def test_tensor_contract_matches_reference(case):
+    te, r = case
+    got = tensor_distribution_contract(te, r)
+    assert got == tensor_contract_reference(te, r)
+    assert tensor_distribution_contract(got, r) == got
+    assert tensor_distribution_contract(te, 1) == te
+    if te.terms and len(te.terms[0][0]) == 1:
+        e = PolylogCombination.from_terms((w[0], c) for w, c in te.terms)
+        assert distribution_contract(e, r).terms == tuple((w[0], c) for w, c in got.terms)
 
 
 def test_expand_contract_round_trip_r2():

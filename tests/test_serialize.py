@@ -1,5 +1,8 @@
 import json
+import re
 from fractions import Fraction
+
+import pytest
 
 from mplkit.coalgebra import (
     GroupElement,
@@ -12,9 +15,13 @@ from mplkit.coalgebra import (
 from mplkit.reduction import reduce_li, weight4_fixture_identity
 from mplkit.serialize import (
     generator_combination_dumps,
+    generator_combination_from_dict,
     generator_combination_loads,
+    generator_combination_to_dict,
     identity_dumps,
+    identity_from_dict,
     identity_loads,
+    identity_to_dict,
     identity_to_latex,
     preimage_report_to_dict,
     report_dumps,
@@ -70,6 +77,24 @@ def test_tensor_element_round_trip():
     te = cobracket_image(construct_preimage((3, 2), gens))
     d = tensor_element_to_dict(te)
     assert tensor_element_from_dict(d) == te
+
+
+@pytest.mark.parametrize("version", [None, 0, 2, "1", True, 1.0])
+def test_loaders_reject_other_schema_versions(version):
+    gens = (GroupElement.generator("a1"), GroupElement.generator("a2"))
+    combo = construct_preimage((3, 2), gens)
+    docs = [
+        (identity_from_dict, identity_to_dict(weight4_fixture_identity())),
+        (generator_combination_from_dict, generator_combination_to_dict(combo)),
+        (tensor_element_from_dict, tensor_element_to_dict(cobracket_image(combo))),
+    ]
+    for load, doc in docs:
+        if version is None:
+            del doc["schema_version"]
+        else:
+            doc["schema_version"] = version
+        with pytest.raises(ValueError, match=re.escape(f"unsupported schema_version {version!r}")):
+            load(doc)
 
 
 def test_preimage_report_dict():
