@@ -8,6 +8,7 @@ closed-form tail bounds.
 """
 
 from .coalgebra import (
+    Combination,
     GeneratorCombination,
     GeneratorTerm,
     GroupElement,
@@ -54,6 +55,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArgMonomial",
+    "Combination",
     "Composition",
     "EvalRequest",
     "EvalResult",

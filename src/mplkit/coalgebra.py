@@ -10,20 +10,25 @@ target word, slot by slot from the last one down.
 
 Symbols span a free module; distribution relations are applied only through
 explicit rewriting, never as an implicit quotient, so equality stays
-decidable.  All coefficients are exact rationals.
+decidable.  All coefficients are exact rationals.  One class, `Combination`,
+holds every sum here: of classical symbols (`PolylogCombination`), of tensor
+words (`TensorElement`) and of generators (`GeneratorCombination`); the three
+names are aliases of it.  Arguments are `GroupElement`s, the `symalg`
+monomials restricted to 2-power exponent denominators.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
+from .symalg import ArgMonomial
 
 __all__ = [
+    "Combination",
     "GeneratorCombination",
     "GeneratorTerm",
     "GroupElement",
@@ -58,92 +63,22 @@ def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(ArgMonomial):
     """Formal argument zeta * prod a_i^{e_i} over abstract generators.
 
-    Exponent denominators must be powers of 2 (the ground field is assumed
-    quadratically closed, so 2-power roots always exist); the root of unity
-    is unrestricted so third roots remain available for distribution tests.
+    An `ArgMonomial` whose exponent denominators must be powers of 2 (the
+    ground field is assumed quadratically closed, so 2-power roots always
+    exist); the root of unity is unrestricted so third roots remain
+    available for distribution tests.
     """
 
-    phase: Fraction = Fraction(0)
-    exponents: tuple[tuple[str, Fraction], ...] = ()
-
     def __post_init__(self) -> None:
-        object.__setattr__(self, "phase", Fraction(self.phase) % 1)
-        exps = tuple(
-            sorted((str(v), Fraction(e)) for v, e in self.exponents if e != 0)
-        )
-        for v, e in exps:
+        super().__post_init__()
+        for v, e in self.exponents:
             if not _is_power_of_two(e.denominator):
                 raise ValueError(
                     f"exponent {e} of {v} has a non-2-power denominator"
                 )
-        object.__setattr__(self, "exponents", exps)
-        # sort and hash key; its hash is not stored, as str hashes vary by process
-        key = tuple((v, e.numerator, e.denominator) for v, e in exps)
-        phase = self.phase
-        object.__setattr__(self, "_k", (phase.numerator, phase.denominator, key))
-
-    @classmethod
-    def generator(cls, name: str) -> "GroupElement":
-        return cls(Fraction(0), ((name, Fraction(1)),))
-
-    @classmethod
-    def make(
-        cls,
-        exponents: Mapping[str, Fraction | int] | None = None,
-        zeta_order: int = 1,
-        zeta_power: int = 0,
-    ) -> "GroupElement":
-        return cls(Fraction(zeta_power, zeta_order), tuple((exponents or {}).items()))
-
-    @property
-    def zeta_order(self) -> int:
-        return self.phase.denominator
-
-    @property
-    def zeta_power(self) -> int:
-        return self.phase.numerator
-
-    def power(self, r: int) -> "GroupElement":
-        return GroupElement(self.phase * r, tuple((v, e * r) for v, e in self.exponents))
-
-    def roots(self, s: int) -> list["GroupElement"]:
-        """All 2^s elements whose 2^s-th power is this element."""
-        if s < 0:
-            raise ValueError("root level must be nonnegative")
-        scale = 2**s
-        exps = tuple((v, e / scale) for v, e in self.exponents)
-        return [
-            GroupElement((self.phase + j) / scale, exps) for j in range(scale)
-        ]
-
-    def complex_value(self, assignment: Mapping[str, complex]) -> complex:
-        value = cmath.exp(2j * math.pi * float(self.phase))
-        for var, e in self.exponents:
-            base = complex(assignment[var])
-            if base == 0:
-                raise ValueError(f"generator {var} assigned zero")
-            value *= cmath.exp(float(e) * cmath.log(base))
-        return value
-
-    def _key(self):
-        return self._k
-
-    def __hash__(self) -> int:
-        return hash(self._k)
-
-    def __str__(self) -> str:
-        bits = []
-        if self.phase == Fraction(1, 2):
-            bits.append("-1")
-        elif self.phase != 0:
-            bits.append(f"zeta_{self.zeta_order}^{self.zeta_power}")
-        for v, e in self.exponents:
-            bits.append(v if e == 1 else f"{v}^{e}")
-        return "*".join(bits) if bits else "1"
 
 
 @dataclass(frozen=True)
@@ -168,103 +103,7 @@ class PolylogSymbol:
         return f"Li_{self.n}({self.arg})"
 
 
-def _merge(pairs: Iterable[tuple[object, Fraction]]) -> list[tuple[object, Fraction]]:
-    acc: dict = {}  # sort key -> [object, coefficient]; keys are unique
-    for obj, coeff in pairs:
-        key = obj._key() if hasattr(obj, "_key") else tuple(w._key() for w in obj)
-        if key in acc:
-            acc[key][1] += coeff
-        else:
-            acc[key] = [obj, coeff]
-    return [(obj, c) for _, (obj, c) in sorted(acc.items()) if c != 0]
-
-
-@dataclass(frozen=True)
-class PolylogCombination:
-    """Normalized rational combination of classical polylogarithm symbols."""
-
-    terms: tuple[tuple[PolylogSymbol, Fraction], ...] = ()
-
-    @staticmethod
-    def from_terms(
-        pairs: Iterable[tuple[PolylogSymbol, Fraction]]
-    ) -> "PolylogCombination":
-        return PolylogCombination(tuple(_merge(pairs)))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "PolylogCombination") -> "PolylogCombination":
-        return PolylogCombination.from_terms(self.terms + other.terms)
-
-    def __sub__(self, other: "PolylogCombination") -> "PolylogCombination":
-        return self + other.scale(-1)
-
-    def scale(self, c: Fraction | int) -> "PolylogCombination":
-        c = Fraction(c)
-        return PolylogCombination.from_terms(
-            (s, c * q) for s, q in self.terms
-        )
-
-    def complex_value(
-        self, assignment: Mapping[str, complex], evaluator
-    ) -> complex:
-        """Numeric value; `evaluator(n, z)` computes the classical Li_n(z)."""
-        total = 0j
-        for sym, coeff in self.terms:
-            total += float(coeff) * evaluator(sym.n, sym.arg.complex_value(assignment))
-        return total
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({c}) {s}" for s, c in self.terms)
-
-
 Word = tuple[PolylogSymbol, ...]
-
-
-@dataclass(frozen=True)
-class TensorElement:
-    """Normalized combination of equal-length, equal-weight tensor words."""
-
-    terms: tuple[tuple[Word, Fraction], ...] = ()
-
-    def __post_init__(self) -> None:
-        shapes = {
-            (len(word), sum(s.n for s in word)) for word, _ in self.terms
-        }
-        if len(shapes) > 1:
-            raise ValueError(f"inhomogeneous tensor element: {sorted(shapes)}")
-
-    @staticmethod
-    def from_terms(pairs: Iterable[tuple[Word, Fraction]]) -> "TensorElement":
-        return TensorElement(tuple(_merge((tuple(w), c) for w, c in pairs)))
-
-    @staticmethod
-    def single(word: Word, coeff: Fraction | int = 1) -> "TensorElement":
-        return TensorElement.from_terms([(tuple(word), Fraction(coeff))])
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        return TensorElement.from_terms(self.terms + other.terms)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + other.scale(-1)
-
-    def scale(self, c: Fraction | int) -> "TensorElement":
-        c = Fraction(c)
-        return TensorElement.from_terms((w, c * q) for w, q in self.terms)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            "(" + str(c) + ") " + " (x) ".join(str(s) for s in w)
-            for w, c in self.terms
-        )
 
 
 @dataclass(frozen=True)
@@ -282,58 +121,106 @@ class GeneratorTerm:
             raise ValueError(
                 f"weight {self.weight} below depth {len(self.args)}"
             )
+        key = tuple(a._key() for a in self.args)
+        object.__setattr__(self, "_k", (self.weight, len(self.args), key))
 
     @property
     def depth(self) -> int:
         return len(self.args)
 
     def _key(self):
-        return (self.weight, self.depth, tuple(a._key() for a in self.args))
+        return self._k
+
+    def __hash__(self) -> int:
+        return hash(self._k)
 
     def __str__(self) -> str:
         head = f"{self.weight - self.depth};" + ",".join(["1"] * self.depth)
         return f"Li_{{{head}}}({', '.join(str(a) for a in self.args)})"
 
 
-@dataclass(frozen=True)
-class GeneratorCombination:
-    """Normalized combination of generators of one weight and one depth."""
+def _merge(pairs: Iterable[tuple[object, Fraction]]) -> list[tuple[object, Fraction]]:
+    acc: dict = {}  # sort key -> [object, coefficient]; keys are unique
+    for obj, coeff in pairs:
+        key = obj._key() if hasattr(obj, "_key") else tuple(w._key() for w in obj)
+        if key in acc:
+            acc[key][1] += coeff
+        else:
+            acc[key] = [obj, coeff]
+    return [(obj, c) for _, (obj, c) in sorted(acc.items()) if c != 0]
 
-    terms: tuple[tuple[GeneratorTerm, Fraction], ...] = ()
+
+def _shape(x) -> tuple[int, int] | None:
+    """(length, weight) of a tensor word, (weight, depth) of a generator."""
+    if isinstance(x, tuple):
+        return len(x), sum(s.n for s in x)
+    return (x.weight, x.depth) if isinstance(x, GeneratorTerm) else None
+
+
+@dataclass(frozen=True)
+class Combination:
+    """Normalized rational combination of classical symbols, of tensor
+    words (tuples of symbols) or of generators.
+
+    Terms are merged on their `_key`, zeros dropped, and sorted by key.  A
+    tensor element keeps one (length, weight), a generator combination one
+    (weight, depth); classical symbols may mix weights.
+    """
+
+    terms: tuple[tuple[PolylogSymbol | Word | GeneratorTerm, Fraction], ...] = ()
 
     def __post_init__(self) -> None:
-        shapes = {(g.weight, g.depth) for g, _ in self.terms}
+        shapes = {_shape(x) for x, _ in self.terms}
         if len(shapes) > 1:
-            raise ValueError(f"inhomogeneous generator combination: {sorted(shapes)}")
+            kind = (
+                "tensor element" if isinstance(self.terms[0][0], tuple)
+                else "generator combination"
+            )
+            raise ValueError(f"inhomogeneous {kind}: {sorted(shapes)}")
 
     @staticmethod
-    def from_terms(
-        pairs: Iterable[tuple[GeneratorTerm, Fraction]]
-    ) -> "GeneratorCombination":
-        return GeneratorCombination(tuple(_merge(pairs)))
+    def from_terms(pairs: Iterable[tuple[object, Fraction]]) -> "Combination":
+        return Combination(tuple(_merge(pairs)))
 
     @staticmethod
     def single(
-        weight: int, args: Sequence[GroupElement], coeff: Fraction | int = 1
-    ) -> "GeneratorCombination":
-        return GeneratorCombination.from_terms(
-            [(GeneratorTerm(weight, tuple(args)), Fraction(coeff))]
-        )
+        x: PolylogSymbol | Word | GeneratorTerm, coeff: Fraction | int = 1
+    ) -> "Combination":
+        return Combination.from_terms([(x, Fraction(coeff))])
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "GeneratorCombination") -> "GeneratorCombination":
-        return GeneratorCombination.from_terms(self.terms + other.terms)
+    def __add__(self, other: "Combination") -> "Combination":
+        return Combination.from_terms(self.terms + other.terms)
 
-    def scale(self, c: Fraction | int) -> "GeneratorCombination":
+    def __sub__(self, other: "Combination") -> "Combination":
+        return self + other.scale(-1)
+
+    def scale(self, c: Fraction | int) -> "Combination":
         c = Fraction(c)
-        return GeneratorCombination.from_terms((g, c * q) for g, q in self.terms)
+        return Combination.from_terms((x, c * q) for x, q in self.terms)
+
+    def complex_value(
+        self, assignment: Mapping[str, complex], evaluator
+    ) -> complex:
+        """Numeric value of classical symbols; `evaluator(n, z)` computes Li_n(z)."""
+        total = 0j
+        for sym, coeff in self.terms:
+            total += float(coeff) * evaluator(sym.n, sym.arg.instantiate(assignment))
+        return total
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        return " + ".join(f"({c}) {g}" for g, c in self.terms)
+        return " + ".join(
+            f"({c}) "
+            + (" (x) ".join(map(str, x)) if isinstance(x, tuple) else str(x))
+            for x, c in self.terms
+        )
+
+
+PolylogCombination = TensorElement = GeneratorCombination = Combination
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +247,14 @@ def cobracket_image(
     compositions n_1 + ... + n_d = n with all n_i >= 2 of the word
     Li_{n_1}(a_1) x ... x Li_{n_d}(a_d); empty when n < 2d.
     """
-    pairs = g.terms if isinstance(g, GeneratorCombination) else ((g, Fraction(1)),)
-    return TensorElement.from_terms(
+    pairs = g.terms if isinstance(g, Combination) else ((g, Fraction(1)),)
+    if not pairs:
+        return Combination()
+    comps = compositions_min2(pairs[0][0].weight, pairs[0][0].depth)  # homogeneous
+    return Combination.from_terms(
         (tuple(PolylogSymbol(n, a) for n, a in zip(comp, term.args)), coeff)
         for term, coeff in pairs
-        for comp in compositions_min2(term.weight, term.depth)
+        for comp in comps
     )
 
 
@@ -526,7 +416,7 @@ def construct_preimage(
         raise ValueError("one argument per slot weight required")
     n = sum(weights)
     d = len(weights)
-    combo = GeneratorCombination.single(n, tuple(args))
+    combo = GeneratorCombination.single(GeneratorTerm(n, tuple(args)))
     remaining = n
     for slot in range(d, 0, -1):
         if slot == 1:

@@ -88,7 +88,7 @@ def _check_kind(d, kind: str) -> None:
         )
 
 
-def _monomial_dict(m: ArgMonomial | GroupElement) -> dict:
+def _monomial_dict(m: ArgMonomial) -> dict:
     return {
         "zeta_order": m.zeta_order,
         "zeta_pow": m.zeta_power,
@@ -96,7 +96,7 @@ def _monomial_dict(m: ArgMonomial | GroupElement) -> dict:
     }
 
 
-def _monomial_from(cls: type[ArgMonomial] | type[GroupElement], d: Mapping):
+def _monomial_from(cls: type[ArgMonomial], d: Mapping) -> ArgMonomial:
     return cls(
         _ratio(d["zeta_pow"], d["zeta_order"]),
         tuple((v, _fraction_from(e)) for v, e in d["exponents"].items()),

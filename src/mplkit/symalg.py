@@ -4,6 +4,8 @@ Coefficients are exact rationals throughout; floating point enters only
 when a monomial argument is instantiated at a concrete complex point.
 Arguments are root-of-unity-twisted monomials with rational exponents in
 named variables, which keeps canonical forms unique and equality decidable.
+`ArgMonomial` is the one monomial class of the package: the coalgebra's
+`GroupElement` is its subclass with 2-power exponent denominators.
 """
 
 from __future__ import annotations
@@ -72,20 +74,25 @@ class ArgMonomial:
     The root of unity is stored as its phase j/N reduced mod 1, so equal
     mathematical values have equal representations (zeta_4^2 == zeta_2^1).
     Instantiation uses the principal branch for every fractional power.
+    The sort and hash key is built once, at construction.
     """
 
     phase: Fraction = Fraction(0)
     exponents: tuple[tuple[str, Fraction], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "phase", _as_fraction(self.phase) % 1)
+        phase = _as_fraction(self.phase) % 1
         exps = tuple(
             sorted((str(v), _as_fraction(e)) for v, e in self.exponents if e != 0)
         )
         names = [v for v, _ in exps]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable in exponent map: {names}")
+        object.__setattr__(self, "phase", phase)
         object.__setattr__(self, "exponents", exps)
+        # its hash is not stored, as str hashes vary by process
+        key = tuple((v, e.numerator, e.denominator) for v, e in exps)
+        object.__setattr__(self, "_k", (phase.numerator, phase.denominator, key))
 
     @classmethod
     def make(
@@ -104,6 +111,8 @@ class ArgMonomial:
     @classmethod
     def variable(cls, name: str) -> "ArgMonomial":
         return cls.make({name: Fraction(1)})
+
+    generator = variable
 
     @property
     def zeta_order(self) -> int:
@@ -127,10 +136,18 @@ class ArgMonomial:
         exps: dict[str, Fraction] = dict(self.exponents)
         for v, e in other.exponents:
             exps[v] = exps.get(v, Fraction(0)) + e
-        return ArgMonomial(self.phase + other.phase, tuple(exps.items()))
+        return type(self)(self.phase + other.phase, tuple(exps.items()))
 
-    def inverse(self) -> "ArgMonomial":
-        return ArgMonomial(-self.phase, tuple((v, -e) for v, e in self.exponents))
+    def power(self, r: int) -> "ArgMonomial":
+        return type(self)(self.phase * r, tuple((v, e * r) for v, e in self.exponents))
+
+    def roots(self, s: int) -> list["ArgMonomial"]:
+        """All 2^s monomials whose 2^s-th power is this one."""
+        if s < 0:
+            raise ValueError("root level must be nonnegative")
+        scale = 2**s
+        exps = tuple((v, e / scale) for v, e in self.exponents)
+        return [type(self)((self.phase + j) / scale, exps) for j in range(scale)]
 
     def instantiate(self, assignment: Mapping[str, complex]) -> complex:
         """Numeric value with principal-branch fractional powers."""
@@ -146,11 +163,10 @@ class ArgMonomial:
         return value
 
     def _key(self):
-        return (
-            self.phase.numerator,
-            self.phase.denominator,
-            tuple((v, e.numerator, e.denominator) for v, e in self.exponents),
-        )
+        return self._k
+
+    def __hash__(self) -> int:
+        return hash(self._k)
 
     def __str__(self) -> str:
         bits = []

@@ -1,14 +1,18 @@
 """Acceptance suite: one test per criterion, one printed line per criterion.
 
 Criteria 1-5 emit files and reports through a shared builder; criterion 9
-re-runs the builder and compares every emitted byte.
+re-runs the builder and compares every emitted byte.  The exact artifacts
+(identities and preimages) are also compared against the SHA-256 digests
+pinned in artifact_digests.json, so a refactor cannot change them unnoticed.
 """
 
 import cmath
+import hashlib
 import itertools
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -305,3 +309,21 @@ def test_criterion_9_determinism(first_run):
     diffs = [name for name in files_a if files_a[name] != files_b[name]]
     _emit(not diffs, f"9 (determinism): {len(files_a)} emitted files byte-identical")
     assert not diffs, diffs
+
+
+def _is_exact_artifact(name: str) -> bool:
+    """Identities and preimages are exact; only verification reports hold floats."""
+    return name.startswith("preimage_") or not name.endswith(".report.json")
+
+
+def test_exact_artifacts_match_pinned_digests(first_run):
+    files, _ = first_run
+    pinned = json.loads((Path(__file__).parent / "artifact_digests.json").read_text())
+    got = {
+        name: hashlib.sha256(data).hexdigest()
+        for name, data in files.items()
+        if _is_exact_artifact(name)
+    }
+    assert sorted(got) == sorted(pinned)
+    changed = sorted(name for name in pinned if got[name] != pinned[name])
+    assert not changed, changed

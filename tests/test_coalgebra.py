@@ -80,6 +80,27 @@ def test_cached_key_is_consistent():
     assert s == PolylogSymbol(4, h) and s._key() == (4, _fields_key(h))
     assert hash(s) == hash(PolylogSymbol(4, h))
 
+    t = GeneratorTerm(5, [g, h])
+    for args in ((routes[0], h), (routes[2], dataclasses.replace(g, phase=Fraction(1, 2)))):
+        u = GeneratorTerm(5, args)
+        assert u == t and hash(u) == hash(t)
+        assert u._key() == t._key() == (5, 2, (_fields_key(g), _fields_key(h)))
+    u = dataclasses.replace(t, weight=6, args=(h,))
+    assert u == GeneratorTerm(6, (h,)) and u._key() == (6, 1, (_fields_key(h),))
+    assert hash(u) == hash(GeneratorTerm(6, (h,))) and u != t
+
+
+def test_group_element_checks_its_input_like_any_monomial():
+    with pytest.raises(ValueError, match="duplicate variable"):
+        GroupElement(0, (("a", 1), ("a", 1)))
+    with pytest.raises(TypeError, match="exact rational"):
+        GroupElement(0, (("a", 0.1),))
+    with pytest.raises(TypeError, match="exact rational"):
+        GroupElement(0.5, (("a", 1),))
+    with pytest.raises(ValueError, match="non-2-power"):
+        GroupElement(0, (("a", Fraction(1, 3)),))
+    assert GroupElement(0, (("a", 2),)) == GroupElement.make({"a": 2})
+
 
 def test_pickled_group_element_is_a_dict_key_under_another_hash_seed():
     g = GroupElement.make({"a1": Fraction(3, 2), "b": -1}, 8, 3)
@@ -320,14 +341,14 @@ def test_expand_rejects_non_2power_denominators():
 
 
 def test_root_sum_level_zero_is_identity():
-    c = GeneratorCombination.single(5, (A, B))
+    c = GeneratorCombination.single(GeneratorTerm(5, (A, B)))
     assert root_sum_generator(c, 2, 0) == c
 
 
 def test_root_sum_scaling_law():
     # contracted image of the level-s root sum = level-0 image with each
     # word's slot weight m rescaled by 2^{-s(m-1)}
-    base = GeneratorCombination.single(6, (A, B))
+    base = GeneratorCombination.single(GeneratorTerm(6, (A, B)))
     for s in (1, 2):
         summed = root_sum_generator(base, 2, s)
         contracted = tensor_distribution_contract(cobracket_image(summed), 2)
@@ -341,21 +362,21 @@ def test_root_sum_scaling_law():
 def test_root_sum_scaling_depth1():
     # depth-1 generator of weight 3: the sole image word is Li_3(a), and a
     # level-1 root sum rescales it by 2^{-(3-1)} = 1/4 after contraction
-    base = GeneratorCombination.single(3, (A,))
+    base = GeneratorCombination.single(GeneratorTerm(3, (A,)))
     summed = root_sum_generator(base, 1, 1)
     contracted = tensor_distribution_contract(cobracket_image(summed), 2)
     assert contracted == TensorElement.single(word((3, A)), Fraction(1, 4))
 
 
 def test_root_sum_slots_commute():
-    c = GeneratorCombination.single(6, (A, B))
+    c = GeneratorCombination.single(GeneratorTerm(6, (A, B)))
     ab = root_sum_generator(root_sum_generator(c, 1, 1), 2, 1)
     ba = root_sum_generator(root_sum_generator(c, 2, 1), 1, 1)
     assert ab == ba
 
 
 def test_root_sum_cap():
-    c = GeneratorCombination.single(5, (A, B))
+    c = GeneratorCombination.single(GeneratorTerm(5, (A, B)))
     with pytest.raises(RootCapExceeded):
         root_sum_generator(c, 2, 13)
 

@@ -3,8 +3,11 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mplkit.coalgebra import (
+    GeneratorCombination,
+    GeneratorTerm,
     GroupElement,
     TensorElement,
     PolylogSymbol,
@@ -77,6 +80,57 @@ def test_tensor_element_round_trip():
     te = cobracket_image(construct_preimage((3, 2), gens))
     d = tensor_element_to_dict(te)
     assert tensor_element_from_dict(d) == te
+
+
+_rationals = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 4, 8]))
+
+
+@st.composite
+def _group_elements(draw):
+    phase = Fraction(draw(st.integers(0, 11)), draw(st.sampled_from([1, 2, 3, 4, 8])))
+    exps = draw(st.dictionaries(st.sampled_from(["a1", "a2", "b"]), _rationals, max_size=3))
+    return GroupElement(phase, tuple(exps.items()))
+
+
+@st.composite
+def _generator_combinations(draw):
+    depth = draw(st.integers(1, 3))
+    weight = draw(st.integers(depth, 10))
+    args = st.tuples(*[_group_elements()] * depth)
+    terms = draw(st.lists(st.tuples(args, _rationals), max_size=6))
+    return GeneratorCombination.from_terms((GeneratorTerm(weight, a), c) for a, c in terms)
+
+
+@st.composite
+def _tensor_elements(draw):
+    weights = draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))
+    args = st.tuples(*[_group_elements()] * len(weights))
+    terms = draw(st.lists(st.tuples(st.permutations(weights), args, _rationals), max_size=6))
+    return TensorElement.from_terms(
+        (tuple(PolylogSymbol(n, a) for n, a in zip(ns, xs)), c) for ns, xs, c in terms
+    )
+
+
+def _tensor_element_dumps(te) -> str:
+    return json.dumps(tensor_element_to_dict(te), indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_generator_combinations())
+def test_generator_combination_round_trip_property(combo):
+    text = generator_combination_dumps(combo)
+    back = generator_combination_loads(text)
+    assert back == combo
+    assert generator_combination_dumps(back) == text
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_tensor_elements())
+def test_tensor_element_round_trip_property(te):
+    text = _tensor_element_dumps(te)
+    back = tensor_element_from_dict(json.loads(text))
+    assert back == te
+    assert _tensor_element_dumps(back) == text
 
 
 @pytest.mark.parametrize("version", [None, 0, 2, "1", True, 1.0])
