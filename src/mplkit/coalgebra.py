@@ -147,7 +147,24 @@ def _merge(pairs: Iterable[tuple[object, Fraction]]) -> list[tuple[object, Fract
             acc[key][1] += coeff
         else:
             acc[key] = [obj, coeff]
-    return [(obj, c) for _, (obj, c) in sorted(acc.items()) if c != 0]
+    try:
+        ordered = sorted(acc.items())
+    except TypeError:  # keys of different kinds need not compare
+        _one_kind(obj for obj, _ in acc.values())
+        raise
+    return [(obj, c) for _, (obj, c) in ordered if c != 0]
+
+
+def _one_kind(objs: Iterable[object]) -> str:
+    """The kind shared by all objs; a ValueError naming the kinds if they mix."""
+    kinds = sorted({
+        "tensor word" if isinstance(x, tuple)
+        else "generator" if isinstance(x, GeneratorTerm) else "classical symbol"
+        for x in objs
+    })
+    if len(kinds) > 1:
+        raise ValueError(f"terms of different kinds in one combination: {' and '.join(kinds)}")
+    return kinds[0]
 
 
 def _shape(x) -> tuple[int, int] | None:
@@ -172,11 +189,11 @@ class Combination:
     def __post_init__(self) -> None:
         shapes = {_shape(x) for x, _ in self.terms}
         if len(shapes) > 1:
-            kind = (
-                "tensor element" if isinstance(self.terms[0][0], tuple)
-                else "generator combination"
-            )
-            raise ValueError(f"inhomogeneous {kind}: {sorted(shapes)}")
+            # kinds never share a shape: a symbol has none, and a word's weight
+            # is at least twice its length while a generator's is at least its depth
+            kind = _one_kind(x for x, _ in self.terms)
+            combination = "tensor element" if kind == "tensor word" else "generator combination"
+            raise ValueError(f"inhomogeneous {combination}: {sorted(shapes)}")
 
     @staticmethod
     def from_terms(pairs: Iterable[tuple[object, Fraction]]) -> "Combination":

@@ -12,14 +12,18 @@ where W_k(m) is the mass of all chains of length k ending at m.  Every
 C_k(m) is bounded by binom(m-1, k-1) * rho^m * m for rho the largest
 suffix-product modulus, so evaluation is stable whenever rho < 1.
 
-The discarded mass past a cutoff M is bounded by the majorant
+The discarded mass past a cutoff M is bounded in closed form.  A chain
+0 < m_1 < ... < m_d = m contributes at most rho^m / prod m_k^{n_k} in
+modulus (rewrite the term through the suffix products b_k), so the chains
+ending at m weigh at most rho^m m^{-n_d} prod_{k<d} H_{m-1}^{(n_k)} <= t(m),
 
-    sum_{m > M} binom(m-1, d-1) * rho^m
+    t(m) = C * L(m)^j * m^{-n_d} * rho^m,    L(m) = 1 + ln m,
 
-because each chain with outermost index m contributes at most rho^m in
-modulus (rewrite the term through the suffix products b_k).  The bound is
-evaluated by summing the leading terms and closing with a geometric tail
-once the term ratio rho*m/(m-d+1) has dropped safely below 1.
+with j the number of inner parts equal to 1 and C = prod n_k/(n_k - 1) over
+the inner parts n_k >= 2 (H^{(1)}_{m-1} <= L(m), H^{(n)} <= zeta(n) <=
+n/(n-1)).  The term ratio is at most r(m) = rho * (L(m+1)/L(m))^j, which
+decreases in m, so the tail past M is at most t(M+1) / (1 - r(M+1)).  The
+bound is evaluated in the log domain and is infinite while r(M+1) >= 1.
 
 The recurrence runs on numpy arrays, one row per depth level and one column
 per point, when there are two or more points.  A single point runs it on
@@ -30,6 +34,7 @@ numpy ufunc call is almost all dispatch overhead.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -138,22 +143,30 @@ def suffix_moduli(args: Sequence[complex]) -> list[float]:
     return out
 
 
-def _log_comb(n: int, k: int) -> float:
-    if k < 0 or k > n:
-        return -math.inf
-    return (
-        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    )
+@functools.lru_cache(maxsize=1024)
+def _majorant(parts: tuple[int, ...]) -> tuple[int, float, int]:
+    """(j, log C, n_d) of the tail majorant t(m) for these parts."""
+    inner = parts[:-1]
+    return inner.count(1), sum(math.log(n / (n - 1)) for n in inner if n > 1), parts[-1]
+
+
+def _log_tail(parts: tuple[int, ...], rho: float, y: float) -> float:
+    """log(t(y) / (1 - r(y))), the log bound on the mass at outermost index >= y."""
+    j, log_c, last = _majorant(parts)
+    log_y = math.log(y)
+    r = rho * ((1.0 + math.log1p(y)) / (1.0 + log_y)) ** j
+    if r >= 1.0:
+        return math.inf
+    return log_c + j * math.log1p(log_y) - last * log_y + y * math.log(rho) - math.log1p(-r)
 
 
 def tail_bound(indices: Composition, suffix_rho: float, cutoff: int) -> float:
     """Certified upper bound on the series mass with outermost index > cutoff.
 
-    Exact geometric tail rho^(M+1)/(1-rho) at depth 1; at higher depth the
-    leading terms of binom(m-1,d-1)*rho^m are summed until the term ratio
-    falls below (1+rho)/2, then a geometric majorant closes the tail.
+    The closed form t(M+1) / (1 - r(M+1)) of the module docstring, with the
+    denominators kept; at depth 1 it is rho^(M+1) (M+1)^(-n) / (1 - rho).
+    Infinite while the ratio bound r(M+1) is not below 1.
     """
-    d = indices.depth
     rho = float(suffix_rho)
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"suffix_rho must lie in [0, 1), got {rho}")
@@ -161,21 +174,7 @@ def tail_bound(indices: Composition, suffix_rho: float, cutoff: int) -> float:
         raise ValueError("cutoff must be a positive integer")
     if rho == 0.0:
         return 0.0
-    m = max(cutoff + 1, d)  # first index that can carry a nonzero term
-    if _log_comb(m - 1, d - 1) + m * math.log(rho) < -720.0:
-        # Leading term underflows double precision; the whole tail is far
-        # below any representable target, certify it with a crude constant.
-        return 1e-300
-    r_star = 0.5 * (1.0 + rho)
-    term = math.comb(m - 1, d - 1) * rho**m
-    total = 0.0
-    while rho * m / (m - d + 1) > r_star:
-        total += term
-        term *= rho * m / (m - d + 1)
-        m += 1
-    # ratios rho*j/(j-d+1) decrease in j, so from index m onward the terms
-    # are dominated by the geometric series with the current ratio
-    return total + term / (1.0 - rho * m / (m - d + 1))
+    return math.exp(_log_tail(indices.parts, rho, cutoff + 1.0))
 
 
 def choose_cutoff(
@@ -185,7 +184,14 @@ def choose_cutoff(
     *,
     max_cutoff: int = DEFAULT_MAX_CUTOFF,
 ) -> int:
-    """Smallest cutoff whose tail bound meets the target (doubling + bisection)."""
+    """Smallest cutoff M with tail_bound(M) <= target_error, solved directly.
+
+    Newton steps in u = log(M + 1) on the smooth log bound, started from the
+    depth-1 inverse log(target (1 - rho)) / log(rho) and kept inside a
+    bracket of the root (bisecting when a step leaves it), land at or next
+    to the answer; tail_bound then confirms tail_bound(M) <= target <
+    tail_bound(M - 1), which its monotonicity in M makes M the smallest.
+    """
     if not (float(target_error) > 0.0):
         raise ValueError("target_error must be positive")
     rho = float(suffix_rho)
@@ -193,23 +199,30 @@ def choose_cutoff(
         raise ValueError(f"suffix_rho must lie in [0, 1), got {rho}")
     if rho == 0.0:
         return 1
-    if tail_bound(indices, rho, 1) <= target_error:
-        return 1
-    lo, hi = 1, 2
-    while tail_bound(indices, rho, hi) > target_error:
-        if hi >= max_cutoff:
+    parts, log_rho, log_target = indices.parts, math.log(rho), math.log(target_error)
+    j, _, last = _majorant(parts)
+    lo, hi = 0.0, math.log(max_cutoff + 1.0)
+    u = min(math.log(max(2.0, (log_target + math.log1p(-rho)) / log_rho)), hi)
+    for _ in range(64):
+        y = math.exp(u)
+        h = _log_tail(parts, rho, y) - log_target
+        lo, hi = (u, hi) if h > 0.0 else (lo, u)
+        slope = j / (1.0 + u) - last + y * log_rho  # dh/du with the ratio held fixed
+        step = u - h / slope if h < math.inf and slope < 0.0 else hi
+        u, prev = (step if lo < step < hi else 0.5 * (lo + hi)), u
+        if abs(u - prev) * y < 0.5:
+            break
+    cutoff = min(max(1, math.ceil(math.exp(u)) - 1), max_cutoff)
+    while (bound := tail_bound(indices, rho, cutoff)) > target_error:
+        if cutoff >= max_cutoff:
             raise CutoffOverflow(
-                f"tail bound {tail_bound(indices, rho, max_cutoff):.3e} exceeds "
-                f"target {target_error:.3e} at the cutoff ceiling {max_cutoff}"
+                f"tail bound {bound:.3e} exceeds target {target_error:.3e} "
+                f"at the cutoff ceiling {max_cutoff}"
             )
-        lo, hi = hi, min(2 * hi, max_cutoff)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if tail_bound(indices, rho, mid) <= target_error:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        cutoff += 1
+    while cutoff > 1 and tail_bound(indices, rho, cutoff - 1) <= target_error:
+        cutoff -= 1
+    return cutoff
 
 
 def series_value_batch(
@@ -321,9 +334,11 @@ def eval_generating_series(
 ) -> EvalResult:
     """Evaluate sum_{m,n>0} x^m y^n / ((m - t1)(m + n - t2)).
 
-    Requires |t1|, |t2| <= 1/2 so the denominators stay at least 1/2 away
-    from zero for all admissible m, n.  The double sum is folded over
-    diagonals s = m + n, with the inner sum carried by a one-term
+    Requires |t1|, |t2| <= 1/2, so |m - t1| >= m (1 - |t1|) and
+    |s - t2| >= s (1 - |t2|/2) on every diagonal s = m + n >= 2: the
+    diagonals past the cutoff weigh at most bulge = 1/((1 - |t1|)(1 - |t2|/2))
+    times the Li_{1,1} tail_bound at rho = max(|x|, |y|).  The double sum is
+    folded over the diagonals, with the inner sum carried by a one-term
     recurrence, so the cost is linear in the cutoff.
     """
     x, y, t1, t2 = complex(x), complex(y), complex(t1), complex(t2)
@@ -338,9 +353,8 @@ def eval_generating_series(
         raise DivergentRequest(f"need |x| < 1 and |y| < 1, got max modulus {rho:.6g}")
     if x == 0 or y == 0:
         return EvalResult(0.0j, 0.0, 1)
-    # |1/((m - t1)(m + n - t2))| <= bulge uniformly over m, n >= 1
-    bulge = 1.0 / ((1.0 - abs(t1)) * (2.0 - abs(t2)))
-    pair = Composition((1, 1))  # diagonal count matches the depth-2 majorant
+    bulge = 1.0 / ((1.0 - abs(t1)) * (1.0 - 0.5 * abs(t2)))
+    pair = Composition((1, 1))
     cutoff = choose_cutoff(pair, rho, float(target_error) / bulge, max_cutoff=max_cutoff)
     total = 0.0j
     inner = 0.0j  # A(s) = sum_{m<s} x^m y^{s-m} / (m - t1)

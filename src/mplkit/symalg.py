@@ -83,7 +83,7 @@ class ArgMonomial:
     def __post_init__(self) -> None:
         phase = _as_fraction(self.phase) % 1
         exps = tuple(
-            sorted((str(v), _as_fraction(e)) for v, e in self.exponents if e != 0)
+            sorted((str(v), q) for v, e in self.exponents if (q := _as_fraction(e)) != 0)
         )
         names = [v for v, _ in exps]
         if len(set(names)) != len(names):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mplkit import cli
 from mplkit.cli import main
 
 
@@ -16,9 +17,15 @@ def run(capsys, *argv):
 
 
 def test_eval_li2(capsys):
-    code, out, _ = run(capsys, "eval", "--indices", "2", "--args", "0.5", "--prec", "1e-12")
+    import mpmath  # the "test" extra; an independent oracle, not a library dependency
+    code, out, _ = run(capsys, "eval", "--indices", "2", "--args", "0.5", "--prec", "1e-14")
     assert code == 0
     assert "0.582240526465" in out
+    lines = dict(line.split(":", 1) for line in out.splitlines())
+    value = complex(lines["value"].replace(" ", ""))
+    with mpmath.workdps(40):
+        ref = complex(mpmath.polylog(2, mpmath.mpf(0.5)))
+    assert abs(value - ref) <= float(lines["tail bound"])
 
 
 def test_eval_li1(capsys):
@@ -39,7 +46,10 @@ def test_eval_divergent_exit_2(capsys):
     assert "divergent" in err
 
 
-def test_eval_cutoff_overflow_exit_3(capsys):
+def test_eval_cutoff_overflow_exit_3(capsys, monkeypatch):
+    # the target needs M near 7e4 at rho 0.989, far above a 10^3 ceiling
+    real_eval_li = cli.eval_li
+    monkeypatch.setattr(cli, "eval_li", lambda req: real_eval_li(req, max_cutoff=10**3))
     code, _, err = run(capsys, "eval", "--indices", "2", "--args", "0.989", "--prec", "1e-320")
     assert code == 3
     assert "cutoff" in err

@@ -100,6 +100,23 @@ def test_group_element_checks_its_input_like_any_monomial():
     with pytest.raises(ValueError, match="non-2-power"):
         GroupElement(0, (("a", Fraction(1, 3)),))
     assert GroupElement(0, (("a", 2),)) == GroupElement.make({"a": 2})
+    with pytest.raises(TypeError, match="exact rational"):
+        GroupElement(0, (("a", 0.0),))
+
+
+def test_combination_of_mixed_kinds_names_the_kinds():
+    a = GroupElement.make({"a": 1})
+    s, g = PolylogSymbol(2, a), GeneratorTerm(3, (a,))
+    mixed = [
+        ([(s, 1), ((s,), 1)], "classical symbol and tensor word"),
+        ([(s, 1), (g, 1)], "classical symbol and generator"),
+        ([((s,), 1), (g, 1)], "generator and tensor word"),
+    ]
+    for pairs, kinds in mixed:
+        with pytest.raises(ValueError, match=kinds):
+            PolylogCombination.from_terms(pairs)
+        with pytest.raises(ValueError, match=kinds):
+            PolylogCombination(tuple((x, Fraction(c)) for x, c in pairs))
 
 
 def test_pickled_group_element_is_a_dict_key_under_another_hash_seed():

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mplkit.numeval import (
     Composition,
@@ -165,9 +166,11 @@ def test_caps_rejected():
 
 
 def test_tail_bound_depth1_geometric():
-    b = tail_bound(Composition((1,)), 0.5, 50)
-    assert b == pytest.approx(2 * 0.5**51, rel=1e-12)
-    assert b <= 2 * 0.5**51 * (1 + 1e-12)
+    # depth 1 closed form rho^(M+1) (M+1)^(-n) / (1 - rho), pinned with no absolute slack
+    for n in (1, 3):
+        b = tail_bound(Composition((n,)), 0.5, 50)
+        assert b == pytest.approx(0.5**51 / 51**n / 0.5, rel=1e-12, abs=0)
+        assert sum(0.5**m / m**n for m in range(51, 200)) <= b
 
 
 def test_tail_bound_depth2_dominates_remainder():
@@ -215,7 +218,51 @@ def test_choose_cutoff_monotone_in_target():
 
 def test_cutoff_overflow():
     with pytest.raises(CutoffOverflow):
-        choose_cutoff(Composition((2,)), 0.99, 1e-320, max_cutoff=10**5)
+        # the target needs M near 7e4 at rho 0.99, far above this ceiling
+        choose_cutoff(Composition((2,)), 0.99, 1e-320, max_cutoff=10**3)
+
+
+def _positive_remainder(parts, args, lo, hi):
+    """Sum of the series terms with outermost index in (lo, hi] for positive
+    real args: every term is positive, so nothing cancels and no difference
+    of two partial sums loses the small remainder to rounding."""
+    prefix = [1.0] + [0.0] * len(parts)  # prefix[k]: chains of length k, top <= m
+    total = 0.0
+    for m in range(1, hi + 1):
+        for k in range(len(parts), 0, -1):
+            w = args[k - 1] ** m / m ** parts[k - 1] * prefix[k - 1]
+            prefix[k] += w
+            if k == len(parts) and m > lo:
+                total += w
+    return total
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    st.lists(st.floats(0.05, 1.0), min_size=2, max_size=2),
+    st.floats(0.05, 0.98),
+    st.integers(1, 60),
+)
+def test_tail_bound_dominates_positive_remainder(parts, inner, last, cutoff):
+    args = inner[: len(parts) - 1] + [last]
+    rho = max(suffix_moduli(args))
+    remainder = _positive_remainder(parts, args, cutoff, 40 * cutoff)
+    assert remainder <= tail_bound(Composition(tuple(parts)), rho, cutoff)
+
+
+def test_choose_cutoff_is_minimal():
+    rng = random.Random(6061)
+    for _ in range(400):
+        depth = rng.randint(1, 4)
+        parts = tuple(rng.randint(1, 3) for _ in range(depth))
+        rho = rng.uniform(0.05, 0.99)
+        target = 10 ** rng.uniform(-300, -3)
+        comp = Composition(parts)
+        m = choose_cutoff(comp, rho, target)
+        assert tail_bound(comp, rho, m) <= target, (parts, rho, target, m)
+        if m > 1:
+            assert target < tail_bound(comp, rho, m - 1), (parts, rho, target, m)
 
 
 def test_certified_truncation_doubling():
@@ -289,6 +336,18 @@ def test_generating_rejects_poles_and_divergence():
         eval_generating_series(0.3, 0.2, 0.6, 0.0, 1e-10)
     with pytest.raises(DivergentRequest):
         eval_generating_series(1.0, 0.2, 0.0, 0.0, 1e-10)
+
+
+def test_generating_tail_dominates_positive_remainder():
+    # real x, y > 0 and t1, t2 at the pole-side edge: no term cancels another
+    for x, y, t1, t2 in [(0.9, 0.9, 0.5, 0.5), (0.95, 0.3, 0.5, -0.5), (0.3, 0.95, -0.5, 0.5)]:
+        r = eval_generating_series(x, y, t1, t2, 1e-4)
+        remainder = sum(
+            x**m * y ** (s - m) / abs((m - t1) * (s - t2))
+            for s in range(r.cutoff + 1, 6 * r.cutoff)
+            for m in range(1, s)
+        )
+        assert remainder <= r.tail_bound, (x, y, t1, t2)
 
 
 def test_generating_double_sum_tail_certified():

@@ -52,6 +52,15 @@ def test_monomial_drops_zero_exponents():
     assert m.variables == frozenset({"y"})
 
 
+def test_monomial_checks_exponents_before_dropping_zeros():
+    for zero in (0.0, -0.0):
+        with pytest.raises(TypeError, match="exact rational"):
+            ArgMonomial(0, (("x", zero),))
+    with pytest.raises(TypeError, match="exact rational"):
+        ArgMonomial(0, (("x", 0.5),))
+    assert ArgMonomial(0, (("x", 0), ("y", 1))) == Y
+
+
 def test_instantiate_examples():
     m = ArgMonomial.make({"x": Fraction(1, 2)}, zeta_order=2, zeta_power=1)
     assert abs(m.instantiate({"x": 0.25}) - (-0.5)) < 1e-15
