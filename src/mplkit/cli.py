@@ -2,7 +2,8 @@
 
 Defaults come from MPLKIT_* environment variables when set; explicit flags
 always win.  Output files are written to a temporary sibling and renamed,
-so a failing command never leaves a partial file behind.
+so a failing command never leaves a partial file behind.  The library's
+exceptions map to exit codes in one table, FAILURES, applied by `main`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .numeval import (
     EvalRequest,
     eval_li,
 )
-from .reduction import WeightTooSmall, reduce_li
+from .reduction import reduce_li
 from .serialize import (
     format_float,
     generator_combination_dumps,
@@ -44,6 +45,17 @@ EXIT_PRECONDITION = 2
 EXIT_CUTOFF = 3
 EXIT_VERIFY_FAILED = 4
 EXIT_CAP = 5
+
+# exception class -> (exit code, message prefix); the nearest class in the
+# raised exception's MRO wins
+FAILURES = {
+    DivergentRequest: (EXIT_PRECONDITION, "divergent request"),
+    ConvergenceViolation: (EXIT_PRECONDITION, "convergence violation"),
+    InfeasibleWeights: (EXIT_PRECONDITION, "infeasible weights"),
+    ValueError: (EXIT_PRECONDITION, "error"),
+    CutoffOverflow: (EXIT_CUTOFF, "cutoff overflow"),
+    RootCapExceeded: (EXIT_CAP, "cap exceeded"),
+}
 
 
 def _env(name: str, default, cast):
@@ -103,24 +115,9 @@ def _print_report_table(report) -> None:
 
 
 def cmd_eval(args) -> int:
-    try:
-        parts = tuple(int(p) for p in args.indices.split(","))
-        values = tuple(complex(a) for a in args.args.split(","))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    try:
-        req = EvalRequest(Composition(parts), values, args.prec)
-        result = eval_li(req)
-    except DivergentRequest as exc:
-        print(f"divergent request: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except CutoffOverflow as exc:
-        print(f"cutoff overflow: {exc}", file=sys.stderr)
-        return EXIT_CUTOFF
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    parts = tuple(int(p) for p in args.indices.split(","))
+    values = tuple(complex(a) for a in args.args.split(","))
+    result = eval_li(EvalRequest(Composition(parts), values, args.prec))
     v = result.value
     print(f"value:      {format_float(v.real)} + {format_float(v.imag)}j")
     print(f"cutoff:     {result.cutoff}")
@@ -130,14 +127,9 @@ def cmd_eval(args) -> int:
 
 def cmd_reduce(args) -> int:
     if args.k < 1 or args.l < 1 or args.k + args.l > 8:
-        print("error: need k, l >= 1 and k + l <= 8", file=sys.stderr)
-        return EXIT_PRECONDITION
-    try:
-        plan = _plan_from_args(args) if args.verify else None
-        identity = reduce_li(args.k, args.l)
-    except (WeightTooSmall, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise ValueError("need k, l >= 1 and k + l <= 8")
+    plan = _plan_from_args(args) if args.verify else None
+    identity = reduce_li(args.k, args.l)
     text = (
         identity_to_latex(identity) + "\n"
         if args.emit == "latex"
@@ -145,11 +137,7 @@ def cmd_reduce(args) -> int:
     )
     _emit(text, args.out)
     if args.verify:
-        try:
-            report = verify_identity(identity, plan)
-        except ConvergenceViolation as exc:
-            print(f"convergence violation: {exc}", file=sys.stderr)
-            return EXIT_PRECONDITION
+        report = verify_identity(identity, plan)
         _print_report_summary(report)
         if not report.passed:
             return EXIT_VERIFY_FAILED
@@ -157,22 +145,14 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        plan = _plan_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    plan = _plan_from_args(args)
     try:
         with open(args.file) as handle:
             identity = identity_loads(handle.read())
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    try:
-        report = verify_identity(identity, plan)
-    except ConvergenceViolation as exc:
-        print(f"convergence violation: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    report = verify_identity(identity, plan)
     if args.report:
         write_atomic(args.report, report_dumps(report))
     _print_report_table(report)
@@ -181,25 +161,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_surject(args) -> int:
-    try:
-        weights = tuple(int(w) for w in args.weights.split(","))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    weights = tuple(int(w) for w in args.weights.split(","))
     if len(weights) > 3 or sum(weights) > 8:
-        print("error: need depth <= 3 and total weight <= 8", file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise ValueError("need depth <= 3 and total weight <= 8")
     gens = tuple(
         GroupElement.generator(f"a{i + 1}") for i in range(len(weights))
     )
-    try:
-        combo = construct_preimage(weights, gens)
-    except InfeasibleWeights as exc:
-        print(f"infeasible weights: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except RootCapExceeded as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    combo = construct_preimage(weights, gens)
     report = verify_preimage(combo, weights, gens)
     _emit(generator_combination_dumps(combo), args.out)
     if args.report:
@@ -281,7 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(FAILURES) as exc:
+        code, prefix = next(FAILURES[c] for c in type(exc).__mro__ if c in FAILURES)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

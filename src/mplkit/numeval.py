@@ -29,11 +29,17 @@ The recurrence runs on numpy arrays, one row per depth level and one column
 per point, when there are two or more points.  A single point runs it on
 Python complex scalars instead, because at one column the cost of each
 numpy ufunc call is almost all dispatch overhead.
+
+Every evaluation, eval_li's single point and symalg.eval_expr_batch's
+composition groups alike, goes through one entry, `_eval_columns`.  It
+applies the depth and weight caps and the suffix-product check
+rho <= DEFAULT_RHO_MAX, takes Li_1 from its closed form -log(1 - x), and
+sums every other series to one cutoff below DEFAULT_MAX_CUTOFF, so a factor
+at a point has one value and one bound whichever path asks for it.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -66,6 +72,8 @@ DEFAULT_MAX_CUTOFF = 10**6
 # give no useful accuracy guarantees.
 DEPTH_CAP = 4
 WEIGHT_CAP = 12
+
+_TINY = math.ulp(0.0)  # smallest positive double
 
 
 class DivergentRequest(ValueError):
@@ -132,15 +140,14 @@ class EvalResult:
     cutoff: int
 
 
-def suffix_moduli(args: Sequence[complex]) -> list[float]:
-    """|a_k * a_{k+1} * ... * a_d| for k = 1..d (in slot order)."""
-    out: list[float] = []
-    acc = 1.0
-    for a in reversed(list(args)):
-        acc *= abs(complex(a))
-        out.append(acc)
-    out.reverse()
-    return out
+def suffix_moduli(args: Sequence[complex] | np.ndarray) -> np.ndarray:
+    """|a_k * a_{k+1} * ... * a_d| for k = 1..d along axis 0 (in slot order).
+
+    Takes one argument tuple or a (depth, npoints) matrix; the domain check
+    of every evaluation uses this formula.
+    """
+    moduli = np.abs(np.asarray(args, dtype=np.complex128))
+    return np.multiply.accumulate(moduli[::-1])[::-1]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -165,7 +172,9 @@ def tail_bound(indices: Composition, suffix_rho: float, cutoff: int) -> float:
 
     The closed form t(M+1) / (1 - r(M+1)) of the module docstring, with the
     denominators kept; at depth 1 it is rho^(M+1) (M+1)^(-n) / (1 - rho).
-    Infinite while the ratio bound r(M+1) is not below 1.
+    Infinite while the ratio bound r(M+1) is not below 1; at least the
+    smallest positive double whenever rho > 0, so it never reads 0 on a
+    positive tail.
     """
     rho = float(suffix_rho)
     if not 0.0 <= rho < 1.0:
@@ -174,7 +183,7 @@ def tail_bound(indices: Composition, suffix_rho: float, cutoff: int) -> float:
         raise ValueError("cutoff must be a positive integer")
     if rho == 0.0:
         return 0.0
-    return math.exp(_log_tail(indices.parts, rho, cutoff + 1.0))
+    return max(math.exp(_log_tail(indices.parts, rho, cutoff + 1.0)), _TINY)
 
 
 def choose_cutoff(
@@ -246,13 +255,11 @@ def series_value_batch(
     if cutoff < 1:
         raise ValueError("cutoff must be a positive integer")
 
-    # b[k] = a_k * ... * a_d per point; b[d+1] = 1
-    b = np.ones((d + 2, npts), dtype=np.complex128)
-    for k in range(d, 0, -1):
-        b[k] = a[k - 1] * b[k + 1]
-
     if npts == 1:
-        bs = b[:, 0].tolist()
+        col = a[:, 0].tolist()
+        bs = [0j] * (d + 1) + [1.0 + 0.0j]  # bs[k] = a_k * ... * a_d; bs[d+1] = 1
+        for k in range(d, 0, -1):
+            bs[k] = col[k - 1] * bs[k + 1]
         cs = [1.0 + 0.0j] + [0.0j] * d  # C_0(0) = 1
         for m in range(1, cutoff + 1):
             fm = float(m)
@@ -261,6 +268,11 @@ def series_value_batch(
                 cs[k] = cs[k] * bs[k + 1] + bs[k] * scale * cs[k - 1]
             cs[0] *= bs[1]
         return np.array([cs[d]], dtype=np.complex128)
+
+    # b[k] = a_k * ... * a_d per point; b[d+1] = 1
+    b = np.ones((d + 2, npts), dtype=np.complex128)
+    for k in range(d, 0, -1):
+        b[k] = a[k - 1] * b[k + 1]
 
     c = np.zeros((d + 1, npts), dtype=np.complex128)
     c[0] = 1.0  # C_0(0)
@@ -285,42 +297,55 @@ def series_value(
     return complex(series_value_batch(indices, a[:, None], cutoff)[0])
 
 
-def _check_caps(indices: Composition) -> None:
+def _eval_columns(
+    indices: Composition, argmat: np.ndarray, target_error: float
+) -> tuple[np.ndarray, float, int]:
+    """Li_indices at every column of a (depth, ncols) argument matrix.
+
+    Returns (values, tail bound, cutoff).  Every column must pass the caps
+    and the suffix-product check; a DivergentRequest carries the index of
+    the first failing column as `column`.  Li_1 is the closed form -log(1-x)
+    (principal branch, bound 0, cutoff 1).  Any other composition is summed
+    at one cutoff chosen from the largest suffix modulus of all columns;
+    tail_bound increases with that modulus, so the bound holds for each.
+    """
     if indices.depth > DEPTH_CAP:
         raise ValueError(f"depth {indices.depth} above cap {DEPTH_CAP}")
     if indices.weight > WEIGHT_CAP:
         raise ValueError(f"weight {indices.weight} above cap {WEIGHT_CAP}")
+    moduli = suffix_moduli(argmat)
+    rho = float(moduli.max(initial=0.0))
+    if not rho <= DEFAULT_RHO_MAX:  # NaN fails too
+        column = int(np.argmax((~(moduli <= DEFAULT_RHO_MAX)).any(axis=0)))
+        k = int(np.argmax(moduli[:, column]))
+        err = DivergentRequest(
+            f"suffix product |a_{k + 1}...a_{indices.depth}| = "
+            f"{moduli[k, column]:.6g} exceeds rho_max = {DEFAULT_RHO_MAX}"
+        )
+        err.column = column
+        raise err
+    if indices.parts == (1,):
+        return -np.log(1.0 - argmat[0]), 0.0, 1
+    cutoff = choose_cutoff(
+        indices, rho, target_error, max_cutoff=DEFAULT_MAX_CUTOFF
+    )
+    values = series_value_batch(indices, argmat, cutoff)
+    return values, tail_bound(indices, rho, cutoff), cutoff
 
 
-def eval_li(
-    req: EvalRequest,
-    *,
-    rho_max: float = DEFAULT_RHO_MAX,
-    max_cutoff: int = DEFAULT_MAX_CUTOFF,
-) -> EvalResult:
+def eval_li(req: EvalRequest) -> EvalResult:
     """Evaluate a multiple polylogarithm with |truth - value| <= tail_bound.
 
-    The weight-1 depth-1 case is returned in closed form -log(1-x)
-    (principal branch), which is exact up to rounding and avoids the slow
+    The one-column call of the evaluation entry that symalg.eval_expr_batch
+    also uses, so both return the same bits for the same factor, point and
+    budget.  The weight-1 depth-1 case is the closed form -log(1-x)
+    (principal branch), exact up to rounding, which avoids the slow
     geometric series near the convergence boundary.
     """
-    _check_caps(req.indices)
-    moduli = suffix_moduli(req.args)
-    rho = max(moduli)
-    if rho > rho_max:
-        k = moduli.index(rho) + 1
-        raise DivergentRequest(
-            f"suffix product |a_{k}...a_{req.indices.depth}| = {rho:.6g} "
-            f"exceeds rho_max = {rho_max}"
-        )
-    if req.indices.parts == (1,):
-        value = -cmath.log(1.0 - req.args[0])
-        return EvalResult(value, 0.0, 1)
-    cutoff = choose_cutoff(
-        req.indices, rho, req.target_error, max_cutoff=max_cutoff
+    values, bound, cutoff = _eval_columns(
+        req.indices, np.array(req.args)[:, None], req.target_error
     )
-    value = series_value(req.indices, req.args, cutoff)
-    return EvalResult(value, tail_bound(req.indices, rho, cutoff), cutoff)
+    return EvalResult(complex(values[0]), bound, cutoff)
 
 
 def eval_generating_series(

@@ -18,17 +18,11 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .numeval import (
-    Composition,
-    DEFAULT_MAX_CUTOFF,
-    DEFAULT_RHO_MAX,
-    DivergentRequest,
-    choose_cutoff,
-    series_value_batch,
-)
+from .numeval import Composition, DivergentRequest, _eval_columns
 
 __all__ = [
     "ArgMonomial",
+    "BudgetUnderflow",
     "DepthCapExceeded",
     "Expr",
     "Identity",
@@ -55,6 +49,10 @@ class UnboundVariable(KeyError):
 
 class ZeroBase(ValueError):
     """A monomial variable was assigned zero."""
+
+
+class BudgetUnderflow(ValueError):
+    """An error target split over an expression's factors rounds to zero."""
 
 
 class DepthCapExceeded(ValueError):
@@ -360,21 +358,16 @@ def eval_expr_batch(
     e: Expr,
     assignments: Sequence[Mapping[str, complex]],
     target_error: float,
-    *,
-    rho_max: float = DEFAULT_RHO_MAX,
-    max_cutoff: int = DEFAULT_MAX_CUTOFF,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate an expression at several points; returns (values, l1 masses).
 
     The absolute truncation budget is split evenly: each factor evaluation
     targets target_error / (number of factor evaluations * max |coeff|).
-    The distinct factors are grouped by composition, and each group is
-    evaluated in one series kernel call over all its factors and points,
-    at one cutoff chosen from the largest suffix modulus in the group.
-    tail_bound increases with that modulus, so every factor of the group
-    meets its budget.  Li_1 groups use the closed form -log(1-x).  Every
-    factor, Li_1 included, must pass the suffix-product check at every
-    point before any series is summed.
+    The distinct factors are grouped by composition, and each group, all
+    its factors at all points, is one call of the evaluation entry that
+    eval_li also uses: the same caps, suffix-product check, Li_1 closed
+    form and cutoff rule, at one cutoff for the whole group.  A divergent
+    column is reported with its term, factor and point.
     """
     npts = len(assignments)
     values = np.zeros(npts, dtype=np.complex128)
@@ -384,46 +377,36 @@ def eval_expr_batch(
         return values, masses
     max_coeff = max(abs(float(t.coeff)) for t in e.terms)
     per_factor = float(target_error) / (n_evals * max(max_coeff, 1e-300))
+    if not per_factor > 0.0:
+        raise BudgetUnderflow(
+            f"error target {float(target_error):.3g} leaves a per-factor target of "
+            f"{per_factor:.3g} over {n_evals} factor evaluations"
+        )
 
     groups: dict[Composition, dict[MPLFactor, None]] = {}
     for term in e.terms:
         for factor in term.factors:
             groups.setdefault(factor.indices, {})[factor] = None
-    row = {f: i for factors in groups.values() for i, f in enumerate(factors)}
     monomial_values = {
         mono: np.array([mono.instantiate(asg) for asg in assignments], dtype=complex)
-        for mono in dict.fromkeys(m for factor in row for m in factor.args)
+        for mono in dict.fromkeys(m for fs in groups.values() for f in fs for m in f.args)
     }
-    # one (depth, n_factors * npts) argument matrix per group, factor-major
-    argmats, moduli = {}, {}
+    results, row = {}, {}
     for indices, factors in groups.items():
-        argmats[indices] = a = np.concatenate(
+        # one (depth, n_factors * npts) argument matrix per group, factor-major
+        a = np.concatenate(
             [np.stack([monomial_values[m] for m in f.args]) for f in factors], axis=1
         )
-        moduli[indices] = np.cumprod(np.abs(a[::-1]), axis=0)[::-1].reshape(
-            indices.depth, len(factors), npts
-        )
-    for term in e.terms:
-        for factor in term.factors:
-            fm = moduli[factor.indices][:, row[factor]]
-            over = (fm > rho_max).any(axis=0)
-            if over.any():
-                p = int(np.argmax(over))
-                k = int(np.argmax(fm[:, p])) + 1
-                raise DivergentRequest(
-                    f"term {term}: {factor}: suffix product |a_{k}...a_{factor.depth}| "
-                    f"= {fm[k - 1, p]:.6g} exceeds rho_max = {rho_max} at point {p}"
-                )
-
-    results = {}
-    for indices, a in argmats.items():
-        if indices.parts == (1,):
-            flat = -np.log(1.0 - a[0])
-        else:
-            rho = float(moduli[indices].max(initial=0.0))
-            cutoff = choose_cutoff(indices, rho, per_factor, max_cutoff=max_cutoff)
-            flat = series_value_batch(indices, a, cutoff)
-        results[indices] = flat.reshape(len(groups[indices]), npts)
+        try:
+            flat, _, _ = _eval_columns(indices, a, per_factor)
+        except DivergentRequest as exc:
+            factor = list(factors)[exc.column // npts]
+            term = next(t for t in e.terms if factor in t.factors)
+            raise DivergentRequest(
+                f"term {term}: {factor}: {exc} at point {exc.column % npts}"
+            ) from None
+        results[indices] = flat.reshape(len(factors), npts)
+        row.update((f, i) for i, f in enumerate(factors))
 
     for term in e.terms:
         tv = np.ones(npts, dtype=np.complex128)
@@ -442,14 +425,9 @@ def eval_expr(
     e: Expr,
     assignment: Mapping[str, complex],
     target_error: float,
-    *,
-    rho_max: float = DEFAULT_RHO_MAX,
-    max_cutoff: int = DEFAULT_MAX_CUTOFF,
 ) -> tuple[complex, float]:
     """Value and L1 mass of an expression at one point."""
-    values, masses = eval_expr_batch(
-        e, [assignment], target_error, rho_max=rho_max, max_cutoff=max_cutoff
-    )
+    values, masses = eval_expr_batch(e, [assignment], target_error)
     return complex(values[0]), float(masses[0])
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .numeval import DEFAULT_RHO_MAX
-from .symalg import Identity, eval_expr_batch
+from .symalg import BudgetUnderflow, Identity, eval_expr_batch
 
 __all__ = [
     "ConvergenceViolation",
@@ -43,8 +43,9 @@ class VerificationPlan:
     allow_complex: bool = True
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.radius < 1.0:
-            raise ValueError("radius must lie in (0, 1)")
+        # sample_points rejects moduli below MIN_MODULUS, so it needs room above it
+        if not 2 * MIN_MODULUS <= self.radius < 1.0:
+            raise ValueError(f"radius must lie in [{2 * MIN_MODULUS}, 1)")
         if self.point_count < 1:
             raise ValueError("point_count must be positive")
         if not self.tolerance > 0.0:
@@ -91,15 +92,13 @@ def sample_points(
     return points
 
 
-def check_convergence(
-    identity: Identity, radius: float, rho_max: float = DEFAULT_RHO_MAX
-) -> None:
+def check_convergence(identity: Identity, radius: float) -> None:
     """Structural pre-check of the suffix-product condition over the sample
     polydisc |v| <= radius.
 
     Every suffix product of every factor must be a monomial with nonnegative
     exponents and positive total degree; its supremum over the polydisc is
-    then radius**degree, which must stay below rho_max.
+    then radius**degree, which must stay below DEFAULT_RHO_MAX.
     """
     for side_name, side in (("lhs", identity.lhs), ("rhs", identity.rhs)):
         for term in side.terms:
@@ -120,35 +119,29 @@ def check_convergence(
                             f"{side_name} factor {factor}: suffix product from "
                             f"slot {k} has modulus 1"
                         )
-                    if radius ** float(total) > rho_max:
+                    if radius ** float(total) > DEFAULT_RHO_MAX:
                         raise ConvergenceViolation(
                             f"{side_name} factor {factor}: suffix product from "
                             f"slot {k} reaches {radius ** float(total):.4g} "
-                            f"> rho_max = {rho_max} on the radius-{radius} disc"
+                            f"> rho_max = {DEFAULT_RHO_MAX} on the radius-{radius} disc"
                         )
 
 
-def verify_identity(
-    identity: Identity,
-    plan: VerificationPlan,
-    *,
-    rho_max: float = DEFAULT_RHO_MAX,
-) -> VerificationReport:
+def verify_identity(identity: Identity, plan: VerificationPlan) -> VerificationReport:
     """Evaluate lhs - rhs at the plan's sample points.
 
     relative residual = |lhs - rhs| / max(1, l1 mass of both sides); the
     evaluation truncation budget is tolerance / 10 per side so certified
     truncation error never dominates the stated tolerance.
     """
-    check_convergence(identity, plan.radius, rho_max)
+    check_convergence(identity, plan.radius)
     points = sample_points(plan, identity.variables)
     eval_target = plan.tolerance / 10.0
-    lhs_vals, lhs_mass = eval_expr_batch(
-        identity.lhs, points, eval_target, rho_max=rho_max
-    )
-    rhs_vals, rhs_mass = eval_expr_batch(
-        identity.rhs, points, eval_target, rho_max=rho_max
-    )
+    try:
+        lhs_vals, lhs_mass = eval_expr_batch(identity.lhs, points, eval_target)
+        rhs_vals, rhs_mass = eval_expr_batch(identity.rhs, points, eval_target)
+    except BudgetUnderflow as exc:
+        raise ValueError(f"tolerance {plan.tolerance:.3g} is too small: {exc}") from None
     records = []
     max_rel = 0.0
     for i, assignment in enumerate(points):

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mplkit import cli
+from mplkit import numeval
 from mplkit.cli import main
 
 
@@ -48,8 +54,7 @@ def test_eval_divergent_exit_2(capsys):
 
 def test_eval_cutoff_overflow_exit_3(capsys, monkeypatch):
     # the target needs M near 7e4 at rho 0.989, far above a 10^3 ceiling
-    real_eval_li = cli.eval_li
-    monkeypatch.setattr(cli, "eval_li", lambda req: real_eval_li(req, max_cutoff=10**3))
+    monkeypatch.setattr(numeval, "DEFAULT_MAX_CUTOFF", 10**3)
     code, _, err = run(capsys, "eval", "--indices", "2", "--args", "0.989", "--prec", "1e-320")
     assert code == 3
     assert "cutoff" in err
@@ -208,6 +213,116 @@ def test_verify_reports_byte_identical(tmp_path, capsys):
         )
         assert code == 0
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def _li21_file(directory):
+    from mplkit.reduction import reduce_li
+    from mplkit.serialize import identity_dumps
+
+    path = os.path.join(directory, "li21.json")
+    with open(path, "w") as handle:
+        handle.write(identity_dumps(reduce_li(2, 1)))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "LI21", "--tol", "1e-322"),
+        ("reduce", "--k", "2", "--l", "1", "--verify", "--tol", "5e-324"),
+    ],
+    ids=["verify", "reduce"],
+)
+def test_tolerance_below_factor_budget_exit_2(tmp_path, capsys, argv):
+    # the per-factor budget underflows to 0.0
+    path = _li21_file(tmp_path)
+    code, _, err = run(capsys, *(path if a == "LI21" else a for a in argv))
+    assert code == 2
+    assert err.startswith("error: tolerance ") and "too small" in err
+
+
+def test_verify_weight13_identity_exit_2(tmp_path, capsys):
+    from mplkit.serialize import identity_dumps
+    from mplkit.symalg import ArgMonomial, Identity, li_expr
+
+    li13 = li_expr([13], [ArgMonomial.variable("x")])
+    path = tmp_path / "li13.json"
+    path.write_text(identity_dumps(Identity(li13, li13, 13, frozenset({"x"}))))
+    code, out, err = run(capsys, "verify", str(path), "--points", "3")
+    assert code == 2 and out == ""
+    assert "weight 13 above cap 12" in err
+
+
+def test_verify_cutoff_overflow_exit_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(numeval, "DEFAULT_MAX_CUTOFF", 10)
+    report = tmp_path / "report.json"
+    code, _, err = run(capsys, "verify", _li21_file(tmp_path), "--report", str(report))
+    assert code == 3
+    assert err.startswith("cutoff overflow: ")
+    assert not report.exists()
+
+
+# ---------------------------------------------------------------------------
+# exit-code properties
+
+# each mixes any float with the valid range and its edges
+_TOL = st.one_of(
+    st.floats(), st.floats(0.0, 1e-3), st.sampled_from([0.0, 5e-324, 1e-322, 1e-300])
+)
+_RADIUS = st.one_of(st.floats(), st.floats(0.0, 1.0), st.sampled_from([0.05, 0.1, 0.99]))
+_EXIT_CODES = {0, 2, 3, 4, 5}
+
+
+def _main_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    indices=st.sampled_from(["1", "2", "2,1", "1,1,1", "13"]),
+    args=st.lists(st.floats(-1.2, 1.2), min_size=1, max_size=3),
+    prec=_TOL,
+)
+def test_eval_exit_code_property(indices, args, prec):
+    code = _main_quietly(
+        # the "=" form, because a value may start with "-"
+        ["eval", f"--indices={indices}", f"--args={','.join(map(repr, args))}", f"--prec={prec!r}"]
+    )
+    assert code in _EXIT_CODES
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from(["verify", "reduce"]),
+    tol=_TOL,
+    radius=_RADIUS,
+    points=st.integers(-1, 3),
+    real=st.booleans(),
+)
+def test_verify_exit_code_property(command, tol, radius, points, real):
+    from mplkit.reduction import reduce_li
+    from mplkit.serialize import identity_dumps
+
+    plan = [f"--tol={tol!r}", f"--radius={radius!r}", f"--points={points}"]
+    plan += ["--real"] if real else []
+    with tempfile.TemporaryDirectory() as directory:
+        source = _li21_file(directory)
+        out = os.path.join(directory, "out.json")
+        if command == "verify":
+            code = _main_quietly(["verify", source, "--report", out, *plan])
+        else:
+            code = _main_quietly(["reduce", "--k", "2", "--l", "1", "--verify", "--out", out, *plan])
+        assert code in _EXIT_CODES
+        assert sorted(os.listdir(directory)) in (["li21.json"], ["li21.json", "out.json"])
+        if os.path.exists(out):
+            # written whole, and a report only when verification ran to its end
+            with open(out) as handle:
+                text = handle.read()
+            if command == "verify":
+                assert code in (0, 4) and json.loads(text)["pass"] == (code == 0)
+            else:
+                assert text == identity_dumps(reduce_li(2, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,12 @@ def test_tail_bound_zero_rho():
         assert tail_bound(Composition(parts), 0.0, 10) == 0.0
 
 
+def test_tail_bound_positive_tail_never_zero():
+    # both log bounds lie far below the smallest double, so the bound floors there
+    for rho, cutoff in ((1e-300, 2), (0.5, 2000)):
+        assert tail_bound(Composition((2,)), rho, cutoff) == math.ulp(0.0)
+
+
 def test_tail_bound_rejects_bad_rho():
     with pytest.raises(ValueError):
         tail_bound(Composition((2,)), 1.0, 10)

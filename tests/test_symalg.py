@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mplkit import symalg
+from mplkit import numeval
 from mplkit.symalg import (
     ArgMonomial,
     DepthCapExceeded,
@@ -173,16 +173,46 @@ def test_eval_expr_li1_outside_domain_diverges():
         eval_expr(li_expr([1], [X]), {"x": 3}, 1e-10)
 
 
+def test_eval_li_and_batch_agree_bit_for_bit():
+    # one factor at one point with one budget has one value on either path
+    from mplkit.numeval import EvalRequest, eval_li
+
+    rng = random.Random(29)
+    shapes = [(1,), (2,), (4,), (1, 1), (2, 1), (1, 3), (2, 1, 1), (1, 2, 1)]
+    for i in range(200):
+        parts = shapes[i % len(shapes)]
+        names = [f"v{k}" for k in range(len(parts))]
+        # suffix moduli in (0.05, 0.98), so a single argument may exceed 1
+        suffix = [rng.uniform(0.05, 0.98) for _ in parts] + [1.0]
+        asg = {
+            v: suffix[k] / suffix[k + 1] * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+            for k, v in enumerate(names)
+        }
+        monomials = [ArgMonomial.variable(v) for v in names]
+        target = 10.0 ** rng.uniform(-14, -4)
+        batch, _ = eval_expr(li_expr(parts, monomials), asg, target)
+        args = [m.instantiate(asg) for m in monomials]
+        single = eval_li(EvalRequest(li_factor(parts, monomials).indices, args, target))
+        assert batch == single.value, (parts, args, target)
+
+
+@pytest.mark.parametrize("parts", [(13,), (1, 1, 1, 1, 1)], ids=["weight-13", "depth-5"])
+def test_eval_batch_applies_caps(parts):
+    e = li_expr(parts, [X] * len(parts))
+    with pytest.raises(ValueError, match="above cap"):
+        eval_expr_batch(e, [{"x": 0.5}, {"x": 0.3}], 1e-10)
+
+
 def counting(monkeypatch, name):
     calls = []
-    original = getattr(symalg, name)
+    original = getattr(numeval, name)
 
     def wrapper(indices, *args, **kwargs):
         result = original(indices, *args, **kwargs)
         calls.append((indices, args, result))
         return result
 
-    monkeypatch.setattr(symalg, name, wrapper)
+    monkeypatch.setattr(numeval, name, wrapper)
     return calls
 
 
@@ -240,7 +270,7 @@ def test_eval_batch_grouped_values_match_eval_li(monkeypatch):
     per_factor = target / (n_evals * max(abs(float(t.coeff)) for t in e.terms))
     eps = np.finfo(float).eps
     assert sorted(str(indices) for indices, _, _ in kernels) == ["(1,2,1)", "(2)", "(2,1)"]
-    for indices, (argmat, cutoff), got in kernels:
+    for indices, (argmat, cutoff), got in list(kernels):  # eval_li below adds calls
         for j in range(argmat.shape[1]):
             ref = eval_li(EvalRequest(indices, tuple(argmat[:, j]), per_factor)).value
             rounding = 64 * eps * math.sqrt(cutoff * indices.depth) * max(1.0, abs(ref))

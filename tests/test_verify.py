@@ -47,6 +47,9 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         VerificationPlan(radius=1.2)
     with pytest.raises(ValueError):
+        # sampling rejects moduli below 0.05, so it could not end
+        VerificationPlan(radius=0.04)
+    with pytest.raises(ValueError):
         VerificationPlan(point_count=0)
     with pytest.raises(ValueError):
         VerificationPlan(tolerance=0.0)
