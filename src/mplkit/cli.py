@@ -9,7 +9,6 @@ exceptions map to exit codes in one table, FAILURES, applied by `main`.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -35,7 +34,7 @@ from .serialize import (
     identity_dumps,
     identity_loads,
     identity_to_latex,
-    preimage_report_to_dict,
+    preimage_report_dumps,
     report_dumps,
 )
 from .verify import ConvergenceViolation, VerificationPlan, verify_identity
@@ -135,13 +134,13 @@ def cmd_reduce(args) -> int:
         if args.emit == "latex"
         else identity_dumps(identity)
     )
+    # verify before writing, so a failed precondition or cutoff leaves no file
+    report = verify_identity(identity, plan) if args.verify else None
     _emit(text, args.out)
-    if args.verify:
-        report = verify_identity(identity, plan)
-        _print_report_summary(report)
-        if not report.passed:
-            return EXIT_VERIFY_FAILED
-    return EXIT_OK
+    if report is None:
+        return EXIT_OK
+    _print_report_summary(report)
+    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
 def cmd_verify(args) -> int:
@@ -171,11 +170,7 @@ def cmd_surject(args) -> int:
     report = verify_preimage(combo, weights, gens)
     _emit(generator_combination_dumps(combo), args.out)
     if args.report:
-        write_atomic(
-            args.report,
-            json.dumps(preimage_report_to_dict(report), indent=2, sort_keys=True)
-            + "\n",
-        )
+        write_atomic(args.report, preimage_report_dumps(report))
     print(f"terms:   {len(combo.terms)}")
     print(f"matched: {report.matched}")
     if not report.matched:

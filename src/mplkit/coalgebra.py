@@ -22,10 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from . import linalg
-from .symalg import ArgMonomial
+from .symalg import ArgMonomial, _merge
 
 __all__ = [
     "Combination",
@@ -52,7 +52,7 @@ DEFAULT_TERM_CAP = 2**12
 
 
 class RootCapExceeded(RuntimeError):
-    """Cumulative 2-power root expansion grew past the configured cap."""
+    """Cumulative 2-power root expansion grew past DEFAULT_TERM_CAP terms."""
 
 
 class InfeasibleWeights(ValueError):
@@ -139,22 +139,6 @@ class GeneratorTerm:
         return f"Li_{{{head}}}({', '.join(str(a) for a in self.args)})"
 
 
-def _merge(pairs: Iterable[tuple[object, Fraction]]) -> list[tuple[object, Fraction]]:
-    acc: dict = {}  # sort key -> [object, coefficient]; keys are unique
-    for obj, coeff in pairs:
-        key = obj._key() if hasattr(obj, "_key") else tuple(w._key() for w in obj)
-        if key in acc:
-            acc[key][1] += coeff
-        else:
-            acc[key] = [obj, coeff]
-    try:
-        ordered = sorted(acc.items())
-    except TypeError:  # keys of different kinds need not compare
-        _one_kind(obj for obj, _ in acc.values())
-        raise
-    return [(obj, c) for _, (obj, c) in ordered if c != 0]
-
-
 def _one_kind(objs: Iterable[object]) -> str:
     """The kind shared by all objs; a ValueError naming the kinds if they mix."""
     kinds = sorted({
@@ -197,7 +181,13 @@ class Combination:
 
     @staticmethod
     def from_terms(pairs: Iterable[tuple[object, Fraction]]) -> "Combination":
-        return Combination(tuple(_merge(pairs)))
+        pairs = list(pairs)
+        try:
+            merged = _merge(pairs)
+        except TypeError:  # keys of different kinds need not compare
+            _one_kind(x for x, _ in pairs)
+            raise
+        return Combination(tuple(merged))
 
     @staticmethod
     def single(
@@ -217,15 +207,6 @@ class Combination:
     def scale(self, c: Fraction | int) -> "Combination":
         c = Fraction(c)
         return Combination.from_terms((x, c * q) for x, q in self.terms)
-
-    def complex_value(
-        self, assignment: Mapping[str, complex], evaluator
-    ) -> complex:
-        """Numeric value of classical symbols; `evaluator(n, z)` computes Li_n(z)."""
-        total = 0j
-        for sym, coeff in self.terms:
-            total += float(coeff) * evaluator(sym.n, sym.arg.instantiate(assignment))
-        return total
 
     def __str__(self) -> str:
         if not self.terms:
@@ -375,11 +356,7 @@ def tensor_distribution_contract(te: TensorElement, r: int) -> TensorElement:
 
 
 def root_sum_generator(
-    c: GeneratorCombination,
-    slot: int,
-    s: int,
-    *,
-    term_cap: int = DEFAULT_TERM_CAP,
+    c: GeneratorCombination, slot: int, s: int
 ) -> GeneratorCombination:
     """Replace each term's slot argument by the sum of its 2^s-th roots."""
     if not c.terms:
@@ -389,9 +366,9 @@ def root_sum_generator(
         raise ValueError(f"slot must lie in 1..{depth}")
     if s < 0:
         raise ValueError("root level must be nonnegative")
-    if len(c.terms) * 2**s > term_cap:
+    if len(c.terms) * 2**s > DEFAULT_TERM_CAP:
         raise RootCapExceeded(
-            f"{len(c.terms)} * 2^{s} terms exceed the cap {term_cap}"
+            f"{len(c.terms)} * 2^{s} terms exceed the cap {DEFAULT_TERM_CAP}"
         )
     out = []
     for g, coeff in c.terms:
@@ -412,10 +389,7 @@ def _isolation_coefficients(domain: Sequence[int], target: int) -> dict[int, Fra
 
 
 def construct_preimage(
-    weights: Sequence[int],
-    args: Sequence[GroupElement],
-    *,
-    term_cap: int = DEFAULT_TERM_CAP,
+    weights: Sequence[int], args: Sequence[GroupElement]
 ) -> GeneratorCombination:
     """Generator combination whose contracted image is one tensor word.
 
@@ -448,11 +422,11 @@ def construct_preimage(
         combo = GeneratorCombination.from_terms(
             (g, q * c)
             for s, q in sorted(coeffs.items())
-            for g, c in root_sum_generator(combo, slot, s, term_cap=term_cap).terms
+            for g, c in root_sum_generator(combo, slot, s).terms
         )
-        if len(combo.terms) > term_cap:
+        if len(combo.terms) > DEFAULT_TERM_CAP:
             raise RootCapExceeded(
-                f"{len(combo.terms)} terms exceed the cap {term_cap}"
+                f"{len(combo.terms)} terms exceed the cap {DEFAULT_TERM_CAP}"
             )
         remaining -= target
     return combo

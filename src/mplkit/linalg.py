@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -15,25 +16,16 @@ class SingularMatrix(ArithmeticError):
 def _clear_rows(
     matrix: Sequence[Sequence[Fraction | int]],
     rhs: Sequence[Sequence[Fraction | int]],
-) -> tuple[list[list[int]], list[list[int]], list[Fraction]]:
+) -> tuple[list[list[int]], list[list[int]]]:
     """Scale each row by its denominator lcm so elimination stays integral."""
-    a_rows, b_rows, scales = [], [], []
+    a_rows, b_rows = [], []
     for arow, brow in zip(matrix, rhs):
         fr = [Fraction(v) for v in arow] + [Fraction(v) for v in brow]
-        mult = 1
-        for v in fr:
-            mult = mult * v.denominator // _gcd(mult, v.denominator)
+        mult = math.lcm(*(v.denominator for v in fr))
         ints = [int(v * mult) for v in fr]
         a_rows.append(ints[: len(arow)])
         b_rows.append(ints[len(arow):])
-        scales.append(Fraction(mult))
-    return a_rows, b_rows, scales
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+    return a_rows, b_rows
 
 
 def solve_exact(
@@ -53,7 +45,7 @@ def solve_exact(
     if len(rhs) != n:
         raise ValueError("rhs must have one row per matrix row")
     width = len(rhs[0]) if n else 0
-    a, b, _ = _clear_rows(matrix, rhs)
+    a, b = _clear_rows(matrix, rhs)
 
     prev = 1
     for col in range(n):

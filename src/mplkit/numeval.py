@@ -81,7 +81,7 @@ class DivergentRequest(ValueError):
 
 
 class CutoffOverflow(RuntimeError):
-    """No cutoff below the configured ceiling meets the error target."""
+    """No cutoff up to DEFAULT_MAX_CUTOFF meets the error target."""
 
 
 class PoleProximity(ValueError):
@@ -186,14 +186,8 @@ def tail_bound(indices: Composition, suffix_rho: float, cutoff: int) -> float:
     return max(math.exp(_log_tail(indices.parts, rho, cutoff + 1.0)), _TINY)
 
 
-def choose_cutoff(
-    indices: Composition,
-    suffix_rho: float,
-    target_error: float,
-    *,
-    max_cutoff: int = DEFAULT_MAX_CUTOFF,
-) -> int:
-    """Smallest cutoff M with tail_bound(M) <= target_error, solved directly.
+def choose_cutoff(indices: Composition, suffix_rho: float, target_error: float) -> int:
+    """Smallest cutoff M <= DEFAULT_MAX_CUTOFF with tail_bound(M) <= target_error.
 
     Newton steps in u = log(M + 1) on the smooth log bound, started from the
     depth-1 inverse log(target (1 - rho)) / log(rho) and kept inside a
@@ -210,7 +204,7 @@ def choose_cutoff(
         return 1
     parts, log_rho, log_target = indices.parts, math.log(rho), math.log(target_error)
     j, _, last = _majorant(parts)
-    lo, hi = 0.0, math.log(max_cutoff + 1.0)
+    lo, hi = 0.0, math.log(DEFAULT_MAX_CUTOFF + 1.0)
     u = min(math.log(max(2.0, (log_target + math.log1p(-rho)) / log_rho)), hi)
     for _ in range(64):
         y = math.exp(u)
@@ -221,12 +215,12 @@ def choose_cutoff(
         u, prev = (step if lo < step < hi else 0.5 * (lo + hi)), u
         if abs(u - prev) * y < 0.5:
             break
-    cutoff = min(max(1, math.ceil(math.exp(u)) - 1), max_cutoff)
+    cutoff = min(max(1, math.ceil(math.exp(u)) - 1), DEFAULT_MAX_CUTOFF)
     while (bound := tail_bound(indices, rho, cutoff)) > target_error:
-        if cutoff >= max_cutoff:
+        if cutoff >= DEFAULT_MAX_CUTOFF:
             raise CutoffOverflow(
                 f"tail bound {bound:.3e} exceeds target {target_error:.3e} "
-                f"at the cutoff ceiling {max_cutoff}"
+                f"at the cutoff ceiling {DEFAULT_MAX_CUTOFF}"
             )
         cutoff += 1
     while cutoff > 1 and tail_bound(indices, rho, cutoff - 1) <= target_error:
@@ -326,9 +320,7 @@ def _eval_columns(
         raise err
     if indices.parts == (1,):
         return -np.log(1.0 - argmat[0]), 0.0, 1
-    cutoff = choose_cutoff(
-        indices, rho, target_error, max_cutoff=DEFAULT_MAX_CUTOFF
-    )
+    cutoff = choose_cutoff(indices, rho, target_error)
     values = series_value_batch(indices, argmat, cutoff)
     return values, tail_bound(indices, rho, cutoff), cutoff
 
@@ -354,8 +346,6 @@ def eval_generating_series(
     t1: complex,
     t2: complex,
     target_error: float,
-    *,
-    max_cutoff: int = DEFAULT_MAX_CUTOFF,
 ) -> EvalResult:
     """Evaluate sum_{m,n>0} x^m y^n / ((m - t1)(m + n - t2)).
 
@@ -380,7 +370,7 @@ def eval_generating_series(
         return EvalResult(0.0j, 0.0, 1)
     bulge = 1.0 / ((1.0 - abs(t1)) * (1.0 - 0.5 * abs(t2)))
     pair = Composition((1, 1))
-    cutoff = choose_cutoff(pair, rho, float(target_error) / bulge, max_cutoff=max_cutoff)
+    cutoff = choose_cutoff(pair, rho, float(target_error) / bulge)
     total = 0.0j
     inner = 0.0j  # A(s) = sum_{m<s} x^m y^{s-m} / (m - t1)
     xpow = 1.0 + 0.0j

@@ -38,6 +38,7 @@ __all__ = [
     "identity_loads",
     "identity_to_dict",
     "identity_to_latex",
+    "preimage_report_dumps",
     "preimage_report_to_dict",
     "report_dumps",
     "report_to_dict",
@@ -245,6 +246,10 @@ def preimage_report_to_dict(report: PreimageReport) -> dict:
         "image": tensor_element_to_dict(report.image),
         "residual": tensor_element_to_dict(report.residual),
     }
+
+
+def preimage_report_dumps(report: PreimageReport) -> str:
+    return _dumps(preimage_report_to_dict(report))
 
 
 # ---------------------------------------------------------------------------

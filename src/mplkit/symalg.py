@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .numeval import Composition, DivergentRequest, _eval_columns
+from .numeval import DEPTH_CAP, Composition, DivergentRequest, _eval_columns
 
 __all__ = [
     "ArgMonomial",
@@ -40,8 +40,6 @@ __all__ = [
     "stuffle_product",
 ]
 
-STUFFLE_DEPTH_CAP = 4
-
 
 class UnboundVariable(KeyError):
     """A monomial references a variable missing from the assignment."""
@@ -57,6 +55,22 @@ class BudgetUnderflow(ValueError):
 
 class DepthCapExceeded(ValueError):
     """Combined depth of a quasi-shuffle product is above the desk cap."""
+
+
+def _merge(pairs: Iterable[tuple[object, Fraction]]) -> list[tuple[object, Fraction]]:
+    """Sum the coefficients of equal-key objects, drop zeros, sort by key.
+
+    The one merge of the package: `Expr` terms, classical symbols and
+    generators are keyed by `_key()`, tensor words by their symbols' keys.
+    """
+    acc: dict = {}  # sort key -> [object, coefficient]; keys are unique
+    for obj, coeff in pairs:
+        key = obj._key() if hasattr(obj, "_key") else tuple(w._key() for w in obj)
+        if key in acc:
+            acc[key][1] += coeff
+        else:
+            acc[key] = [obj, coeff]
+    return [(obj, c) for _, (obj, c) in sorted(acc.items()) if c != 0]
 
 
 def _as_fraction(v) -> Fraction:
@@ -266,18 +280,7 @@ class Expr:
 
     @staticmethod
     def from_terms(terms: Iterable[Term]) -> "Expr":
-        acc: dict[tuple, tuple[tuple[MPLFactor, ...], Fraction]] = {}
-        for t in terms:
-            key = tuple(f._key() for f in t.factors)
-            if key in acc:
-                acc[key] = (t.factors, acc[key][1] + t.coeff)
-            else:
-                acc[key] = (t.factors, t.coeff)
-        merged = [
-            Term(coeff, factors) for factors, coeff in acc.values() if coeff != 0
-        ]
-        merged.sort(key=Term._key)
-        return Expr(tuple(merged))
+        return Expr(tuple(Term(c, t.factors) for t, c in _merge((t, t.coeff) for t in terms)))
 
     @staticmethod
     def single(
@@ -465,9 +468,9 @@ def stuffle_product(f: MPLFactor, g: MPLFactor) -> Expr:
     order, merging coincident indices; equal, as a function, to Li_f * Li_g
     on the common convergence domain.
     """
-    if f.depth + g.depth > STUFFLE_DEPTH_CAP:
+    if f.depth + g.depth > DEPTH_CAP:  # nothing deeper can be evaluated
         raise DepthCapExceeded(
-            f"combined depth {f.depth + g.depth} above cap {STUFFLE_DEPTH_CAP}"
+            f"combined depth {f.depth + g.depth} above cap {DEPTH_CAP}"
         )
     terms = []
     for chain in _stuffle_chains(_chains(f), _chains(g)):
@@ -542,6 +545,3 @@ class Identity:
                         f"{name} term {t} has weight {t.weight}, "
                         f"identity declares {self.weight}"
                     )
-
-    def residual_expr(self) -> Expr:
-        return self.lhs - self.rhs

@@ -42,7 +42,7 @@ from mplkit.reduction import (
 from mplkit.serialize import (
     generator_combination_dumps,
     identity_dumps,
-    preimage_report_to_dict,
+    preimage_report_dumps,
     report_dumps,
 )
 from mplkit.symalg import ArgMonomial, eval_expr, li_expr
@@ -123,10 +123,7 @@ def build_artifacts():
             c5_records.append((tup, report))
             stem = "preimage_" + "_".join(str(w) for w in tup)
             files[f"{stem}.json"] = generator_combination_dumps(combo).encode()
-            files[f"{stem}.report.json"] = (
-                json.dumps(preimage_report_to_dict(report), indent=2, sort_keys=True)
-                + "\n"
-            ).encode()
+            files[f"{stem}.report.json"] = preimage_report_dumps(report).encode()
     info["c5"] = (c5_records, time.monotonic() - t0)
 
     return files, info

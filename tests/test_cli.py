@@ -75,6 +75,22 @@ def test_reduce_verify_roundtrip(tmp_path, capsys):
     assert doc["kind"] == "identity" and doc["weight"] == 4
 
 
+@pytest.mark.parametrize(
+    "extra, max_cutoff, expected",
+    [(["--tol", "5e-324"], None, 2), ([], 10, 3)],
+    ids=["tolerance-too-small", "cutoff-overflow"],
+)
+def test_reduce_verify_failure_leaves_no_file(tmp_path, capsys, monkeypatch, extra, max_cutoff, expected):
+    if max_cutoff is not None:
+        monkeypatch.setattr(numeval, "DEFAULT_MAX_CUTOFF", max_cutoff)
+    out_file = tmp_path / "li21.json"
+    code, out, _ = run(
+        capsys, "reduce", "--k", "2", "--l", "1", "--verify", "--out", str(out_file), *extra
+    )
+    assert code == expected and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_reduce_near_trivial(capsys):
     code, _, _ = run(capsys, "reduce", "--k", "3", "--l", "1")
     assert code == 0
@@ -316,11 +332,12 @@ def test_verify_exit_code_property(command, tol, radius, points, real):
         assert code in _EXIT_CODES
         assert sorted(os.listdir(directory)) in (["li21.json"], ["li21.json", "out.json"])
         if os.path.exists(out):
-            # written whole, and a report only when verification ran to its end
+            # written whole, and only when verification ran to its end
             with open(out) as handle:
                 text = handle.read()
+            assert code in (0, 4)
             if command == "verify":
-                assert code in (0, 4) and json.loads(text)["pass"] == (code == 0)
+                assert json.loads(text)["pass"] == (code == 0)
             else:
                 assert text == identity_dumps(reduce_li(2, 1))
 

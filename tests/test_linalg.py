@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mplkit.linalg import SingularMatrix, invert_exact, solve_exact
 
@@ -52,3 +53,49 @@ def test_singular_detected():
 def test_pivoting_handles_zero_leading_entry():
     m = [[0, 1], [1, 0]]
     assert invert_exact(m) == [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
+
+
+# ---------------------------------------------------------------------------
+# properties on small rational matrices
+
+_ENTRY = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def _nonsingular(draw):
+    """P L U with L unit lower and U upper triangular on a nonzero diagonal;
+    every nonsingular matrix has this form, so the strategy reaches them all."""
+    n = draw(st.integers(1, 5))
+    low = [[Fraction(int(i == j)) if j >= i else draw(_ENTRY) for j in range(n)] for i in range(n)]
+    up = [
+        [draw(_ENTRY.filter(bool)) if j == i else draw(_ENTRY) if j > i else Fraction(0) for j in range(n)]
+        for i in range(n)
+    ]
+    return draw(st.permutations(matmul(low, up)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_nonsingular(), st.data())
+def test_solve_and_invert_are_exact(a, data):
+    n = len(a)
+    b = data.draw(st.lists(st.lists(_ENTRY, min_size=2, max_size=2), min_size=n, max_size=n))
+    assert matmul(a, solve_exact(a, b)) == b
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    assert matmul(invert_exact(a), a) == eye
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 5).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n),
+        st.integers(0, n - 1),
+        st.integers(1, n - 1),
+    )
+))
+def test_repeated_row_is_singular(case):
+    rows, i, shift = case
+    rows[(i + shift) % len(rows)] = list(rows[i])  # a copy of row i in another row
+    with pytest.raises(SingularMatrix):
+        invert_exact(rows)
+    with pytest.raises(SingularMatrix):
+        solve_exact(rows, [[Fraction(1)] for _ in rows])

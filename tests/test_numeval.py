@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mplkit import numeval
 from mplkit.numeval import (
     Composition,
     CutoffOverflow,
@@ -222,10 +223,11 @@ def test_choose_cutoff_monotone_in_target():
         previous = m
 
 
-def test_cutoff_overflow():
+def test_cutoff_overflow(monkeypatch):
+    monkeypatch.setattr(numeval, "DEFAULT_MAX_CUTOFF", 10**3)
     with pytest.raises(CutoffOverflow):
         # the target needs M near 7e4 at rho 0.99, far above this ceiling
-        choose_cutoff(Composition((2,)), 0.99, 1e-320, max_cutoff=10**3)
+        choose_cutoff(Composition((2,)), 0.99, 1e-320)
 
 
 def _positive_remainder(parts, args, lo, hi):

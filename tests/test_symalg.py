@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mplkit import numeval
 from mplkit.symalg import (
@@ -133,6 +134,44 @@ def test_term_ordering_deterministic():
     a = li_expr([2], [X]) + li_expr([1, 1], [X, Y]) + li_expr([2], [Y])
     b = li_expr([2], [Y]) + li_expr([2], [X]) + li_expr([1, 1], [X, Y])
     assert a == b
+
+
+# a small factor pool, so drawn terms often share a factor product
+_POOL = (
+    li_factor([2], [X]),
+    li_factor([2], [Y]),
+    li_factor([1, 2], [Y, X]),
+    li_factor([3], [X * Y]),
+    li_factor([1], [ArgMonomial.make({"x": Fraction(1, 2)}, 2, 1)]),
+)
+# each value with its negative, so merged coefficients often cancel to zero
+_COEFF = st.sampled_from([1, -1, 2, -2, Fraction(1, 3), Fraction(-1, 3)])
+_TERMS = st.lists(
+    st.tuples(_COEFF, st.lists(st.sampled_from(_POOL), min_size=0, max_size=2)).map(
+        lambda cf: Term(Fraction(cf[0]), tuple(cf[1]))
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_TERMS, st.randoms(use_true_random=False))
+def test_from_terms_merge_properties(terms, rng):
+    e = Expr.from_terms(terms)
+    shuffled = list(terms)
+    rng.shuffle(shuffled)
+    assert Expr.from_terms(shuffled) == e
+    split = [Term(q, t.factors) for t in terms for q in (t.coeff / 3, 2 * t.coeff / 3)]
+    assert Expr.from_terms(split) == e
+    assert Expr.from_terms(e.terms) == e
+    assert (e - e).is_zero()
+    keys = [t._key() for t in e.terms]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert all(t.coeff != 0 for t in e.terms)
+    expected: dict = {}
+    for t in terms:
+        expected[t.factors] = expected.get(t.factors, 0) + t.coeff
+    assert {t.factors: t.coeff for t in e.terms} == {f: c for f, c in expected.items() if c}
 
 
 # ---------------------------------------------------------------------------
