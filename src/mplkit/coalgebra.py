@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .symalg import ArgMonomial, _merge
+from .symalg import ArgMonomial, _Keyed, _merge
 
 __all__ = [
     "Combination",
@@ -81,8 +81,8 @@ class GroupElement(ArgMonomial):
                 )
 
 
-@dataclass(frozen=True)
-class PolylogSymbol:
+@dataclass(frozen=True, eq=False)
+class PolylogSymbol(_Keyed):
     """Formal classical polylogarithm symbol of weight n >= 2."""
 
     n: int
@@ -91,13 +91,7 @@ class PolylogSymbol:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"symbol weight must be >= 2, got {self.n}")
-        object.__setattr__(self, "_k", (self.n, self.arg._key()))
-
-    def _key(self):
-        return self._k
-
-    def __hash__(self) -> int:
-        return hash(self._k)
+        object.__setattr__(self, "_k", (self.n, self.arg._k))
 
     def __str__(self) -> str:
         return f"Li_{self.n}({self.arg})"
@@ -106,8 +100,8 @@ class PolylogSymbol:
 Word = tuple[PolylogSymbol, ...]
 
 
-@dataclass(frozen=True)
-class GeneratorTerm:
+@dataclass(frozen=True, eq=False)
+class GeneratorTerm(_Keyed):
     """Depth-d generator symbol Li_{n-d;1,...,1}(a_1, ..., a_d)."""
 
     weight: int
@@ -121,18 +115,12 @@ class GeneratorTerm:
             raise ValueError(
                 f"weight {self.weight} below depth {len(self.args)}"
             )
-        key = tuple(a._key() for a in self.args)
+        key = tuple(a._k for a in self.args)
         object.__setattr__(self, "_k", (self.weight, len(self.args), key))
 
     @property
     def depth(self) -> int:
         return len(self.args)
-
-    def _key(self):
-        return self._k
-
-    def __hash__(self) -> int:
-        return hash(self._k)
 
     def __str__(self) -> str:
         head = f"{self.weight - self.depth};" + ",".join(["1"] * self.depth)

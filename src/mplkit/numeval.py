@@ -202,7 +202,10 @@ def choose_cutoff(indices: Composition, suffix_rho: float, target_error: float) 
         raise ValueError(f"suffix_rho must lie in [0, 1), got {rho}")
     if rho == 0.0:
         return 1
-    parts, log_rho, log_target = indices.parts, math.log(rho), math.log(target_error)
+    parts, log_rho = indices.parts, math.log(rho)
+    # exp rounds a subnormal bound to the nearest double, so the root sits at
+    # log(target + TINY/2); TINY / target / 2 does not underflow as 0.5 * TINY does
+    log_target = math.log(target_error) + math.log1p(_TINY / target_error / 2)
     j, _, last = _majorant(parts)
     lo, hi = 0.0, math.log(DEFAULT_MAX_CUTOFF + 1.0)
     u = min(math.log(max(2.0, (log_target + math.log1p(-rho)) / log_rho)), hi)

@@ -19,10 +19,12 @@ from fractions import Fraction
 
 from . import linalg
 from .linalg import SingularMatrix
+from .numeval import Composition
 from .symalg import (
     ArgMonomial,
     Expr,
     Identity,
+    MPLFactor,
     Term,
     li_expr,
     li_factor,
@@ -54,29 +56,28 @@ def _triple_root_sum(n: int, alpha: int, beta: int) -> Expr:
     """Weighted Li_{n-1,1} sum over all root triples (X, Y, Z).
 
     X runs over the alpha-th roots of x, Y over the beta-th roots of y and
-    Z over the gamma-th roots of xy; terms independent of one root variable
-    pick up its count as a multiplicity.
+    Z over the gamma-th roots of xy.  Each summand is Li_{n-1,1}(U/V, V)
+    for one root pair (U, V) = (X, Y), (Z, Y) or (Z, X), so the sum runs
+    over those pairs and the count gamma, alpha or beta of the third root
+    is folded into the pair's coefficient.  Each root monomial is built once.
     """
     gamma = alpha + beta
-    c_xy = Fraction((alpha * beta) ** (n - 2), gamma)
-    c_zy = -Fraction((gamma * beta) ** (n - 2), alpha)
-    c_zx = Fraction((-gamma * alpha) ** (n - 2), beta)
     ea, eb, eg = Fraction(1, alpha), Fraction(1, beta), Fraction(1, gamma)
-    top = [n - 1, 1]
-    terms = []
-    for i in range(alpha):
-        for j in range(beta):
-            for k in range(gamma):
-                pa, pb, pg = Fraction(i, alpha), Fraction(j, beta), Fraction(k, gamma)
-                x_over_y = _mono({"x": ea, "y": -eb}, pa - pb)
-                z_over_y = _mono({"x": eg, "y": eg - eb}, pg - pb)
-                z_over_x = _mono({"x": eg - ea, "y": eg}, pg - pa)
-                y_root = _mono({"y": eb}, pb)
-                x_root = _mono({"x": ea}, pa)
-                terms.append(Term(c_xy, (li_factor(top, [x_over_y, y_root]),)))
-                terms.append(Term(c_zy, (li_factor(top, [z_over_y, y_root]),)))
-                terms.append(Term(c_zx, (li_factor(top, [z_over_x, x_root]),)))
-    return Expr.from_terms(terms)
+    x_roots = {p: _mono({"x": ea}, p) for p in (Fraction(i, alpha) for i in range(alpha))}
+    y_roots = {p: _mono({"y": eb}, p) for p in (Fraction(j, beta) for j in range(beta))}
+    z_phases = [Fraction(k, gamma) for k in range(gamma)]  # Z is never a V: no monomial
+    pairs = (  # coefficient times multiplicity, exponents of U/V, phases of U, roots V by phase
+        ((alpha * beta) ** (n - 2), {"x": ea, "y": -eb}, x_roots, y_roots),
+        (-((gamma * beta) ** (n - 2)), {"x": eg, "y": eg - eb}, z_phases, y_roots),
+        ((-gamma * alpha) ** (n - 2), {"x": eg - ea, "y": eg}, z_phases, x_roots),
+    )
+    top = Composition((n - 1, 1))
+    return Expr.from_terms(
+        Term(coeff, (MPLFactor(top, (_mono(exps, pu - pv), v)),))
+        for coeff, exps, us, vs in pairs
+        for pu in us
+        for pv, v in vs.items()
+    )
 
 
 def _depth2_probe(n: int, alpha: int, beta: int) -> Expr:
@@ -187,8 +188,8 @@ def reduce_li(k: int, l: int) -> Identity:
         c = mat.inverse[k - 1][i - 1]
         if c != 0:
             terms.extend(build_weighted_sum(n, i, n - i).reduced_form.scale(c).terms)
-    combo = Expr.from_terms(terms)
-    rhs = rename_variables(combo, {"x": "y", "y": "x"})
+    # left unmerged: rename_variables merges the renamed terms
+    rhs = rename_variables(Expr(tuple(terms)), {"x": "y", "y": "x"})
     lhs = li_expr([k, l], [ArgMonomial.variable("x"), ArgMonomial.variable("y")])
     return Identity(
         lhs,

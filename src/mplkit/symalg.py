@@ -74,13 +74,30 @@ def _merge(pairs: Iterable[tuple[object, Fraction]]) -> list[tuple[object, Fract
 
 
 def _as_fraction(v) -> Fraction:
+    if isinstance(v, Fraction):
+        return v
     if isinstance(v, float):
         raise TypeError(f"exact rational required, got float {v!r}")
     return Fraction(v)
 
 
-@dataclass(frozen=True)
-class ArgMonomial:
+class _Keyed:
+    """Compared, hashed and sorted by one key `_k`, which subclasses (frozen
+    dataclasses with eq=False) build once, in `__post_init__`.  Equal means
+    of the same type with equal keys."""
+
+    def _key(self):
+        return self._k
+
+    def __hash__(self) -> int:
+        return hash(self._k)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other._k == self._k
+
+
+@dataclass(frozen=True, eq=False)
+class ArgMonomial(_Keyed):
     """zeta_N^j * prod_v v^{e_v} with rational exponents e_v.
 
     The root of unity is stored as its phase j/N reduced mod 1, so equal
@@ -174,12 +191,6 @@ class ArgMonomial:
             value *= cmath.exp(float(e) * cmath.log(base))
         return value
 
-    def _key(self):
-        return self._k
-
-    def __hash__(self) -> int:
-        return hash(self._k)
-
     def __str__(self) -> str:
         bits = []
         if self.phase == Fraction(1, 2):
@@ -191,19 +202,21 @@ class ArgMonomial:
         return "*".join(bits) if bits else "1"
 
 
-@dataclass(frozen=True)
-class MPLFactor:
+@dataclass(frozen=True, eq=False)
+class MPLFactor(_Keyed):
     """A single multiple-polylogarithm factor Li_indices(args)."""
 
     indices: Composition
     args: tuple[ArgMonomial, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
-        if len(self.args) != self.indices.depth:
-            raise ValueError(
-                f"{len(self.args)} arguments for depth {self.indices.depth}"
-            )
+        args = tuple(self.args)
+        object.__setattr__(self, "args", args)
+        if len(args) != self.indices.depth:
+            raise ValueError(f"{len(args)} arguments for depth {self.indices.depth}")
+        parts = self.indices.parts
+        key = (sum(parts), len(parts), parts, tuple(a._k for a in args))
+        object.__setattr__(self, "_k", key)
 
     @property
     def weight(self) -> int:
@@ -220,14 +233,6 @@ class MPLFactor:
             out |= a.variables
         return out
 
-    def _key(self):
-        return (
-            self.weight,
-            self.depth,
-            self.indices.parts,
-            tuple(a._key() for a in self.args),
-        )
-
     def __str__(self) -> str:
         return f"Li_{self.indices}({', '.join(str(a) for a in self.args)})"
 
@@ -238,16 +243,18 @@ def li_factor(parts: Sequence[int], args: Sequence[ArgMonomial]) -> MPLFactor:
 
 @dataclass(frozen=True)
 class Term:
-    """coeff * product of factors; the factor multiset is kept sorted."""
+    """coeff * product of factors; the factor multiset is kept sorted.  The
+    merge key, of the factors alone, is built once; equality adds coeff."""
 
     coeff: Fraction
     factors: tuple[MPLFactor, ...]
 
     def __post_init__(self) -> None:
+        factors = tuple(sorted(self.factors, key=MPLFactor._key))
         object.__setattr__(self, "coeff", _as_fraction(self.coeff))
-        object.__setattr__(
-            self, "factors", tuple(sorted(self.factors, key=MPLFactor._key))
-        )
+        object.__setattr__(self, "factors", factors)
+        key = (sum(f.weight for f in factors), len(factors), tuple(f._k for f in factors))
+        object.__setattr__(self, "_k", key)
 
     @property
     def weight(self) -> int:
@@ -261,7 +268,7 @@ class Term:
         return out
 
     def _key(self):
-        return (self.weight, len(self.factors), tuple(f._key() for f in self.factors))
+        return self._k
 
     def __str__(self) -> str:
         body = " * ".join(str(f) for f in self.factors) if self.factors else "1"
@@ -280,7 +287,8 @@ class Expr:
 
     @staticmethod
     def from_terms(terms: Iterable[Term]) -> "Expr":
-        return Expr(tuple(Term(c, t.factors) for t, c in _merge((t, t.coeff) for t in terms)))
+        merged = _merge((t, t.coeff) for t in terms)
+        return Expr(tuple(t if c == t.coeff else Term(c, t.factors) for t, c in merged))
 
     @staticmethod
     def single(
@@ -334,23 +342,18 @@ def normalize(e: Expr) -> Expr:
 
 
 def rename_variables(e: Expr, mapping: Mapping[str, str]) -> Expr:
-    """Rename variables in every argument monomial (simultaneously)."""
+    """Rename variables in every argument monomial (simultaneously), each distinct factor once."""
+    renamed: dict[MPLFactor, MPLFactor] = {}
 
-    def ren_mono(m: ArgMonomial) -> ArgMonomial:
-        return ArgMonomial(
-            m.phase, tuple((mapping.get(v, v), x) for v, x in m.exponents)
-        )
+    def ren(f: MPLFactor) -> MPLFactor:
+        if f not in renamed:
+            renamed[f] = MPLFactor(f.indices, tuple(
+                ArgMonomial(a.phase, tuple((mapping.get(v, v), x) for v, x in a.exponents))
+                for a in f.args
+            ))
+        return renamed[f]
 
-    return Expr.from_terms(
-        Term(
-            t.coeff,
-            tuple(
-                MPLFactor(f.indices, tuple(ren_mono(a) for a in f.args))
-                for f in t.factors
-            ),
-        )
-        for t in e.terms
-    )
+    return Expr.from_terms(Term(t.coeff, tuple(map(ren, t.factors))) for t in e.terms)
 
 
 # ---------------------------------------------------------------------------

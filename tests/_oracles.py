@@ -79,3 +79,33 @@ def tensor_contract_reference(te, r):
                     new_terms.extend(members)
             terms = list(TensorElement.from_terms(new_terms).terms)
     return TensorElement.from_terms(terms)
+
+
+def triple_root_sum_reference(n, alpha, beta):
+    """The weighted Li_{n-1,1} sum as a literal loop over all alpha * beta *
+    gamma root triples (X, Y, Z), three summands per triple."""
+    from fractions import Fraction
+
+    from mplkit.symalg import ArgMonomial, Expr, Term, li_factor
+
+    def mono(exps, phase):
+        return ArgMonomial(phase, tuple(exps.items()))
+
+    gamma = alpha + beta
+    c_xy = Fraction((alpha * beta) ** (n - 2), gamma)
+    c_zy = -Fraction((gamma * beta) ** (n - 2), alpha)
+    c_zx = Fraction((-gamma * alpha) ** (n - 2), beta)
+    ea, eb, eg = Fraction(1, alpha), Fraction(1, beta), Fraction(1, gamma)
+    terms = []
+    for i in range(alpha):
+        for j in range(beta):
+            for k in range(gamma):
+                pa, pb, pg = Fraction(i, alpha), Fraction(j, beta), Fraction(k, gamma)
+                x_root, y_root = mono({"x": ea}, pa), mono({"y": eb}, pb)
+                x_over_y = mono({"x": ea, "y": -eb}, pa - pb)
+                z_over_y = mono({"x": eg, "y": eg - eb}, pg - pb)
+                z_over_x = mono({"x": eg - ea, "y": eg}, pg - pa)
+                terms.append(Term(c_xy, (li_factor([n - 1, 1], [x_over_y, y_root]),)))
+                terms.append(Term(c_zy, (li_factor([n - 1, 1], [z_over_y, y_root]),)))
+                terms.append(Term(c_zx, (li_factor([n - 1, 1], [z_over_x, x_root]),)))
+    return Expr.from_terms(terms)

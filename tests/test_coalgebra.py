@@ -31,6 +31,7 @@ from mplkit.coalgebra import (
     verify_preimage,
 )
 from mplkit.numeval import Composition, EvalRequest, eval_li
+from mplkit.symalg import ArgMonomial, MPLFactor, Term, li_factor
 
 from _oracles import compositions_brute, tensor_contract_reference
 
@@ -88,6 +89,39 @@ def test_cached_key_is_consistent():
     u = dataclasses.replace(t, weight=6, args=(h,))
     assert u == GeneratorTerm(6, (h,)) and u._key() == (6, 1, (_fields_key(h),))
     assert hash(u) == hash(GeneratorTerm(6, (h,))) and u != t
+
+
+def _factor_fields_key(f):
+    parts = f.indices.parts
+    return (sum(parts), len(parts), parts, tuple(_fields_key(a) for a in f.args))
+
+
+def test_factor_and_term_keys_are_consistent():
+    x, y = ArgMonomial.variable("x"), ArgMonomial.make({"y": Fraction(1, 2)}, 4, 1)
+    f = li_factor([3, 1], [x, y])
+    routes = [
+        MPLFactor(Composition((3, 1)), [ArgMonomial.make({"x": 1}), y.roots(1)[0].power(2)]),
+        li_factor((3, 1), (x.power(2).roots(1)[0], ArgMonomial.make({"y": Fraction(2, 4)}, 8, 2))),
+        dataclasses.replace(li_factor([2, 2], [x, y]), indices=Composition((3, 1))),
+    ]
+    for other in routes:
+        assert other == f and hash(other) == hash(f)
+        assert other._key() == f._key() == _factor_fields_key(other)
+    g = li_factor([4], [ArgMonomial.make({"x": 1, "y": 1})])
+    assert g != f and g._key() == _factor_fields_key(g) != f._key()
+
+    t = Term(Fraction(3, 2), (f, g))
+    u = Term(Fraction(3, 2), [routes[1], g])
+    assert t.factors == (g, f) and u == t and hash(u) == hash(t)  # depth 1 sorts first
+    assert t._key() == u._key() == (8, 2, (_factor_fields_key(g), _factor_fields_key(f)))
+    v = dataclasses.replace(t, coeff=Fraction(-1))
+    assert v != t and v._key() == t._key()  # the merge key leaves out the coefficient
+    w = dataclasses.replace(t, factors=(g,))
+    assert w._key() == (4, 1, (_factor_fields_key(g),)) and w != t
+
+    # equal keys of different types are different objects
+    assert GroupElement.generator("a") != ArgMonomial.variable("a")
+    assert GroupElement.generator("a")._key() == ArgMonomial.variable("a")._key()
 
 
 def test_group_element_checks_its_input_like_any_monomial():

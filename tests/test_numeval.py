@@ -259,15 +259,30 @@ def test_tail_bound_dominates_positive_remainder(parts, inner, last, cutoff):
     assert remainder <= tail_bound(Composition(tuple(parts)), rho, cutoff)
 
 
-def test_choose_cutoff_is_minimal():
+def test_choose_cutoff_is_minimal(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tail_bound(*args)
+
+    monkeypatch.setattr(numeval, "tail_bound", counted)
     rng = random.Random(6061)
+    cases = []
     for _ in range(400):
         depth = rng.randint(1, 4)
         parts = tuple(rng.randint(1, 3) for _ in range(depth))
-        rho = rng.uniform(0.05, 0.99)
-        target = 10 ** rng.uniform(-300, -3)
+        cases.append((parts, rng.uniform(0.05, 0.99), 10 ** rng.uniform(-300, -3)))
+    # subnormal targets, down to the smallest positive double
+    for parts in ((1,), (2,), (5,), (3, 1), (1, 1, 2), (2, 1, 1, 3)):
+        for rho in (0.05, 0.5, 0.9, 0.99):
+            for target in (5e-324, 1e-323, 1e-320, 1e-315, 1e-310):
+                cases.append((parts, rho, target))
+    for parts, rho, target in cases:
         comp = Composition(parts)
+        calls.clear()
         m = choose_cutoff(comp, rho, target)
+        assert len(calls) <= 3, (parts, rho, target, m, len(calls))
         assert tail_bound(comp, rho, m) <= target, (parts, rho, target, m)
         if m > 1:
             assert target < tail_bound(comp, rho, m - 1), (parts, rho, target, m)

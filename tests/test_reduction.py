@@ -1,9 +1,11 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from mplkit.reduction import (
     WeightTooSmall,
+    _triple_root_sum,
     build_reduction_matrix,
     build_weighted_sum,
     coefficient_identity,
@@ -12,6 +14,8 @@ from mplkit.reduction import (
 )
 from mplkit.symalg import eval_expr, li_expr, ArgMonomial
 from mplkit.verify import VerificationPlan, check_convergence, verify_identity
+
+from _oracles import triple_root_sum_reference
 
 PLAN = VerificationPlan(seed=101, point_count=10, radius=0.7, tolerance=1e-9)
 
@@ -44,6 +48,14 @@ def test_coefficient_identity_structure():
     assert len(classical) == 1
     assert classical[0].coeff == Fraction(1**4, 3)
     assert classical[0].factors[0].args == (xy,)
+
+
+def test_triple_root_sum_matches_triple_loop_oracle():
+    for n in range(3, 9):
+        for alpha in range(1, 5):
+            for beta in range(1, 5):
+                got = _triple_root_sum(n, alpha, beta)
+                assert got == triple_root_sum_reference(n, alpha, beta), (n, alpha, beta)
 
 
 def test_coefficient_identity_rejects_small_weight():
@@ -173,6 +185,17 @@ def test_reduce_li_deterministic_output():
     a = identity_dumps(reduce_li(2, 3))
     b = identity_dumps(reduce_li(2, 3))
     assert a == b
+
+
+def test_weight7_and_weight8_reductions_are_pinned():
+    # artifact_digests.json pins the reductions up to weight 6
+    from mplkit.serialize import identity_dumps
+
+    h = hashlib.sha256()
+    for n in (7, 8):
+        for k in range(1, n):
+            h.update(identity_dumps(reduce_li(k, n - k)).encode())
+    assert h.hexdigest() == "335c65c155e10bd0b585826095cadc1cf59b3c3c31e1988d4bb037b8215203cb"
 
 
 def test_reduce_li_convergence_safety_at_harness_radius():
