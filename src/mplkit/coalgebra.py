@@ -19,6 +19,7 @@ monomials restricted to 2-power exponent denominators.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -237,8 +238,9 @@ def cobracket_image(
     if not pairs:
         return Combination()
     comps = compositions_min2(pairs[0][0].weight, pairs[0][0].depth)  # homogeneous
+    symbol = functools.cache(PolylogSymbol)  # one symbol per (n, argument)
     return Combination.from_terms(
-        (tuple(PolylogSymbol(n, a) for n, a in zip(comp, term.args)), coeff)
+        (tuple(map(symbol, comp, term.args)), coeff)
         for term, coeff in pairs
         for comp in comps
     )
@@ -248,51 +250,69 @@ def cobracket_image(
 # distribution relations
 
 
-def _contract(
-    pairs: Iterable[tuple[Word, Fraction]], r: int
-) -> list[tuple[Word, Fraction]]:
+def _power_key(key: tuple, r: int) -> tuple:
+    """Key of Li_n(b^r) from the key (n, (p, q, ((v, num, den), ...))) of Li_n(b):
+    phase p*r/q mod 1 and exponents num*r/den, in lowest terms."""
+    n, (p, q, exps) = key
+    g = math.gcd(p * r, q)
+    exps = tuple((v, num * r // (h := math.gcd(num * r, den)), den // h) for v, num, den in exps)
+    return n, (p * r // g % (q // g), q // g, exps)
+
+
+def _symbol_from_key(key: tuple) -> PolylogSymbol:
+    n, (p, q, exps) = key
+    arg = GroupElement(Fraction(p, q), tuple((v, Fraction(a, b)) for v, a, b in exps))
+    return PolylogSymbol(n, arg)
+
+
+def _merged(pairs: Iterable[tuple[tuple[int, ...], Fraction]]) -> dict:
+    acc: dict = {}
+    for w, c in pairs:
+        acc[w] = acc[w] + c if w in acc else c
+    return {w: c for w, c in acc.items() if c}
+
+
+def _contract(pairs: Iterable[tuple[Word, Fraction]], r: int) -> list[tuple[Word, Fraction]]:
+    """The fixpoint of `tensor_distribution_contract` as sorted (word, coeff)
+    pairs.  Two symbols share an orbit exactly when their r-th powers agree,
+    so a slot groups its words under the word with that slot's id replaced
+    by the id of its power, which is also the collapsed word."""
     if r < 1:
         raise ValueError("orbit order must be a positive integer")
-    syms: list[PolylogSymbol] = []  # id -> symbol; ids maps symbol keys back to ids
-    ids, orbits, orbit_of, powered = {}, {}, [], {}  # powered: id -> id of Li_n(arg^r)
-
-    def intern(sym: PolylogSymbol) -> int:
-        i = ids.setdefault(sym._key(), len(syms))
-        if i == len(syms):
-            syms.append(sym)
-            p, q, exps = sym.arg._key()
-            g = math.gcd(p * r, q)  # phase * r mod 1 is (p*r/g mod q/g) / (q/g)
-            key = (sym.n, exps, p * r // g % (q // g), q // g)
-            orbit_of.append(orbits.setdefault(key, len(orbits)))
-        return i
-
-    def merged(items) -> dict:
-        acc: dict = {}
-        for w, c in items:
-            acc[w] = acc[w] + c if w in acc else c
-        return {w: c for w, c in acc.items() if c}
-
-    words = merged((tuple(map(intern, w)), c) for w, c in pairs)
-    while True:
-        before = words
+    pairs = list(pairs)
+    table = {s._k: s for w, _ in pairs for s in w}  # symbol key -> symbol
+    keys = list(table)  # id -> symbol key
+    ids = {k: i for i, k in enumerate(keys)}
+    powers: dict[int, int] = {}  # id -> id of its r-th power
+    scales = {n: Fraction(1, r ** (n - 1)) for n, _ in keys}  # a power keeps its weight
+    words = _merged((tuple([ids[s._k] for s in w]), c) for w, c in pairs)
+    collapsed = r > 1  # at r = 1 every collapse is the identity
+    while collapsed:
+        collapsed = False
         for slot in range(len(next(iter(words), ()))):
-            groups: dict = {}
+            groups: dict = {}  # word with its slot id replaced by the orbit -> members
             for w, c in words.items():
-                key = (w[:slot], w[slot + 1 :], orbit_of[w[slot]])
-                groups.setdefault(key, []).append((w, c))
+                i = w[slot]
+                if i not in powers:
+                    key = _power_key(keys[i], r)
+                    powers[i] = ids.setdefault(key, len(keys))
+                    if powers[i] == len(keys):
+                        keys.append(key)
+                groups.setdefault(w[:slot] + (powers[i],) + w[slot + 1 :], []).append((w, c))
             out = []
-            for members in groups.values():
-                (w, c), i = members[0], members[0][0][slot]
-                if len(members) != r or any(q != c for _, q in members):
-                    out.extend(members)
-                    continue
-                if i not in powered:
-                    powered[i] = intern(PolylogSymbol(syms[i].n, syms[i].arg.power(r)))
-                w = w[:slot] + (powered[i],) + w[slot + 1 :]
-                out.append((w, c * Fraction(1, r ** (syms[i].n - 1))))
-            words = merged(out)
-        if words == before:  # a collapse drops a word, or is the identity at r = 1
-            return [(tuple(syms[i] for i in w), c) for w, c in words.items()]
+            for up, members in groups.items():
+                c = members[0][1]
+                if len(members) == r and all(q == c for _, q in members[1:]):
+                    collapsed = True
+                    members = [(up, c * scales[keys[up[slot]][0]])]
+                out += members
+            words = _merged(out)
+
+    def symbol(i: int) -> PolylogSymbol:  # a power made by a collapse is built here
+        return table.get(keys[i]) or table.setdefault(keys[i], _symbol_from_key(keys[i]))
+
+    order = sorted(words, key=lambda w: [keys[i] for i in w])
+    return [(tuple(map(symbol, w)), words[w]) for w in order]
 
 
 def distribution_contract(e: PolylogCombination, r: int) -> PolylogCombination:
@@ -303,8 +323,8 @@ def distribution_contract(e: PolylogCombination, r: int) -> PolylogCombination:
     coefficients are left untouched.  This is the depth-1 case of
     `tensor_distribution_contract`, so a second call is a no-op.
     """
-    return PolylogCombination.from_terms(
-        (w[0], c) for w, c in _contract((((s,), c) for s, c in e.terms), r)
+    return PolylogCombination(
+        tuple((w[0], c) for w, c in _contract((((s,), c) for s, c in e.terms), r))
     )
 
 
@@ -332,11 +352,12 @@ def tensor_distribution_contract(te: TensorElement, r: int) -> TensorElement:
     Slot by slot, words equal outside the slot whose slot symbols form a
     complete orbit with one coefficient collapse as in `distribution_contract`
     (its depth-1 case); equal words merge and zeros drop after every slot.
-    The fixpoint runs on words of interned int symbol ids, each id mapped
-    once to its orbit and to the id of its r-th power.  Which words collapse
-    does not depend on term order, so words are sorted only for output.
+    The fixpoint runs on words of int symbol ids, each mapped once to the id
+    of its r-th power, computed from the symbol key in integers; only
+    symbols new to the output are built.  Which words collapse does not
+    depend on term order, so words are sorted only for output.
     """
-    return TensorElement.from_terms(_contract(te.terms, r))
+    return TensorElement(tuple(_contract(te.terms, r)))
 
 
 # ---------------------------------------------------------------------------
@@ -393,18 +414,13 @@ def construct_preimage(
         raise InfeasibleWeights(f"every slot weight must be >= 2, got {weights}")
     if len(args) != len(weights):
         raise ValueError("one argument per slot weight required")
-    n = sum(weights)
-    d = len(weights)
-    combo = GeneratorCombination.single(GeneratorTerm(n, tuple(args)))
-    remaining = n
-    for slot in range(d, 0, -1):
-        if slot == 1:
-            domain: list[int] = [remaining]
-        else:
-            domain = list(range(2, remaining - 2 * (slot - 1) + 1))
+    remaining = sum(weights)
+    combo = GeneratorCombination.single(GeneratorTerm(remaining, tuple(args)))
+    for slot in range(len(weights), 1, -1):  # slot 1 keeps the weight that remains
+        domain = list(range(2, remaining - 2 * (slot - 1) + 1))
         target = weights[slot - 1]
+        remaining -= target
         if len(domain) == 1:
-            remaining -= target
             continue
         coeffs = _isolation_coefficients(domain, target)
         combo = GeneratorCombination.from_terms(
@@ -416,7 +432,6 @@ def construct_preimage(
             raise RootCapExceeded(
                 f"{len(combo.terms)} terms exceed the cap {DEFAULT_TERM_CAP}"
             )
-        remaining -= target
     return combo
 
 

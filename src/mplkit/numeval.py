@@ -195,19 +195,25 @@ def choose_cutoff(indices: Composition, suffix_rho: float, target_error: float) 
     to the answer; tail_bound then confirms tail_bound(M) <= target <
     tail_bound(M - 1), which its monotonicity in M makes M the smallest.
     """
+    return _cutoff_and_bound(indices, float(suffix_rho), target_error, DEFAULT_MAX_CUTOFF)[0]
+
+
+@functools.lru_cache(maxsize=1)
+def _cutoff_and_bound(indices: Composition, rho: float, target_error: float, ceiling: int):
+    """choose_cutoff below ceiling and the bound its confirming probe computed;
+    the last answer is kept (keyed on the ceiling too) for choose_cutoff's callers."""
     if not (float(target_error) > 0.0):
         raise ValueError("target_error must be positive")
-    rho = float(suffix_rho)
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"suffix_rho must lie in [0, 1), got {rho}")
     if rho == 0.0:
-        return 1
+        return 1, 0.0
     parts, log_rho = indices.parts, math.log(rho)
     # exp rounds a subnormal bound to the nearest double, so the root sits at
     # log(target + TINY/2); TINY / target / 2 does not underflow as 0.5 * TINY does
     log_target = math.log(target_error) + math.log1p(_TINY / target_error / 2)
     j, _, last = _majorant(parts)
-    lo, hi = 0.0, math.log(DEFAULT_MAX_CUTOFF + 1.0)
+    lo, hi = 0.0, math.log(ceiling + 1.0)
     u = min(math.log(max(2.0, (log_target + math.log1p(-rho)) / log_rho)), hi)
     for _ in range(64):
         y = math.exp(u)
@@ -218,17 +224,17 @@ def choose_cutoff(indices: Composition, suffix_rho: float, target_error: float) 
         u, prev = (step if lo < step < hi else 0.5 * (lo + hi)), u
         if abs(u - prev) * y < 0.5:
             break
-    cutoff = min(max(1, math.ceil(math.exp(u)) - 1), DEFAULT_MAX_CUTOFF)
+    cutoff = min(max(1, math.ceil(math.exp(u)) - 1), ceiling)
     while (bound := tail_bound(indices, rho, cutoff)) > target_error:
-        if cutoff >= DEFAULT_MAX_CUTOFF:
+        if cutoff >= ceiling:
             raise CutoffOverflow(
                 f"tail bound {bound:.3e} exceeds target {target_error:.3e} "
-                f"at the cutoff ceiling {DEFAULT_MAX_CUTOFF}"
+                f"at the cutoff ceiling {ceiling}"
             )
         cutoff += 1
-    while cutoff > 1 and tail_bound(indices, rho, cutoff - 1) <= target_error:
-        cutoff -= 1
-    return cutoff
+    while cutoff > 1 and (below := tail_bound(indices, rho, cutoff - 1)) <= target_error:
+        cutoff, bound = cutoff - 1, below
+    return cutoff, bound
 
 
 def series_value_batch(
@@ -325,7 +331,8 @@ def _eval_columns(
         return -np.log(1.0 - argmat[0]), 0.0, 1
     cutoff = choose_cutoff(indices, rho, target_error)
     values = series_value_batch(indices, argmat, cutoff)
-    return values, tail_bound(indices, rho, cutoff), cutoff
+    # the bound choose_cutoff's confirming probe computed, not a new probe
+    return values, _cutoff_and_bound(indices, rho, target_error, DEFAULT_MAX_CUTOFF)[1], cutoff
 
 
 def eval_li(req: EvalRequest) -> EvalResult:

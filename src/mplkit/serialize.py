@@ -10,8 +10,10 @@ byte-identical files.
 
 from __future__ import annotations
 
+import io
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Mapping
 
 from .coalgebra import (
@@ -50,7 +52,32 @@ SCHEMA_VERSION = 1
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(obj, indent=2, sort_keys=True)` and a newline, byte for byte,
+    without the stdlib's slow pure-Python indent encoder.  Keys must be strings."""
+    out = io.StringIO()  # holds less than a list of every chunk
+    _write(obj, "\n", out.write)
+    out.write("\n")
+    return out.getvalue()
+
+
+def _write(obj, newline: str, emit) -> None:
+    """Emit obj as JSON; newline is the line break and indent of its line."""
+    if isinstance(obj, str):
+        emit(_quote(obj))
+    elif obj is None or isinstance(obj, bool):
+        emit("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        emit(int.__repr__(obj))
+    elif isinstance(obj, (dict, list, tuple)) and obj:
+        keyed, inner = isinstance(obj, dict), newline + "  "
+        for i, item in enumerate(sorted(obj) if keyed else obj):
+            emit(("," if i else "{" if keyed else "[") + inner)
+            if keyed:
+                emit(_quote(item) + ": ")
+            _write(obj[item] if keyed else item, inner, emit)
+        emit(newline + ("}" if keyed else "]"))
+    else:  # floats, empty containers, and what json.dumps rejects
+        emit(json.dumps(obj))
 
 
 def format_float(x: float) -> str:

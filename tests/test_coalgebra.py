@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import hashlib
 import math
 import os
 import pickle
@@ -29,8 +30,11 @@ from mplkit.coalgebra import (
     root_sum_generator,
     tensor_distribution_contract,
     verify_preimage,
+    _power_key,
+    _symbol_from_key,
 )
 from mplkit.numeval import Composition, EvalRequest, eval_li
+from mplkit.serialize import generator_combination_dumps, preimage_report_dumps
 from mplkit.symalg import ArgMonomial, MPLFactor, Term, li_factor
 
 from _oracles import compositions_brute, tensor_contract_reference
@@ -375,6 +379,72 @@ def test_tensor_contract_matches_reference(case):
         assert distribution_contract(e, r).terms == tuple((w[0], c) for w, c in got.terms)
 
 
+_KEY_EXPONENTS = st.sampled_from(
+    [Fraction(1), Fraction(-1), Fraction(3), Fraction(-2)]
+    + [Fraction(1, 2), Fraction(-3, 4), Fraction(5, 8)]
+)
+
+
+@st.composite
+def _key_symbols(draw):
+    """Li_n(zeta * a1^e1 * b^e2) with phases j/8 and j/3."""
+    phase = Fraction(draw(st.integers(0, 23)), draw(st.sampled_from((8, 3))))
+    exps = draw(st.dictionaries(st.sampled_from(("a1", "a2", "b")), _KEY_EXPONENTS, max_size=3))
+    return PolylogSymbol(draw(st.integers(2, 6)), GroupElement(phase, tuple(exps.items())))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_key_symbols(), st.sampled_from((1, 2, 3, 4)))
+def test_power_key_is_the_key_of_the_power(sym, r):
+    up = _power_key(sym._k, r)
+    assert up == PolylogSymbol(sym.n, sym.arg.power(r))._k
+    assert up[1][:2] == ((sym.arg.phase * r) % 1).as_integer_ratio()  # the orbit's phase
+    # the r symbols of one orbit share the power key, and only they do
+    orbit = _orbit(sym, r)
+    assert {_power_key(s._k, r) for s in orbit} == {up}
+    other = GroupElement(sym.arg.phase + Fraction(1, 2 * r), sym.arg.exponents)
+    assert _power_key(PolylogSymbol(sym.n, other)._k, r) != up
+    rebuilt = _symbol_from_key(sym._k)
+    assert rebuilt == sym and rebuilt._k == sym._k and hash(rebuilt) == hash(sym)
+    assert _symbol_from_key(up) == PolylogSymbol(sym.n, sym.arg.power(r))
+
+
+@st.composite
+def _root_summed_combinations(draw):
+    """Small root-summed generator combinations (weight <= 7, depth <= 3),
+    some of them perturbed, with a weight tuple of their shape."""
+    depth = draw(st.integers(1, 3))
+    weights = tuple(draw(st.lists(st.integers(2, 3), min_size=depth, max_size=depth)))
+    args = tuple(draw(_key_symbols()).arg for _ in range(depth))
+    combo = GeneratorCombination.single(GeneratorTerm(sum(weights), args))
+    for _ in range(draw(st.integers(0, 2))):
+        slot, s = draw(st.integers(1, depth)), draw(st.integers(0, 2))
+        summed = root_sum_generator(combo, slot, s).scale(draw(_COEFFS))
+        combo = summed if draw(st.booleans()) else combo + summed
+    if combo.terms and draw(st.booleans()):
+        g, c = combo.terms[draw(st.integers(0, len(combo.terms) - 1))]
+        combo = combo + GeneratorCombination.single(g, draw(_COEFFS))
+    return combo, weights, args
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_root_summed_combinations())
+def test_verify_preimage_image_matches_reference(case):
+    combo, weights, args = case
+    report = verify_preimage(combo, weights, args)
+    assert report.image == tensor_contract_reference(cobracket_image(combo), 2)
+
+
+def test_constructed_preimage_images_match_reference():
+    slot_args = (A, B.power(-1), GroupElement(Fraction(3, 8), (("a3", Fraction(1, 2)),)))
+    for weights in ((2, 2), (3, 2), (2, 3), (5, 2), (2, 2, 2), (3, 2, 2), (2, 3, 2)):
+        args = slot_args[: len(weights)]
+        p = construct_preimage(weights, args)
+        report = verify_preimage(p, weights, args)
+        assert report.matched
+        assert report.image == tensor_contract_reference(cobracket_image(p), 2)
+
+
 def test_expand_contract_round_trip_r2():
     e = PolylogCombination.from_terms([(PolylogSymbol(4, B), Fraction(5, 7))])
     assert distribution_contract(distribution_expand(e, 2), 2) == e
@@ -509,3 +579,26 @@ def test_preimage_exhaustive_desk_scale():
                 continue
             p = construct_preimage(tup, gens)
             assert verify_preimage(p, tup, gens).matched, tup
+
+
+# the weight tuples of the preimage benchmark workload (weight 9-10, depth 2-3)
+_BENCH_WEIGHTS = (
+    (5, 4), (2, 3, 4), (2, 8), (3, 7), (4, 6), (5, 5), (6, 4), (7, 3), (8, 2), (4, 3, 2),
+)
+
+
+def test_bench_size_preimages_are_pinned():
+    args = (
+        GroupElement(Fraction(3, 8), (("a1", Fraction(3, 2)), ("b", Fraction(-1, 2)))),
+        GroupElement(Fraction(5, 8), (("a2", Fraction(-3, 4)), ("b", Fraction(2)))),
+        GroupElement(Fraction(1, 8), (("a3", Fraction(-1)), ("b", Fraction(3, 4)))),
+    )
+    h = hashlib.sha256()
+    for weights in _BENCH_WEIGHTS:
+        slot_args = args[: len(weights)]
+        p = construct_preimage(weights, slot_args)
+        report = verify_preimage(p, weights, slot_args)
+        assert report.matched, weights
+        h.update(generator_combination_dumps(p).encode())
+        h.update(preimage_report_dumps(report).encode())
+    assert h.hexdigest() == "7fd49201930c0947cd172ce3c429d923a2d225285f6374824b48aebccf81c133"

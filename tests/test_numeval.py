@@ -288,6 +288,51 @@ def test_choose_cutoff_is_minimal(monkeypatch):
             assert target < tail_bound(comp, rho, m - 1), (parts, rho, target, m)
 
 
+def test_eval_li_reuses_the_confirming_probe(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tail_bound(*args)
+
+    monkeypatch.setattr(numeval, "tail_bound", counted)
+    cases = [
+        ((2, 1), (0.9, 0.8), 1e-12),
+        ((3,), (0.5j,), 1e-15),
+        ((1, 2, 1), (0.3 + 0.4j, -1.2, 0.7), 1e-10),
+        ((2, 2), (1.0, 0.97), 1e-300),
+        ((2,), (0.0,), 1e-12),
+    ]
+    for parts, args, target in cases:
+        comp = Composition(parts)
+        rho = float(suffix_moduli(args).max())
+        numeval._cutoff_and_bound.cache_clear()
+        calls.clear()
+        cutoff = choose_cutoff(comp, rho, target)
+        probes = len(calls)
+        numeval._cutoff_and_bound.cache_clear()
+        calls.clear()
+        res = eval_li(EvalRequest(comp, args, target))
+        # choose_cutoff's probes and no more: the bound is the confirming probe's
+        assert len(calls) == probes, (parts, len(calls), probes)
+        assert res.cutoff == cutoff
+        assert res.tail_bound.hex() == tail_bound(comp, rho, cutoff).hex()
+    numeval._cutoff_and_bound.cache_clear()
+    calls.clear()
+    eval_li(EvalRequest(Composition((2, 1)), (0.9, 0.8), 1e-12))
+    assert len(calls) == 2  # three before the bound was reused
+
+
+def test_kept_cutoff_follows_the_ceiling(monkeypatch):
+    req = EvalRequest(Composition((2,)), (0.98,), 1e-12)
+    assert eval_li(req).cutoff > 10
+    monkeypatch.setattr(numeval, "DEFAULT_MAX_CUTOFF", 10)
+    with pytest.raises(CutoffOverflow):
+        eval_li(req)  # the same request again: the kept answer must not be reused
+    with pytest.raises(CutoffOverflow):
+        choose_cutoff(req.indices, 0.98, 1e-12)
+
+
 def test_certified_truncation_doubling():
     rng = random.Random(20240901)
     for _ in range(10):

@@ -17,6 +17,7 @@ from mplkit.coalgebra import (
 )
 from mplkit.reduction import reduce_li, weight4_fixture_identity
 from mplkit.serialize import (
+    _dumps,
     generator_combination_dumps,
     generator_combination_from_dict,
     generator_combination_loads,
@@ -149,6 +150,33 @@ def test_loaders_reject_other_schema_versions(version):
             doc["schema_version"] = version
         with pytest.raises(ValueError, match=re.escape(f"unsupported schema_version {version!r}")):
             load(doc)
+
+
+_JSON_TEXT = st.text(max_size=6) | st.sampled_from(
+    ["", '"', "\\", '"\\"', "\x00\x1f\x7f", "\b\f\n\r\t", "\u00e9\u20ac\U0001f600", "\u2028", "\ud800"]
+)
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.integers(min_value=-(2**200), max_value=-1)
+    | st.floats()
+    | _JSON_TEXT
+)
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(_JSON_TEXT, kids, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_JSON_TREES)
+def test_dumps_is_json_dumps_indent2_sorted(tree):
+    assert _dumps(tree) == json.dumps(tree, indent=2, sort_keys=True) + "\n"
 
 
 def test_preimage_report_dict():
