@@ -1,9 +1,9 @@
 """Command-line surface: eval | reduce | verify | surject.
 
-Defaults come from MPLKIT_* environment variables when set; explicit flags
-always win.  Output files are written to a temporary sibling and renamed,
-so a failing command never leaves a partial file behind.  The library's
-exceptions map to exit codes in one table, FAILURES, applied by `main`.
+Plan flags default to VerificationPlan's fields, or to a set MPLKIT_* variable
+parsed like the flag.  Output files are written to a temporary sibling and
+renamed, so a failing command never leaves a partial file behind.  The
+library's exceptions map to exit codes in one table, FAILURES, applied by `main`.
 """
 
 from __future__ import annotations
@@ -57,16 +57,6 @@ FAILURES = {
 }
 
 
-def _env(name: str, default, cast):
-    raw = os.environ.get(f"MPLKIT_{name}")
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except ValueError:
-        raise SystemExit(f"bad MPLKIT_{name} value {raw!r}")
-
-
 def write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mplkit-", suffix=".tmp")
@@ -87,14 +77,13 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+# command-line flag -> VerificationPlan field
+PLAN_FLAGS = {"seed": "seed", "points": "point_count", "radius": "radius", "tol": "tolerance"}
+
+
 def _plan_from_args(args) -> VerificationPlan:
-    return VerificationPlan(
-        seed=args.seed,
-        point_count=args.points,
-        radius=args.radius,
-        tolerance=args.tol,
-        allow_complex=not args.real,
-    )
+    fields = {field: getattr(args, flag) for flag, field in PLAN_FLAGS.items()}
+    return VerificationPlan(**fields, allow_complex=not args.real)
 
 
 def _print_report_summary(report) -> None:
@@ -148,7 +137,7 @@ def cmd_verify(args) -> int:
     try:
         with open(args.file) as handle:
             identity = identity_loads(handle.read())
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     report = verify_identity(identity, plan)
@@ -195,16 +184,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--prec",
         type=float,
-        default=_env("PREC", 1e-12, float),
+        default=os.environ.get("MPLKIT_PREC", 1e-12),
         help="absolute error target (default 1e-12)",
     )
     p_eval.set_defaults(func=cmd_eval)
 
     def add_plan_flags(p) -> None:
-        p.add_argument("--seed", type=int, default=_env("SEED", 42, int))
-        p.add_argument("--points", type=int, default=_env("POINTS", 20, int))
-        p.add_argument("--radius", type=float, default=_env("RADIUS", 0.7, float))
-        p.add_argument("--tol", type=float, default=_env("TOL", 1e-9, float))
+        for flag, field in PLAN_FLAGS.items():
+            default = getattr(VerificationPlan, field)
+            # argparse parses a string default, as from the environment, with `type`
+            env = os.environ.get(f"MPLKIT_{flag.upper()}", default)
+            p.add_argument(f"--{flag}", type=type(default), default=env)
         p.add_argument(
             "--real", action="store_true", help="sample real points instead of complex"
         )

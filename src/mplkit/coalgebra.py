@@ -273,10 +273,10 @@ def _merged(pairs: Iterable[tuple[tuple[int, ...], Fraction]]) -> dict:
 
 
 def _contract(pairs: Iterable[tuple[Word, Fraction]], r: int) -> list[tuple[Word, Fraction]]:
-    """The fixpoint of `tensor_distribution_contract` as sorted (word, coeff)
-    pairs.  Two symbols share an orbit exactly when their r-th powers agree,
-    so a slot groups its words under the word with that slot's id replaced
-    by the id of its power, which is also the collapsed word."""
+    """The fixpoint of `tensor_distribution_contract` as merged, unsorted
+    (word, coeff) pairs.  Two symbols share an orbit exactly when their r-th
+    powers agree, so a slot groups its words under the word with that slot's
+    id replaced by the id of its power, which is also the collapsed word."""
     if r < 1:
         raise ValueError("orbit order must be a positive integer")
     pairs = list(pairs)
@@ -311,8 +311,7 @@ def _contract(pairs: Iterable[tuple[Word, Fraction]], r: int) -> list[tuple[Word
     def symbol(i: int) -> PolylogSymbol:  # a power made by a collapse is built here
         return table.get(keys[i]) or table.setdefault(keys[i], _symbol_from_key(keys[i]))
 
-    order = sorted(words, key=lambda w: [keys[i] for i in w])
-    return [(tuple(map(symbol, w)), words[w]) for w in order]
+    return [(tuple(map(symbol, w)), c) for w, c in words.items()]
 
 
 def distribution_contract(e: PolylogCombination, r: int) -> PolylogCombination:
@@ -323,8 +322,8 @@ def distribution_contract(e: PolylogCombination, r: int) -> PolylogCombination:
     coefficients are left untouched.  This is the depth-1 case of
     `tensor_distribution_contract`, so a second call is a no-op.
     """
-    return PolylogCombination(
-        tuple((w[0], c) for w, c in _contract((((s,), c) for s, c in e.terms), r))
+    return PolylogCombination.from_terms(
+        (w[0], c) for w, c in _contract((((s,), c) for s, c in e.terms), r)
     )
 
 
@@ -355,9 +354,9 @@ def tensor_distribution_contract(te: TensorElement, r: int) -> TensorElement:
     The fixpoint runs on words of int symbol ids, each mapped once to the id
     of its r-th power, computed from the symbol key in integers; only
     symbols new to the output are built.  Which words collapse does not
-    depend on term order, so words are sorted only for output.
+    depend on term order, so words are sorted only for output, by the merge.
     """
-    return TensorElement(tuple(_contract(te.terms, r)))
+    return TensorElement.from_terms(_contract(te.terms, r))
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,9 @@ Every evaluation, eval_li's single point and symalg.eval_expr_batch's
 composition groups alike, goes through one entry, `_eval_columns`.  It
 applies the depth and weight caps and the suffix-product check
 rho <= DEFAULT_RHO_MAX, takes Li_1 from its closed form -log(1 - x), and
-sums every other series to one cutoff below DEFAULT_MAX_CUTOFF, so a factor
-at a point has one value and one bound whichever path asks for it.
+sums every other series to one cutoff below DEFAULT_MAX_CUTOFF.  eval_li and
+a one-column group give a factor the same bits; a wider group runs numpy at
+its largest suffix modulus's cutoff and agrees within the certified bound.
 """
 
 from __future__ import annotations
@@ -339,10 +340,10 @@ def eval_li(req: EvalRequest) -> EvalResult:
     """Evaluate a multiple polylogarithm with |truth - value| <= tail_bound.
 
     The one-column call of the evaluation entry that symalg.eval_expr_batch
-    also uses, so both return the same bits for the same factor, point and
-    budget.  The weight-1 depth-1 case is the closed form -log(1-x)
-    (principal branch), exact up to rounding, which avoids the slow
-    geometric series near the convergence boundary.
+    also uses: the same bits as a one-column group there, and within the
+    certified bound of a wider one.  The weight-1 depth-1 case is the closed
+    form -log(1-x) (principal branch), exact up to rounding, which avoids the
+    slow geometric series near the convergence boundary.
     """
     values, bound, cutoff = _eval_columns(
         req.indices, np.array(req.args)[:, None], req.target_error
@@ -379,8 +380,8 @@ def eval_generating_series(
     if x == 0 or y == 0:
         return EvalResult(0.0j, 0.0, 1)
     bulge = 1.0 / ((1.0 - abs(t1)) * (1.0 - 0.5 * abs(t2)))
-    pair = Composition((1, 1))
-    cutoff = choose_cutoff(pair, rho, float(target_error) / bulge)
+    pair, target = Composition((1, 1)), float(target_error) / bulge
+    cutoff = choose_cutoff(pair, rho, target)
     total = 0.0j
     inner = 0.0j  # A(s) = sum_{m<s} x^m y^{s-m} / (m - t1)
     xpow = 1.0 + 0.0j
@@ -388,4 +389,6 @@ def eval_generating_series(
         inner = y * inner + xpow * x * y / (s - 1 - t1)
         xpow *= x
         total += inner / (s - t2)
-    return EvalResult(total, bulge * tail_bound(pair, rho, cutoff), cutoff)
+    # the bound choose_cutoff's confirming probe computed, not a new probe
+    bound = _cutoff_and_bound(pair, rho, target, DEFAULT_MAX_CUTOFF)[1]
+    return EvalResult(total, bulge * bound, cutoff)

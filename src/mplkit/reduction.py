@@ -180,9 +180,7 @@ def reduce_li(k: int, l: int) -> Identity:
     n = k + l
     if k < 1 or l < 1:
         raise ValueError("indices must be positive")
-    if n < 3:
-        raise WeightTooSmall(f"need weight >= 3, got {n}")
-    mat = build_reduction_matrix(n)
+    mat = build_reduction_matrix(n)  # raises WeightTooSmall below weight 3
     terms = []
     for i in range(1, n):
         c = mat.inverse[k - 1][i - 1]

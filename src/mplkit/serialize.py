@@ -189,7 +189,11 @@ def identity_dumps(identity: Identity) -> str:
 
 
 def identity_loads(text: str) -> Identity:
-    return identity_from_dict(json.loads(text))
+    """Parse an identity document; any fault in it raises a ValueError."""
+    try:
+        return identity_from_dict(json.loads(text))
+    except (LookupError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed identity document: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

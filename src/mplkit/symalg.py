@@ -548,3 +548,9 @@ class Identity:
                         f"{name} term {t} has weight {t.weight}, "
                         f"identity declares {self.weight}"
                     )
+            used = {v for t in side.terms for f in t.factors for a in f.args
+                    for v, _ in a.exponents}
+            if not used <= self.variables:
+                t = next(t for t in side.terms if not t.variables <= self.variables)
+                undeclared = sorted(t.variables - self.variables)
+                raise ValueError(f"{name} term {t} uses undeclared variables {undeclared}")

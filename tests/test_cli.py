@@ -1,6 +1,9 @@
 import contextlib
+import copy
+import functools
 import io
 import json
+import operator
 import os
 import tempfile
 
@@ -8,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mplkit import numeval
+from mplkit import cli, numeval
 from mplkit.cli import main
+from mplkit.serialize import identity_loads
+from mplkit.verify import VerificationPlan
 
 
 def run(capsys, *argv):
@@ -102,6 +107,12 @@ def test_reduce_rejects_large_weight(capsys):
     assert "k + l <= 8" in err
 
 
+def test_reduce_rejects_small_weight(capsys):
+    code, _, err = run(capsys, "reduce", "--k", "1", "--l", "1")
+    assert code == 2
+    assert err == "error: need weight >= 3, got 2\n"
+
+
 def test_reduce_latex_heads(capsys):
     code, out, _ = run(capsys, "reduce", "--k", "1", "--l", "2", "--emit", "latex")
     assert code == 0
@@ -164,6 +175,12 @@ def _with_first_rhs(field, value):
     return doc
 
 
+def _with_first_monomial(field, value):
+    doc = _fixture_doc()
+    doc["rhs"][0]["factors"][0]["args"][0][field] = value
+    return doc
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -172,6 +189,8 @@ def _with_first_rhs(field, value):
         (_with_first_rhs("coeff", 4), "rational"),
         (_with_first_rhs("factors", 4), "not iterable"),
         ({**_fixture_doc(), "schema_version": 2}, "unsupported schema_version 2"),
+        (_with_first_monomial("exponents", [1]), "malformed identity document: 'list'"),
+        ({**_fixture_doc(), "variables": ["x"]}, "uses undeclared variables ['y']"),
     ],
     ids=[
         "top-level-list",
@@ -179,6 +198,8 @@ def _with_first_rhs(field, value):
         "integer-coefficient",
         "integer-factors",
         "schema-version-2",
+        "list-exponents",
+        "undeclared-variable",
     ],
 )
 def test_verify_malformed_identity_exit_2(tmp_path, capsys, doc, message):
@@ -342,6 +363,72 @@ def test_verify_exit_code_property(command, tol, radius, points, real):
                 assert text == identity_dumps(reduce_li(2, 1))
 
 
+# mutations of a valid identity document: a node replaced by a list, an int,
+# a str, None or {}, a key dropped, or a variable renamed
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, path + (key,))
+
+
+_DOC = _fixture_doc()
+_NODES = list(_paths(_DOC))
+_MUTATIONS = st.one_of(
+    st.tuples(
+        st.just("replace"),
+        st.sampled_from(_NODES),
+        st.one_of(st.lists(st.integers(), max_size=2), st.integers(), st.text(max_size=3),
+                  st.none(), st.just({})),
+    ),
+    st.tuples(
+        st.just("drop"),
+        st.sampled_from([p for p in _NODES if p and isinstance(p[-1], str)]),
+        st.none(),
+    ),
+    st.tuples(
+        st.just("rename"),
+        st.sampled_from([p for p in _NODES if p[-2:-1] in (("exponents",), ("variables",))]),
+        st.sampled_from(["x", "y", "z"]),
+    ),
+)
+
+
+def _mutated(doc, mutation):
+    kind, path, value = mutation
+    doc = copy.deepcopy(doc)
+    if not path:
+        return value
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    if kind == "replace":
+        parent[path[-1]] = value
+    elif kind == "drop":
+        del parent[path[-1]]
+    elif isinstance(parent, dict):  # an exponent map: rename the key
+        parent[value] = parent.pop(path[-1])
+    else:  # the variables list
+        parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(mutation=_MUTATIONS)
+def test_mutated_identity_document(mutation):
+    text = json.dumps(_mutated(_DOC, mutation))
+    try:
+        identity_loads(text)
+    except ValueError:
+        pass
+    with tempfile.TemporaryDirectory() as directory:
+        source, out = os.path.join(directory, "doc.json"), os.path.join(directory, "report.json")
+        with open(source, "w") as handle:
+            handle.write(text)
+        code = _main_quietly(["verify", source, "--report", out])
+        assert code in _EXIT_CODES
+        if code in (2, 3):
+            assert not os.path.exists(out)
+
+
 # ---------------------------------------------------------------------------
 # surject
 
@@ -399,3 +486,25 @@ def test_env_defaults_overridden_by_flags(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", str(path), "--points", "5")
     assert code == 0
     assert "points:       5" in out
+
+
+def test_bad_env_value_is_parsed_only_by_its_flag(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MPLKIT_SEED", "abc")
+    code, out, err = run(capsys, "eval", "--indices", "2", "--args", "0.5")
+    assert code == 0 and err == ""
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(_fixture_doc()))
+    for argv in (("verify", str(path)), ("reduce", "--k", "2", "--l", "1", "--verify")):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        _, err = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert "argument --seed: invalid int value: 'abc'" in err
+        assert "Traceback" not in err
+
+
+def test_plan_defaults_are_verification_plan_defaults(monkeypatch):
+    for name in ("SEED", "POINTS", "RADIUS", "TOL", "PREC"):
+        monkeypatch.delenv(f"MPLKIT_{name}", raising=False)
+    for argv in (["verify", "doc.json"], ["reduce", "--k", "2", "--l", "1"]):
+        assert cli._plan_from_args(cli.build_parser().parse_args(argv)) == VerificationPlan()

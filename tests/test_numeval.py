@@ -406,6 +406,29 @@ def test_generating_rejects_poles_and_divergence():
         eval_generating_series(1.0, 0.2, 0.0, 0.0, 1e-10)
 
 
+def test_generating_reuses_the_confirming_probe(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tail_bound(*args)
+
+    monkeypatch.setattr(numeval, "tail_bound", counted)
+    rng = random.Random(4447)
+    pair = Composition((1, 1))
+    for _ in range(40):
+        x, y = (rng.uniform(0.05, 0.95) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in "xy")
+        t1, t2 = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5) * 1j
+        target = 10 ** rng.uniform(-14, -4)
+        numeval._cutoff_and_bound.cache_clear()
+        calls.clear()
+        r = eval_generating_series(x, y, t1, t2, target)
+        assert len(calls) == 2, (x, y, t1, t2, target, len(calls))  # choose_cutoff's own
+        bulge = 1.0 / ((1.0 - abs(t1)) * (1.0 - 0.5 * abs(t2)))
+        expected = bulge * tail_bound(pair, max(abs(x), abs(y)), r.cutoff)
+        assert r.tail_bound.hex() == expected.hex()
+
+
 def test_generating_tail_dominates_positive_remainder():
     # real x, y > 0 and t1, t2 at the pole-side edge: no term cancels another
     for x, y, t1, t2 in [(0.9, 0.9, 0.5, 0.5), (0.95, 0.3, 0.5, -0.5), (0.3, 0.95, -0.5, 0.5)]:

@@ -130,7 +130,7 @@ def test_n3_hand_solved_combination():
 
 
 def test_reduce_li_rejects_bad_input():
-    with pytest.raises(WeightTooSmall):
+    with pytest.raises(WeightTooSmall, match=r"^need weight >= 3, got 2$"):
         reduce_li(1, 1)
     with pytest.raises(ValueError):
         reduce_li(0, 3)

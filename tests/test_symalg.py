@@ -451,6 +451,17 @@ def test_identity_weight_grading_enforced():
         )
 
 
+def test_identity_refuses_undeclared_variables():
+    Identity(li_expr([2], [X]), li_expr([2], [X]), weight=2, variables={"x", "y"})
+    with pytest.raises(ValueError, match=r"rhs term .*Li_\(1,1\)\(x, y\) uses undeclared variables \['y'\]"):
+        Identity(
+            li_expr([1, 1], [X, X]),
+            li_expr([1, 1], [X, Y]) + li_expr([2], [X]),
+            weight=2,
+            variables=frozenset({"x"}),
+        )
+
+
 def test_rename_variables():
     e = li_expr([2, 1], [X, Y])
     swapped = rename_variables(e, {"x": "y", "y": "x"})
