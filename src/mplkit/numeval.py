@@ -34,13 +34,18 @@ Every evaluation, eval_li's single point and symalg.eval_expr_batch's
 composition groups alike, goes through one entry, `_eval_columns`.  It
 applies the depth and weight caps and the suffix-product check
 rho <= DEFAULT_RHO_MAX, takes Li_1 from its closed form -log(1 - x), and
-sums every other series to one cutoff below DEFAULT_MAX_CUTOFF.  eval_li and
-a one-column group give a factor the same bits; a wider group runs numpy at
-its largest suffix modulus's cutoff and agrees within the certified bound.
+sums every other series below DEFAULT_MAX_CUTOFF, each column to the cutoff
+of its own largest suffix modulus: the columns are sorted by that modulus,
+largest first, and the recurrence runs on a shrinking prefix of them.  Each
+column is certified on its own, as the per-sum error analysis of Vollinga
+and Weinzierl (CPC 167 (2005) 177) allows.  eval_li and a one-column group
+give a factor the same bits; a wider group runs numpy and agrees within the
+certified bound.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -239,16 +244,19 @@ def _cutoff_and_bound(indices: Composition, rho: float, target_error: float, cei
 
 
 def series_value_batch(
-    indices: Composition, args: np.ndarray, cutoff: int
+    indices: Composition, args: np.ndarray, cutoff: int, *, stops: np.ndarray | None = None
 ) -> np.ndarray:
     """Truncated nested sum for a (depth, npoints) argument matrix.
 
-    Returns the length-npoints vector of partial sums up to the cutoff,
-    running the suffix-scaled prefix-sum recurrence at every point at once.
-    A single column runs the same recurrence, in the same operation order,
-    on Python complex scalars: at one point each numpy ufunc call costs
-    its dispatch overhead and almost no arithmetic, so the scalar loop is
-    faster there.  Two or more columns run on numpy.
+    Returns the length-npoints vector of partial sums, running the
+    suffix-scaled prefix-sum recurrence at every point at once.  Every column
+    is summed up to the cutoff, or, given `stops`, column j up to stops[j]:
+    a non-increasing integer vector in [1, cutoff] whose first entry is the
+    cutoff, so step m runs on the prefix of columns with stops[j] >= m.  A
+    single column runs the same recurrence, in the same operation order, on
+    Python complex scalars: at one point each numpy ufunc call costs its
+    dispatch overhead and almost no arithmetic, so the scalar loop is faster
+    there.  Two or more columns run on numpy.
     """
     parts = indices.parts
     d = len(parts)
@@ -258,6 +266,13 @@ def series_value_batch(
     npts = a.shape[1]
     if cutoff < 1:
         raise ValueError("cutoff must be a positive integer")
+    if stops is not None:
+        stops = np.asarray(stops)
+        if stops.shape != (npts,) or (npts and not (
+            stops[0] == cutoff and stops[-1] >= 1 and (np.diff(stops) <= 0).all()
+        )):
+            raise ValueError("stops must be a non-increasing vector in [1, cutoff] "
+                             "with one entry per column, the first equal to the cutoff")
 
     if npts == 1:
         col = a[:, 0].tolist()
@@ -281,15 +296,23 @@ def series_value_batch(
     c = np.zeros((d + 1, npts), dtype=np.complex128)
     c[0] = 1.0  # C_0(0)
     scratch = np.empty(npts, dtype=np.complex128)
+    shrink = {}  # step -> the number of columns that still sum from that step on
+    if stops is not None:
+        cuts = np.flatnonzero(np.diff(stops)) + 1  # the first column of each lower stop
+        shrink = dict(zip((stops[cuts] + 1).tolist(), cuts.tolist()))
+    bv, cv, sv = b, c, scratch
     for m in range(1, cutoff + 1):
+        if m in shrink:  # the columns past their stop keep their value
+            n = shrink[m]
+            bv, cv, sv = b[:, :n], c[:, :n], scratch[:n]
         fm = float(m)
         for k in range(d, 0, -1):
             # C_k(m) = b_{k+1} C_k(m-1) + (b_k / m^{n_k}) C_{k-1}(m-1)
-            np.multiply(b[k], 1.0 / fm ** parts[k - 1], out=scratch)
-            scratch *= c[k - 1]
-            np.multiply(c[k], b[k + 1], out=c[k])
-            c[k] += scratch
-        c[0] *= b[1]
+            np.multiply(bv[k], 1.0 / fm ** parts[k - 1], out=sv)
+            sv *= cv[k - 1]
+            np.multiply(cv[k], bv[k + 1], out=cv[k])
+            cv[k] += sv
+        cv[0] *= bv[1]
     return c[d].copy()
 
 
@@ -309,17 +332,25 @@ def _eval_columns(
     Returns (values, tail bound, cutoff).  Every column must pass the caps
     and the suffix-product check; a DivergentRequest carries the index of
     the first failing column as `column`.  Li_1 is the closed form -log(1-x)
-    (principal branch, bound 0, cutoff 1).  Any other composition is summed
-    at one cutoff chosen from the largest suffix modulus of all columns;
-    tail_bound increases with that modulus, so the bound holds for each.
+    (principal branch, bound 0, cutoff 1), on scalars at one column.  Any
+    other composition is summed per column: one cutoff per distinct largest
+    suffix modulus, each column stopping at its own, the columns sorted by
+    that modulus, largest first, for series_value_batch's shrinking prefix.
+    The bound returned is the largest of the columns' bounds, the cutoff the
+    largest stop.
     """
     if indices.depth > DEPTH_CAP:
         raise ValueError(f"depth {indices.depth} above cap {DEPTH_CAP}")
     if indices.weight > WEIGHT_CAP:
         raise ValueError(f"weight {indices.weight} above cap {WEIGHT_CAP}")
+    ncols = argmat.shape[1]
+    if indices.parts == (1,) and ncols == 1:  # one closed form: no numpy dispatch
+        x = complex(argmat[0, 0])
+        if abs(x) <= DEFAULT_RHO_MAX:
+            return np.array([-cmath.log(1.0 - x)]), 0.0, 1
     moduli = suffix_moduli(argmat)
-    rho = float(moduli.max(initial=0.0))
-    if not rho <= DEFAULT_RHO_MAX:  # NaN fails too
+    top = float(moduli.max(initial=0.0))
+    if not top <= DEFAULT_RHO_MAX:  # NaN fails too
         column = int(np.argmax((~(moduli <= DEFAULT_RHO_MAX)).any(axis=0)))
         k = int(np.argmax(moduli[:, column]))
         err = DivergentRequest(
@@ -330,10 +361,28 @@ def _eval_columns(
         raise err
     if indices.parts == (1,):
         return -np.log(1.0 - argmat[0]), 0.0, 1
-    cutoff = choose_cutoff(indices, rho, target_error)
-    values = series_value_batch(indices, argmat, cutoff)
-    # the bound choose_cutoff's confirming probe computed, not a new probe
-    return values, _cutoff_and_bound(indices, rho, target_error, DEFAULT_MAX_CUTOFF)[1], cutoff
+    if ncols == 1:
+        cutoff = choose_cutoff(indices, top, target_error)
+        # the bound choose_cutoff's confirming probe computed, not a new probe
+        bound = _cutoff_and_bound(indices, top, target_error, DEFAULT_MAX_CUTOFF)[1]
+        return series_value_batch(indices, argmat, cutoff), bound, cutoff
+    rho = moduli.max(axis=0)
+    del moduli  # the kernel's buffers come next
+    order = np.argsort(-rho, kind="stable")
+    argmat, rho = argmat[:, order], rho[order]
+    starts = np.flatnonzero(np.diff(rho, prepend=np.inf))  # the first column of each rho
+    cutoffs, bound = [], 0.0
+    for r in rho[starts].tolist():
+        cutoffs.append(choose_cutoff(indices, r, target_error))
+        bound = max(bound, _cutoff_and_bound(indices, r, target_error, DEFAULT_MAX_CUTOFF)[1])
+    # tail_bound grows with rho, so the stops do not increase down the
+    # columns; the running maximum only guards that against rounding
+    cutoffs = np.maximum.accumulate(cutoffs[::-1])[::-1]
+    stops = np.repeat(cutoffs, np.diff(starts, append=ncols))
+    values = series_value_batch(indices, argmat, int(cutoffs[0]), stops=stops)
+    unsorted = np.empty_like(values)
+    unsorted[order] = values
+    return unsorted, bound, int(cutoffs[0])
 
 
 def eval_li(req: EvalRequest) -> EvalResult:

@@ -10,6 +10,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 from fractions import Fraction
@@ -116,6 +117,16 @@ def _check_kind(d, kind: str) -> None:
         )
 
 
+@contextlib.contextmanager
+def _document(kind: str):
+    """Turn any fault of a parsed document into a ValueError; the loaders'
+    own checks raise ValueError already."""
+    try:
+        yield
+    except (LookupError, TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"malformed {kind} document: {exc}") from None
+
+
 def _monomial_dict(m: ArgMonomial) -> dict:
     return {
         "zeta_order": m.zeta_order,
@@ -190,10 +201,8 @@ def identity_dumps(identity: Identity) -> str:
 
 def identity_loads(text: str) -> Identity:
     """Parse an identity document; any fault in it raises a ValueError."""
-    try:
+    with _document("identity"):
         return identity_from_dict(json.loads(text))
-    except (LookupError, TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed identity document: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +244,9 @@ def generator_combination_dumps(c: GeneratorCombination) -> str:
 
 
 def generator_combination_loads(text: str) -> GeneratorCombination:
-    return generator_combination_from_dict(json.loads(text))
+    """Parse a generator combination document; any fault in it raises a ValueError."""
+    with _document("generator_combination"):
+        return generator_combination_from_dict(json.loads(text))
 
 
 def tensor_element_to_dict(te: TensorElement) -> dict:
@@ -255,17 +266,19 @@ def tensor_element_to_dict(te: TensorElement) -> dict:
 
 
 def tensor_element_from_dict(d: Mapping) -> TensorElement:
-    _check_kind(d, "tensor_element")
-    return TensorElement.from_terms(
-        (
-            tuple(
-                PolylogSymbol(int(s["n"]), _monomial_from(GroupElement, s["arg"]))
-                for s in t["word"]
-            ),
-            _fraction_from(t["coeff"]),
+    """Build a tensor element from its dict; any fault in it raises a ValueError."""
+    with _document("tensor_element"):
+        _check_kind(d, "tensor_element")
+        return TensorElement.from_terms(
+            (
+                tuple(
+                    PolylogSymbol(int(s["n"]), _monomial_from(GroupElement, s["arg"]))
+                    for s in t["word"]
+                ),
+                _fraction_from(t["coeff"]),
+            )
+            for t in d["terms"]
         )
-        for t in d["terms"]
-    )
 
 
 def preimage_report_to_dict(report: PreimageReport) -> dict:

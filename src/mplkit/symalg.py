@@ -179,17 +179,9 @@ class ArgMonomial(_Keyed):
         return [type(self)((self.phase + j) / scale, exps) for j in range(scale)]
 
     def instantiate(self, assignment: Mapping[str, complex]) -> complex:
-        """Numeric value with principal-branch fractional powers."""
-        value = cmath.exp(2j * math.pi * float(self.phase))
-        for var, e in self.exponents:
-            try:
-                base = complex(assignment[var])
-            except KeyError:
-                raise UnboundVariable(var) from None
-            if base == 0:
-                raise ZeroBase(f"variable {var} assigned zero")
-            value *= cmath.exp(float(e) * cmath.log(base))
-        return value
+        """Numeric value with principal-branch fractional powers; the bits of
+        eval_expr_batch's monomial values, which come from the same helper."""
+        return complex(_monomial_values([self], [assignment])[0, 0])
 
     def __str__(self) -> str:
         bits = []
@@ -235,6 +227,54 @@ class MPLFactor(_Keyed):
 
     def __str__(self) -> str:
         return f"Li_{self.indices}({', '.join(str(a) for a in self.args)})"
+
+
+def _exponent_float(e: Fraction, variable: str, place) -> float:
+    """An exact exponent as a float.  One beyond the double range is a
+    ValueError naming the variable and its place (formatted only then)."""
+    try:
+        return float(e)
+    except OverflowError:
+        raise ValueError(
+            f"exponent of {variable} in {place} has a {len(str(abs(e.numerator)))}-digit "
+            "numerator, beyond the double range"
+        ) from None
+
+
+def _monomial_values(
+    monomials: Sequence[ArgMonomial], assignments: Sequence[Mapping[str, complex]]
+) -> np.ndarray:
+    """(monomials, points) matrix of exp(2 pi i phase + sum_v e_v log v).
+
+    The principal branch of every fractional power, as exp turns the sum into
+    the product.  cmath.log of each variable at each point is taken once;
+    each variable's term is added, elementwise, only to the monomials that
+    use it.
+    """
+    names = sorted({v for m in monomials for v, _ in m.exponents})
+    column = {v: i for i, v in enumerate(names)}
+    exps = np.zeros((len(monomials), len(names)))
+    for row, m in enumerate(monomials):
+        for v, e in m.exponents:
+            exps[row, column[v]] = _exponent_float(e, v, "an argument monomial")
+    logs = np.empty((len(names), len(assignments)), dtype=np.complex128)
+    for i, v in enumerate(names):
+        for p, assignment in enumerate(assignments):
+            try:
+                base = complex(assignment[v])
+            except KeyError:
+                raise UnboundVariable(v) from None
+            if base == 0:
+                raise ZeroBase(f"variable {v} assigned zero")
+            logs[i, p] = cmath.log(base)
+    phases = np.array([float(m.phase) for m in monomials])
+    z = np.empty((len(monomials), len(assignments)), dtype=np.complex128)
+    z[...] = (2j * math.pi * phases)[:, None]
+    term = np.empty_like(z)
+    for i in range(len(names)):
+        np.multiply(exps[:, i, None], logs[i], out=term)
+        np.add(z, term, out=z, where=exps[:, i, None] != 0.0)
+    return np.exp(z, out=z)
 
 
 def li_factor(parts: Sequence[int], args: Sequence[ArgMonomial]) -> MPLFactor:
@@ -369,18 +409,19 @@ def eval_expr_batch(
 
     The absolute truncation budget is split evenly: each factor evaluation
     targets target_error / (number of factor evaluations * max |coeff|).
+    Every distinct monomial is valued at every point by one helper call.
     The distinct factors are grouped by composition, and each group, all
     its factors at all points, is one call of the evaluation entry that
     eval_li also uses: the same caps, suffix-product check, Li_1 closed
-    form and cutoff rule, at one cutoff for the whole group.  A divergent
-    column is reported with its term, factor and point.
+    form and cutoff rule, with each column stopping at its own cutoff.  A
+    divergent column is reported with its term, factor and point.  The
+    terms are then assembled at once: each term's factor rows (padded with
+    a row of ones) multiplied, and the products summed with the coefficients.
     """
     npts = len(assignments)
-    values = np.zeros(npts, dtype=np.complex128)
-    masses = np.zeros(npts, dtype=np.float64)
     n_evals = sum(len(t.factors) for t in e.terms)
     if n_evals == 0:
-        return values, masses
+        return np.zeros(npts, dtype=np.complex128), np.zeros(npts)
     max_coeff = max(abs(float(t.coeff)) for t in e.terms)
     per_factor = float(target_error) / (n_evals * max(max_coeff, 1e-300))
     if not per_factor > 0.0:
@@ -393,38 +434,39 @@ def eval_expr_batch(
     for term in e.terms:
         for factor in term.factors:
             groups.setdefault(factor.indices, {})[factor] = None
-    monomial_values = {
-        mono: np.array([mono.instantiate(asg) for asg in assignments], dtype=complex)
-        for mono in dict.fromkeys(m for fs in groups.values() for f in fs for m in f.args)
+    monomials: dict[ArgMonomial, int] = {}  # monomial -> row of its values
+    slots = {  # (depth, factors) matrix of monomial rows per group
+        indices: np.array(
+            [[monomials.setdefault(m, len(monomials)) for m in f.args] for f in factors]
+        ).T
+        for indices, factors in groups.items()
     }
-    results, row = {}, {}
+    monomial_values = _monomial_values(list(monomials), assignments)
+    rows, row = [], {}  # factor values, a block per group; factor -> its row in them
     for indices, factors in groups.items():
-        # one (depth, n_factors * npts) argument matrix per group, factor-major
-        a = np.concatenate(
-            [np.stack([monomial_values[m] for m in f.args]) for f in factors], axis=1
-        )
-        try:
-            flat, _, _ = _eval_columns(indices, a, per_factor)
+        try:  # one (depth, n_factors * npts) argument matrix, factor-major, not kept
+            flat, _, _ = _eval_columns(
+                indices, monomial_values[slots[indices]].reshape(indices.depth, -1), per_factor
+            )
         except DivergentRequest as exc:
             factor = list(factors)[exc.column // npts]
             term = next(t for t in e.terms if factor in t.factors)
             raise DivergentRequest(
                 f"term {term}: {factor}: {exc} at point {exc.column % npts}"
             ) from None
-        results[indices] = flat.reshape(len(factors), npts)
-        row.update((f, i) for i, f in enumerate(factors))
+        row.update(zip(factors, range(len(row), len(row) + len(factors))))
+        rows.append(flat.reshape(len(factors), npts))
+    rows.append(np.ones((1, npts), dtype=np.complex128))
 
-    for term in e.terms:
-        tv = np.ones(npts, dtype=np.complex128)
-        ta = np.ones(npts, dtype=np.float64)
-        for factor in term.factors:
-            fv = results[factor.indices][row[factor]]
-            tv *= fv
-            ta *= np.abs(fv)
-        c = float(term.coeff)
-        values += c * tv
-        masses += abs(c) * ta
-    return values, masses
+    values = np.concatenate(rows)
+    width = max(len(t.factors) for t in e.terms)
+    index = np.full((len(e.terms), width), len(row))  # padded with the row of ones
+    for i, term in enumerate(e.terms):
+        index[i, : len(term.factors)] = [row[f] for f in term.factors]
+    coeffs = np.array([float(t.coeff) for t in e.terms])[:, None]
+    products = values[index].prod(axis=1)
+    masses = np.abs(values)[index].prod(axis=1)
+    return (coeffs * products).sum(axis=0), (np.abs(coeffs) * masses).sum(axis=0)
 
 
 def eval_expr(

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .numeval import DEFAULT_RHO_MAX
-from .symalg import BudgetUnderflow, Identity, eval_expr_batch
+from .symalg import BudgetUnderflow, Identity, _exponent_float, eval_expr_batch
 
 __all__ = [
     "ConvergenceViolation",
@@ -98,11 +98,18 @@ def check_convergence(identity: Identity, radius: float) -> None:
 
     Every suffix product of every factor must be a monomial with nonnegative
     exponents and positive total degree; its supremum over the polydisc is
-    then radius**degree, which must stay below DEFAULT_RHO_MAX.
+    then radius**degree, which must stay below DEFAULT_RHO_MAX.  Only the
+    exponents of the arguments enter, so each exponent signature is checked
+    once, at the first factor that has it.
     """
+    checked = set()
     for side_name, side in (("lhs", identity.lhs), ("rhs", identity.rhs)):
         for term in side.terms:
             for factor in term.factors:
+                signature = tuple(a._k[2] for a in factor.args)  # the exponents' key
+                if signature in checked:
+                    continue
+                checked.add(signature)
                 suffix: dict[str, Fraction] = {}
                 for k in range(factor.depth, 0, -1):
                     for v, e in factor.args[k - 1].exponents:
@@ -119,10 +126,14 @@ def check_convergence(identity: Identity, radius: float) -> None:
                             f"{side_name} factor {factor}: suffix product from "
                             f"slot {k} has modulus 1"
                         )
-                    if radius ** float(total) > DEFAULT_RHO_MAX:
+                    largest = max(suffix, key=lambda v: abs(suffix[v]))
+                    sup = radius ** _exponent_float(
+                        total, largest, f"the {side_name} suffix product from slot {k}"
+                    )
+                    if sup > DEFAULT_RHO_MAX:
                         raise ConvergenceViolation(
                             f"{side_name} factor {factor}: suffix product from "
-                            f"slot {k} reaches {radius ** float(total):.4g} "
+                            f"slot {k} reaches {sup:.4g} "
                             f"> rho_max = {DEFAULT_RHO_MAX} on the radius-{radius} disc"
                         )
 

@@ -1,9 +1,6 @@
 import contextlib
-import copy
-import functools
 import io
 import json
-import operator
 import os
 import tempfile
 
@@ -15,6 +12,8 @@ from mplkit import cli, numeval
 from mplkit.cli import main
 from mplkit.serialize import identity_loads
 from mplkit.verify import VerificationPlan
+
+from _mutations import mutated, mutations
 
 
 def run(capsys, *argv):
@@ -191,6 +190,7 @@ def _with_first_monomial(field, value):
         ({**_fixture_doc(), "schema_version": 2}, "unsupported schema_version 2"),
         (_with_first_monomial("exponents", [1]), "malformed identity document: 'list'"),
         ({**_fixture_doc(), "variables": ["x"]}, "uses undeclared variables ['y']"),
+        ({**_fixture_doc(), "weight": float("inf")}, "cannot convert float infinity"),
     ],
     ids=[
         "top-level-list",
@@ -200,6 +200,7 @@ def _with_first_monomial(field, value):
         "schema-version-2",
         "list-exponents",
         "undeclared-variable",
+        "infinite-weight",
     ],
 )
 def test_verify_malformed_identity_exit_2(tmp_path, capsys, doc, message):
@@ -209,6 +210,20 @@ def test_verify_malformed_identity_exit_2(tmp_path, capsys, doc, message):
     assert code == 2
     assert err.startswith("parse error: ")
     assert message in err
+
+
+def test_verify_huge_exponent_exit_2(tmp_path, capsys):
+    # an exponent beyond the double range is an input fault, not a traceback
+    doc = _fixture_doc()
+    doc["rhs"][0]["factors"][0]["args"][0]["exponents"]["x"]["num"] = "1" + "0" * 400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", str(path), "--report", str(report))
+    assert code == 2 and out == ""
+    assert err.startswith("error: exponent of x in the rhs suffix product from slot 1 ")
+    assert "401-digit numerator, beyond the double range" in err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize(
@@ -363,58 +378,13 @@ def test_verify_exit_code_property(command, tol, radius, points, real):
                 assert text == identity_dumps(reduce_li(2, 1))
 
 
-# mutations of a valid identity document: a node replaced by a list, an int,
-# a str, None or {}, a key dropped, or a variable renamed
-def _paths(node, path=()):
-    yield path
-    if isinstance(node, (dict, list)):
-        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
-            yield from _paths(child, path + (key,))
-
-
 _DOC = _fixture_doc()
-_NODES = list(_paths(_DOC))
-_MUTATIONS = st.one_of(
-    st.tuples(
-        st.just("replace"),
-        st.sampled_from(_NODES),
-        st.one_of(st.lists(st.integers(), max_size=2), st.integers(), st.text(max_size=3),
-                  st.none(), st.just({})),
-    ),
-    st.tuples(
-        st.just("drop"),
-        st.sampled_from([p for p in _NODES if p and isinstance(p[-1], str)]),
-        st.none(),
-    ),
-    st.tuples(
-        st.just("rename"),
-        st.sampled_from([p for p in _NODES if p[-2:-1] in (("exponents",), ("variables",))]),
-        st.sampled_from(["x", "y", "z"]),
-    ),
-)
-
-
-def _mutated(doc, mutation):
-    kind, path, value = mutation
-    doc = copy.deepcopy(doc)
-    if not path:
-        return value
-    parent = functools.reduce(operator.getitem, path[:-1], doc)
-    if kind == "replace":
-        parent[path[-1]] = value
-    elif kind == "drop":
-        del parent[path[-1]]
-    elif isinstance(parent, dict):  # an exponent map: rename the key
-        parent[value] = parent.pop(path[-1])
-    else:  # the variables list
-        parent[path[-1]] = value
-    return doc
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(mutation=_MUTATIONS)
+@given(mutation=mutations(_DOC))
 def test_mutated_identity_document(mutation):
-    text = json.dumps(_mutated(_DOC, mutation))
+    text = json.dumps(mutated(_DOC, mutation))
     try:
         identity_loads(text)
     except ValueError:

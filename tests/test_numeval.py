@@ -134,6 +134,95 @@ def test_one_column_kernel_checks_shape_and_cutoff():
             series_value_batch(comp, np.full((2, 1), 0.5), cutoff)
 
 
+def _wide_group(rng, parts, ncols):
+    """A (depth, ncols) argument matrix whose columns' largest suffix moduli
+    spread over [0.05, 0.98]; an argument may exceed modulus 1."""
+    d = len(parts)
+    cols = []
+    for _ in range(ncols):
+        suffix = sorted((rng.uniform(0.05, 0.98) for _ in range(d)), reverse=rng.random() < 0.5)
+        suffix.append(1.0)
+        cols.append([
+            suffix[k] / suffix[k + 1] * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+            for k in range(d)
+        ])
+    return np.array(cols, dtype=np.complex128).T
+
+
+def test_kernel_stops_end_each_column_at_its_own_cutoff():
+    rng = random.Random(1207)
+    for parts in [(2,), (1, 2), (2, 1, 1), (3, 1)]:
+        comp = Composition(parts)
+        a = _wide_group(rng, parts, 9)
+        stops = np.array(sorted((rng.randint(1, 25) for _ in range(9)), reverse=True))
+        got = series_value_batch(comp, a, int(stops[0]), stops=stops)
+        for j in range(9):
+            ref = li_direct(parts, a[:, j], int(stops[j]))
+            assert abs(got[j] - ref) <= 1e-13 * max(1.0, abs(ref)), (parts, j)
+        # stops all at the cutoff run exactly the recurrence without stops
+        full = np.full(9, int(stops[0]))
+        assert (series_value_batch(comp, a, int(stops[0]), stops=full)
+                == series_value_batch(comp, a, int(stops[0]))).all()
+
+
+@pytest.mark.parametrize(
+    "stops",
+    [[5, 5], [5, 3, 4], [4, 3, 1], [5, 3, 0], [[5, 3, 1]]],
+    ids=["short", "increasing", "first-below-cutoff", "zero", "two-dimensional"],
+)
+def test_kernel_rejects_bad_stops(stops):
+    with pytest.raises(ValueError, match="stops"):
+        series_value_batch(Composition((2, 1)), np.full((2, 3), 0.5), 5, stops=np.array(stops))
+
+
+def _mp_nested_sum(parts, args):
+    """mpmath nested sum, prefix form, at 30 digits, to a cutoff whose tail
+    rho^M (1 + ln M)^(d-1) / (1 - rho) is below 1e-20."""
+    import mpmath  # the "test" extra; an independent oracle, not a library dependency
+
+    d = len(parts)
+    rho = float(max(np.abs(np.cumprod(np.array(args)[::-1]))))
+    cutoff = 1
+    while rho**cutoff * (1 + math.log(cutoff)) ** (d - 1) / (1 - rho) > 1e-20:
+        cutoff += 50
+    with mpmath.workdps(30):
+        a = [mpmath.mpc(z.real, z.imag) for z in args]
+        powers = [mpmath.mpc(1)] * d
+        sums = [mpmath.mpc(0)] * d  # sums[k]: chains of length k + 1 ending at or below m
+        for m in range(1, cutoff + 1):
+            for k in range(d - 1, -1, -1):  # sums[k - 1] still ends below m
+                powers[k] *= a[k]
+                inner = 1 if k == 0 else sums[k - 1]
+                sums[k] += inner * powers[k] / mpmath.mpf(m) ** parts[k]
+        return complex(sums[d - 1])
+
+
+def test_wide_group_columns_agree_with_eval_li_and_mpmath():
+    # every column of a wide group within its certified bound of eval_li's
+    # value at the same target, plus rounding; some columns against mpmath
+    rng = random.Random(20261019)
+    for trial in range(12):
+        parts = tuple(rng.randint(1, 3) for _ in range(1 + trial % 3))
+        if parts == (1,):
+            parts = (2,)
+        comp = Composition(parts)
+        target = 10.0 ** rng.uniform(-13, -7)
+        a = _wide_group(rng, parts, 40)
+        values, bound, cutoff = numeval._eval_columns(comp, a, target)
+        assert bound <= target
+        rho = suffix_moduli(a).max(axis=0)
+        for j in range(a.shape[1]):
+            single = eval_li(EvalRequest(comp, tuple(a[:, j]), target))
+            assert single.cutoff <= cutoff
+            rounding = 64 * EPS * math.sqrt(cutoff * len(parts)) * max(1.0, abs(single.value))
+            assert abs(values[j] - single.value) <= bound + single.tail_bound + rounding
+        if trial < 6:  # depth 1, 2 and 3 twice each, at the group's largest modulus
+            j = int(np.argmax(rho))
+            ref = _mp_nested_sum(parts, a[:, j])
+            rounding = 64 * EPS * math.sqrt(cutoff * len(parts)) * max(1.0, abs(ref))
+            assert abs(values[j] - ref) <= bound + rounding, (parts, rho[j])
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_eval_li_depth1_against_mpmath(n):
     import mpmath  # the "test" extra; an independent oracle, not a library dependency

@@ -34,6 +34,8 @@ from mplkit.serialize import (
 )
 from mplkit.verify import VerificationPlan, verify_identity
 
+from _mutations import mutated, mutations
+
 
 def test_identity_round_trip_structural():
     ident = weight4_fixture_identity()
@@ -150,6 +152,60 @@ def test_loaders_reject_other_schema_versions(version):
             doc["schema_version"] = version
         with pytest.raises(ValueError, match=re.escape(f"unsupported schema_version {version!r}")):
             load(doc)
+
+
+_COMBO = construct_preimage(
+    (3, 2), (GroupElement.generator("a1"), GroupElement.make({"a2": 1, "b": Fraction(1, 2)}))
+)
+_COMBO_DOC = generator_combination_to_dict(_COMBO)
+_TENSOR_DOC = tensor_element_to_dict(cobracket_image(_COMBO))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(mutation=mutations(_COMBO_DOC))
+def test_mutated_generator_combination_document(mutation):
+    # like identity_loads: a malformed document raises ValueError and nothing else
+    try:
+        generator_combination_loads(json.dumps(mutated(_COMBO_DOC, mutation)))
+    except ValueError:
+        pass
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(mutation=mutations(_TENSOR_DOC))
+def test_mutated_tensor_element_document(mutation):
+    try:
+        tensor_element_from_dict(mutated(_TENSOR_DOC, mutation))
+    except ValueError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "mutation, message",
+    [
+        (("replace", ("terms", 0, "args", 0, "exponents"), [1]), "'list' object"),
+        (("drop", ("terms",), None), "'terms'"),
+        (("replace", ("terms", 0, "weight"), float("inf")), "infinity"),
+    ],
+    ids=["list-exponents", "no-terms", "infinite-weight"],
+)
+def test_generator_combination_loads_faults_are_value_errors(mutation, message):
+    with pytest.raises(ValueError, match="malformed generator_combination document: .*" + message):
+        generator_combination_loads(json.dumps(mutated(_COMBO_DOC, mutation)))
+
+
+@pytest.mark.parametrize(
+    "mutation, message",
+    [
+        (("replace", ("terms", 0, "word", 0, "arg", "exponents"), [1]), "'list' object"),
+        (("drop", ("terms",), None), "'terms'"),
+        (("replace", ("terms", 0, "word"), None), "not iterable"),
+    ],
+    ids=["list-exponents", "no-terms", "null-word"],
+)
+def test_tensor_element_from_dict_faults_are_value_errors(mutation, message):
+    with pytest.raises(ValueError, match="malformed tensor_element document: .*" + message):
+        tensor_element_from_dict(mutated(_TENSOR_DOC, mutation))
 
 
 _JSON_TEXT = st.text(max_size=6) | st.sampled_from(

@@ -87,6 +87,18 @@ def test_instantiate_errors():
         m.instantiate({"x": 0.0})
 
 
+def test_huge_exponent_is_a_value_error_naming_the_variable():
+    huge = ArgMonomial.make({"x": Fraction(10**400), "y": 1})
+    message = r"exponent of x in an argument monomial has a 401-digit numerator"
+    with pytest.raises(ValueError, match=message):
+        huge.instantiate({"x": 0.5, "y": 0.5})
+    with pytest.raises(ValueError, match=message):
+        eval_expr_batch(li_expr([2], [huge]), [{"x": 0.5, "y": 0.5}], 1e-10)
+    # an exponent that underflows is no fault: |x|^(10^-400) is 1 to double precision
+    tiny = ArgMonomial.make({"x": Fraction(1, 10**400)})
+    assert tiny.instantiate({"x": 0.5}) == 1
+
+
 def test_instantiate_multiplicative_no_carry():
     rng = random.Random(5)
     for _ in range(10):
@@ -255,32 +267,62 @@ def counting(monkeypatch, name):
     return calls
 
 
-def test_eval_batch_one_cutoff_and_kernel_call_per_composition(monkeypatch):
+def kernel_calls(monkeypatch):
+    """Record (indices, argmat, cutoff, stops) of every series_value_batch call."""
+    calls = []
+    original = numeval.series_value_batch
+
+    def wrapper(indices, argmat, cutoff, *, stops=None):
+        calls.append((indices, argmat, cutoff, stops))
+        return original(indices, argmat, cutoff, stops=stops)
+
+    monkeypatch.setattr(numeval, "series_value_batch", wrapper)
+    return calls
+
+
+def test_eval_batch_one_kernel_call_per_composition_and_per_column_stops(monkeypatch):
+    from mplkit import symalg
     from mplkit.reduction import reduce_li
 
     cutoffs = counting(monkeypatch, "choose_cutoff")
-    kernels = counting(monkeypatch, "series_value_batch")
-    instantiated = []
-    instantiate = ArgMonomial.instantiate
+    kernels = kernel_calls(monkeypatch)
+    helper = []
+    monomial_values = symalg._monomial_values
     monkeypatch.setattr(
-        ArgMonomial, "instantiate", lambda m, a: instantiated.append(m) or instantiate(m, a)
+        symalg, "_monomial_values", lambda ms, asg: helper.append(ms) or monomial_values(ms, asg)
     )
+    instantiated = []
+    monkeypatch.setattr(ArgMonomial, "instantiate", lambda m, a: instantiated.append(m))
     ident = reduce_li(3, 2)
     rng = random.Random(4)
     points = [{"x": random_point(rng), "y": random_point(rng)} for _ in range(5)]
+    target = 1e-10
     for side in (ident.lhs, ident.rhs):
         cutoffs.clear()
         kernels.clear()
-        instantiated.clear()
-        eval_expr_batch(side, points, 1e-10)
+        helper.clear()
+        eval_expr_batch(side, points, target)
+        # every distinct monomial valued by one helper call, none point by point
+        assert len(helper) == 1 and not instantiated
+        assert set(helper[0]) == {m for t in side.terms for f in t.factors for m in f.args}
         compositions = {f.indices for t in side.terms for f in t.factors}
-        monomials = {m for t in side.terms for f in t.factors for m in f.args}
-        assert len(instantiated) == 5 * len(monomials)
-        for calls in (cutoffs, kernels):
-            called = [indices for indices, _, _ in calls]
-            assert len(called) == len(set(called)) == len(compositions)
-            assert set(called) == compositions
-        assert all(args[0].shape[1] % 5 == 0 for _, args, _ in kernels)
+        called = [indices for indices, *_ in kernels]
+        assert len(called) == len(set(called)) == len(compositions)
+        assert set(called) == compositions
+        n_evals = sum(len(t.factors) for t in side.terms)
+        per_factor = target / (n_evals * max(abs(float(t.coeff)) for t in side.terms))
+        for indices, argmat, cutoff, stops in kernels:
+            assert argmat.shape[1] % 5 == 0
+            rho = numeval.suffix_moduli(argmat).max(axis=0)
+            # one cutoff per distinct largest suffix modulus of the group
+            assert [c for c, *_ in cutoffs].count(indices) == len(set(rho.tolist()))
+            assert (np.diff(rho) <= 0).all() and (np.diff(stops) <= 0).all()
+            assert stops.max() == stops[0] == cutoff
+            for r, stop in zip(rho.tolist(), stops.tolist()):
+                assert 1 <= stop <= cutoff
+                assert numeval.tail_bound(indices, r, stop) <= per_factor
+                # the column's own cutoff, not a longer one
+                assert stop == 1 or numeval.tail_bound(indices, r, stop - 1) > per_factor
 
 
 def test_eval_batch_grouped_values_match_eval_li(monkeypatch):

@@ -109,3 +109,55 @@ def test_tolerance_robustness_under_smaller_eval_target():
     tight = verify_identity(fix, VerificationPlan(point_count=5, tolerance=5e-10))
     assert loose.passed and tight.passed
     assert abs(loose.max_relative_residual - tight.max_relative_residual) < 1e-9
+
+
+def test_convergence_precheck_once_per_exponent_signature(monkeypatch):
+    # a phase never changes a modulus, so a violation shows at the first
+    # factor of its signature, and repeats of a passing one are not re-summed
+    from fractions import Fraction
+
+    from mplkit.symalg import Expr, Term, li_factor
+
+    twisted = ArgMonomial(Fraction(1, 3), X.exponents)
+    unit = ArgMonomial(Fraction(1, 2), ())
+    lhs = Expr.from_terms([Term(1, (li_factor([2], [X]),)), Term(2, (li_factor([2], [twisted]),))])
+    rhs = Expr.from_terms([Term(1, (li_factor([1, 1], [X, unit]),))])
+    ident = Identity(lhs, lhs, weight=2, variables=frozenset({"x"}))
+    degrees = []
+    monkeypatch.setattr(
+        "mplkit.verify._exponent_float", lambda e, *where: degrees.append(e) or float(e)
+    )
+    check_convergence(ident, 0.7)
+    assert degrees == [1]  # four factors, one signature (x,) of one slot
+    bad = Identity(lhs, lhs + rhs, weight=2, variables=frozenset({"x"}))
+    with pytest.raises(ConvergenceViolation, match=r"rhs factor Li_\(1,1\)\(x, -1\): .* slot 2"):
+        check_convergence(bad, 0.7)
+
+
+def test_reduce44_verify_sums_at_most_half_the_group_cutoff_steps(monkeypatch):
+    # each column stops at its own cutoff instead of its group's largest
+    from mplkit import numeval
+    from mplkit.reduction import reduce_li
+
+    steps = {"group cutoff": 0, "own cutoff": 0}
+    kernel = numeval.series_value_batch
+
+    def counted(indices, argmat, cutoff, *, stops=None):
+        steps["group cutoff"] += cutoff * argmat.shape[1] * indices.depth
+        own = cutoff * argmat.shape[1] if stops is None else int(stops.sum())
+        steps["own cutoff"] += own * indices.depth
+        return kernel(indices, argmat, cutoff, stops=stops)
+
+    monkeypatch.setattr(numeval, "series_value_batch", counted)
+    plan = VerificationPlan(seed=7, point_count=20, radius=0.7, tolerance=1e-9)
+    assert verify_identity(reduce_li(4, 4), plan).passed
+    assert steps["own cutoff"] <= steps["group cutoff"] / 2, steps
+
+
+def test_reduce66_verifies_at_20_points():
+    # weight 12, the weight cap: a (11,1) group of 37,400 columns
+    from mplkit.reduction import reduce_li
+
+    plan = VerificationPlan(seed=1, point_count=20, radius=0.7, tolerance=1e-9)
+    report = verify_identity(reduce_li(6, 6), plan)
+    assert report.passed and len(report.points) == 20
