@@ -9,7 +9,9 @@ Li_{n-1,1} factors equals the weighted depth-2 sum
 plus a classical term (beta^{n-1}/gamma) Li_n(xy).  Running alpha = i,
 beta = n - i for i = 1..n-1 produces n-1 such probe combinations; the
 coefficient matrix ((-i)^{k-1} (n-i)^{n-k-1}) is of Vandermonde type and
-is inverted exactly, which isolates each individual Li_{k,l}.
+is inverted exactly, which isolates each individual Li_{k,l}.  reduce_li
+builds that combination in one pass, in the names it is emitted with (x
+and y swapped, so it reads Li_{k,l}(x, y)): each term once, merged once.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .symalg import (
     Term,
     li_expr,
     li_factor,
-    rename_variables,
 )
 
 __all__ = [
@@ -52,24 +53,29 @@ def _mono(exps: dict[str, Fraction], phase: Fraction = Fraction(0)) -> ArgMonomi
     return ArgMonomial(phase, tuple(exps.items()))
 
 
-def _triple_root_sum(n: int, alpha: int, beta: int) -> Expr:
+def _triple_root_sum(n: int, alpha: int, beta: int, x: str = "x", y: str = "y") -> Expr:
     """Weighted Li_{n-1,1} sum over all root triples (X, Y, Z).
 
     X runs over the alpha-th roots of x, Y over the beta-th roots of y and
-    Z over the gamma-th roots of xy.  Each summand is Li_{n-1,1}(U/V, V)
-    for one root pair (U, V) = (X, Y), (Z, Y) or (Z, X), so the sum runs
-    over those pairs and the count gamma, alpha or beta of the third root
-    is folded into the pair's coefficient.  Each root monomial is built once.
+    Z over the gamma-th roots of xy, x and y being the variable names given.
+    Each summand is Li_{n-1,1}(U/V, V) for one root pair (U, V) = (X, Y),
+    (Z, Y) or (Z, X), so the sum runs over those pairs and the count gamma,
+    alpha or beta of the third root is folded into the pair's coefficient.
+    Each root monomial is built once.
     """
+    if n < 3:
+        raise WeightTooSmall(f"need weight >= 3, got {n}")
+    if alpha < 1 or beta < 1:
+        raise ValueError("alpha and beta must be positive integers")
     gamma = alpha + beta
     ea, eb, eg = Fraction(1, alpha), Fraction(1, beta), Fraction(1, gamma)
-    x_roots = {p: _mono({"x": ea}, p) for p in (Fraction(i, alpha) for i in range(alpha))}
-    y_roots = {p: _mono({"y": eb}, p) for p in (Fraction(j, beta) for j in range(beta))}
+    x_roots = {p: _mono({x: ea}, p) for p in (Fraction(i, alpha) for i in range(alpha))}
+    y_roots = {p: _mono({y: eb}, p) for p in (Fraction(j, beta) for j in range(beta))}
     z_phases = [Fraction(k, gamma) for k in range(gamma)]  # Z is never a V: no monomial
     pairs = (  # coefficient times multiplicity, exponents of U/V, phases of U, roots V by phase
-        ((alpha * beta) ** (n - 2), {"x": ea, "y": -eb}, x_roots, y_roots),
-        (-((gamma * beta) ** (n - 2)), {"x": eg, "y": eg - eb}, z_phases, y_roots),
-        ((-gamma * alpha) ** (n - 2), {"x": eg - ea, "y": eg}, z_phases, x_roots),
+        ((alpha * beta) ** (n - 2), {x: ea, y: -eb}, x_roots, y_roots),
+        (-((gamma * beta) ** (n - 2)), {x: eg, y: eg - eb}, z_phases, y_roots),
+        ((-gamma * alpha) ** (n - 2), {x: eg - ea, y: eg}, z_phases, x_roots),
     )
     top = Composition((n - 1, 1))
     return Expr.from_terms(
@@ -80,19 +86,20 @@ def _triple_root_sum(n: int, alpha: int, beta: int) -> Expr:
     )
 
 
-def _depth2_probe(n: int, alpha: int, beta: int) -> Expr:
-    """sum_{k+l=n, k,l>0} Li_{k,l}(y, x) (-alpha)^{k-1} beta^{l-1}."""
+def _depth2_probe(n: int, alpha: int, beta: int) -> list[Term]:
+    """The terms of sum_{k+l=n, k,l>0} Li_{k,l}(y, x) (-alpha)^{k-1} beta^{l-1}."""
     y = ArgMonomial.variable("y")
     x = ArgMonomial.variable("x")
-    return Expr.from_terms(
+    return [
         Term((-alpha) ** (k - 1) * beta ** (n - k - 1), (li_factor([k, n - k], [y, x]),))
         for k in range(1, n)
-    )
+    ]
 
 
-def _classical_term(n: int, alpha: int, beta: int) -> Expr:
+def _classical_term(n: int, alpha: int, beta: int, c: Fraction | int = 1) -> Term:
+    """c (beta^{n-1}/gamma) Li_n(xy)."""
     xy = _mono({"x": Fraction(1), "y": Fraction(1)})
-    return li_expr([n], [xy], Fraction(beta ** (n - 1), alpha + beta))
+    return Term(c * Fraction(beta ** (n - 1), alpha + beta), (li_factor([n], [xy]),))
 
 
 def coefficient_identity(n: int, alpha: int, beta: int) -> Identity:
@@ -102,12 +109,8 @@ def coefficient_identity(n: int, alpha: int, beta: int) -> Identity:
     probe combination plus (beta^{n-1}/gamma) Li_n(xy).  All argument
     monomials have exponent denominators dividing lcm(alpha, beta, gamma).
     """
-    if n < 3:
-        raise WeightTooSmall(f"need weight >= 3, got {n}")
-    if alpha < 1 or beta < 1:
-        raise ValueError("alpha and beta must be positive integers")
-    lhs = _triple_root_sum(n, alpha, beta)
-    rhs = _depth2_probe(n, alpha, beta) + _classical_term(n, alpha, beta)
+    lhs = _triple_root_sum(n, alpha, beta)  # checks n, alpha and beta
+    rhs = Expr.from_terms([*_depth2_probe(n, alpha, beta), _classical_term(n, alpha, beta)])
     return Identity(
         lhs,
         rhs,
@@ -136,12 +139,10 @@ class WeightedDepthTwoSum:
 
 
 def build_weighted_sum(n: int, alpha: int, beta: int) -> WeightedDepthTwoSum:
-    if n < 3:
-        raise WeightTooSmall(f"need weight >= 3, got {n}")
-    reduced = _triple_root_sum(n, alpha, beta) - _classical_term(n, alpha, beta)
-    return WeightedDepthTwoSum(
-        n, alpha, beta, _depth2_probe(n, alpha, beta), reduced
-    )
+    triple = _triple_root_sum(n, alpha, beta)  # checks n, alpha and beta
+    reduced = Expr.from_terms([*triple.terms, _classical_term(n, alpha, beta, -1)])
+    depth2 = Expr.from_terms(_depth2_probe(n, alpha, beta))
+    return WeightedDepthTwoSum(n, alpha, beta, depth2, reduced)
 
 
 @dataclass(frozen=True)
@@ -172,26 +173,24 @@ def build_reduction_matrix(n: int) -> ReductionMatrix:
 def reduce_li(k: int, l: int) -> Identity:
     """Identity expressing Li_{k,l}(x, y) through Li_{n-1,1} and Li_n only.
 
-    Each probe i = 1..n-1 is substituted by its reduced form and the row of
-    the inverse probe matrix belonging to index k recombines them.  The probe
-    definition carries arguments (y, x); the final identity renames the
-    variables so the left side reads Li_{k,l}(x, y).
+    The row of the inverse probe matrix belonging to index k recombines the
+    reduced forms of probes i = 1..n-1.  The probes carry arguments (y, x),
+    so each is built with x and y swapped: its triple root sum scaled by its
+    row entry, then its classical term.  All the terms are merged once.
     """
     n = k + l
     if k < 1 or l < 1:
         raise ValueError("indices must be positive")
     mat = build_reduction_matrix(n)  # raises WeightTooSmall below weight 3
     terms = []
-    for i in range(1, n):
-        c = mat.inverse[k - 1][i - 1]
+    for i, c in enumerate(mat.inverse[k - 1], 1):
         if c != 0:
-            terms.extend(build_weighted_sum(n, i, n - i).reduced_form.scale(c).terms)
-    # left unmerged: rename_variables merges the renamed terms
-    rhs = rename_variables(Expr(tuple(terms)), {"x": "y", "y": "x"})
+            terms += _triple_root_sum(n, i, n - i, "y", "x").scale(c).terms
+            terms.append(_classical_term(n, i, n - i, -c))
     lhs = li_expr([k, l], [ArgMonomial.variable("x"), ArgMonomial.variable("y")])
     return Identity(
         lhs,
-        rhs,
+        Expr.from_terms(terms),
         weight=n,
         variables=frozenset({"x", "y"}),
         provenance=(

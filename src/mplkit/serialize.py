@@ -105,7 +105,11 @@ def _fraction_from(d: Mapping) -> Fraction:
     return _ratio(d["num"], d["den"])
 
 
-def _check_kind(d, kind: str) -> None:
+@contextlib.contextmanager
+def _document(d, kind: str):
+    """Check a parsed document's kind and schema version, then turn any fault
+    of it into a ValueError; the loaders' own checks raise ValueError already.
+    Every *_from_dict loader reads its document inside this guard."""
     if not isinstance(d, Mapping):
         raise ValueError(f"expected a JSON object, got {type(d).__name__}")
     if d.get("kind") != kind:
@@ -115,12 +119,6 @@ def _check_kind(d, kind: str) -> None:
         raise ValueError(
             f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}"
         )
-
-
-@contextlib.contextmanager
-def _document(kind: str):
-    """Turn any fault of a parsed document into a ValueError; the loaders'
-    own checks raise ValueError already."""
     try:
         yield
     except (LookupError, TypeError, AttributeError, OverflowError) as exc:
@@ -185,14 +183,15 @@ def identity_to_dict(identity: Identity) -> dict:
 
 
 def identity_from_dict(d: Mapping) -> Identity:
-    _check_kind(d, "identity")
-    return Identity(
-        Expr.from_terms(_term_from(t) for t in d["lhs"]),
-        Expr.from_terms(_term_from(t) for t in d["rhs"]),
-        weight=int(d["weight"]),
-        variables=frozenset(d["variables"]),
-        provenance=str(d.get("provenance", "")),
-    )
+    """Build an identity from its dict; any fault in it raises a ValueError."""
+    with _document(d, "identity"):
+        return Identity(
+            Expr.from_terms(_term_from(t) for t in d["lhs"]),
+            Expr.from_terms(_term_from(t) for t in d["rhs"]),
+            weight=int(d["weight"]),
+            variables=frozenset(d["variables"]),
+            provenance=str(d.get("provenance", "")),
+        )
 
 
 def identity_dumps(identity: Identity) -> str:
@@ -201,8 +200,7 @@ def identity_dumps(identity: Identity) -> str:
 
 def identity_loads(text: str) -> Identity:
     """Parse an identity document; any fault in it raises a ValueError."""
-    with _document("identity"):
-        return identity_from_dict(json.loads(text))
+    return identity_from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -226,17 +224,18 @@ def generator_combination_to_dict(c: GeneratorCombination) -> dict:
 
 
 def generator_combination_from_dict(d: Mapping) -> GeneratorCombination:
-    _check_kind(d, "generator_combination")
-    return GeneratorCombination.from_terms(
-        (
-            GeneratorTerm(
-                int(t["weight"]),
-                tuple(_monomial_from(GroupElement, a) for a in t["args"]),
-            ),
-            _fraction_from(t["coeff"]),
+    """Build a generator combination from its dict; any fault in it raises a ValueError."""
+    with _document(d, "generator_combination"):
+        return GeneratorCombination.from_terms(
+            (
+                GeneratorTerm(
+                    int(t["weight"]),
+                    tuple(_monomial_from(GroupElement, a) for a in t["args"]),
+                ),
+                _fraction_from(t["coeff"]),
+            )
+            for t in d["terms"]
         )
-        for t in d["terms"]
-    )
 
 
 def generator_combination_dumps(c: GeneratorCombination) -> str:
@@ -245,8 +244,7 @@ def generator_combination_dumps(c: GeneratorCombination) -> str:
 
 def generator_combination_loads(text: str) -> GeneratorCombination:
     """Parse a generator combination document; any fault in it raises a ValueError."""
-    with _document("generator_combination"):
-        return generator_combination_from_dict(json.loads(text))
+    return generator_combination_from_dict(json.loads(text))
 
 
 def tensor_element_to_dict(te: TensorElement) -> dict:
@@ -267,8 +265,7 @@ def tensor_element_to_dict(te: TensorElement) -> dict:
 
 def tensor_element_from_dict(d: Mapping) -> TensorElement:
     """Build a tensor element from its dict; any fault in it raises a ValueError."""
-    with _document("tensor_element"):
-        _check_kind(d, "tensor_element")
+    with _document(d, "tensor_element"):
         return TensorElement.from_terms(
             (
                 tuple(

@@ -229,14 +229,14 @@ class MPLFactor(_Keyed):
         return f"Li_{self.indices}({', '.join(str(a) for a in self.args)})"
 
 
-def _exponent_float(e: Fraction, variable: str, place) -> float:
-    """An exact exponent as a float.  One beyond the double range is a
-    ValueError naming the variable and its place (formatted only then)."""
+def _exact_float(q: Fraction, what: str, *where) -> float:
+    """An exact rational as a float.  One beyond the double range is a
+    ValueError naming what it is: `what` formatted with `where`, only then."""
     try:
-        return float(e)
+        return float(q)
     except OverflowError:
         raise ValueError(
-            f"exponent of {variable} in {place} has a {len(str(abs(e.numerator)))}-digit "
+            f"{what.format(*where)} has a {len(str(abs(q.numerator)))}-digit "
             "numerator, beyond the double range"
         ) from None
 
@@ -256,7 +256,7 @@ def _monomial_values(
     exps = np.zeros((len(monomials), len(names)))
     for row, m in enumerate(monomials):
         for v, e in m.exponents:
-            exps[row, column[v]] = _exponent_float(e, v, "an argument monomial")
+            exps[row, column[v]] = _exact_float(e, "exponent of {} in an argument monomial", v)
     logs = np.empty((len(names), len(assignments)), dtype=np.complex128)
     for i, v in enumerate(names):
         for p, assignment in enumerate(assignments):
@@ -422,7 +422,11 @@ def eval_expr_batch(
     n_evals = sum(len(t.factors) for t in e.terms)
     if n_evals == 0:
         return np.zeros(npts, dtype=np.complex128), np.zeros(npts)
-    max_coeff = max(abs(float(t.coeff)) for t in e.terms)
+    try:
+        coeffs = np.array([float(t.coeff) for t in e.terms])[:, None]
+    except OverflowError:  # name the term; no call per term when all convert
+        coeffs = np.array([_exact_float(t.coeff, "coefficient of term {}", t) for t in e.terms])
+    max_coeff = float(np.abs(coeffs).max())
     per_factor = float(target_error) / (n_evals * max(max_coeff, 1e-300))
     if not per_factor > 0.0:
         raise BudgetUnderflow(
@@ -463,7 +467,6 @@ def eval_expr_batch(
     index = np.full((len(e.terms), width), len(row))  # padded with the row of ones
     for i, term in enumerate(e.terms):
         index[i, : len(term.factors)] = [row[f] for f in term.factors]
-    coeffs = np.array([float(t.coeff) for t in e.terms])[:, None]
     products = values[index].prod(axis=1)
     masses = np.abs(values)[index].prod(axis=1)
     return (coeffs * products).sum(axis=0), (np.abs(coeffs) * masses).sum(axis=0)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .numeval import DEFAULT_RHO_MAX
-from .symalg import BudgetUnderflow, Identity, _exponent_float, eval_expr_batch
+from .symalg import BudgetUnderflow, Identity, _exact_float, eval_expr_batch
 
 __all__ = [
     "ConvergenceViolation",
@@ -127,9 +127,8 @@ def check_convergence(identity: Identity, radius: float) -> None:
                             f"slot {k} has modulus 1"
                         )
                     largest = max(suffix, key=lambda v: abs(suffix[v]))
-                    sup = radius ** _exponent_float(
-                        total, largest, f"the {side_name} suffix product from slot {k}"
-                    )
+                    what = "exponent of {} in the {} suffix product from slot {}"
+                    sup = radius ** _exact_float(total, what, largest, side_name, k)
                     if sup > DEFAULT_RHO_MAX:
                         raise ConvergenceViolation(
                             f"{side_name} factor {factor}: suffix product from "

@@ -226,6 +226,20 @@ def test_verify_huge_exponent_exit_2(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_verify_huge_coefficient_exit_2(tmp_path, capsys):
+    # a coefficient beyond the double range is an input fault, like an exponent
+    doc = _fixture_doc()
+    doc["rhs"][0]["coeff"]["num"] = "1" + "0" * 400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", str(path), "--report", str(report))
+    assert code == 2 and out == ""
+    assert err.startswith("error: coefficient of term (5")
+    assert ") Li_(4)(x*y) has a 400-digit numerator, beyond the double range" in err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [(("--points", "0"), "point_count"), (("--radius", "1.5"), "radius")],

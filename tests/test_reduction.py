@@ -63,6 +63,18 @@ def test_coefficient_identity_rejects_small_weight():
         coefficient_identity(2, 1, 1)
 
 
+@pytest.mark.parametrize("alpha,beta", [(0, 1), (-1, 2), (2, -1), (1, 0)])
+@pytest.mark.parametrize("builder", [coefficient_identity, build_weighted_sum])
+def test_probe_builders_reject_nonpositive_parameters(builder, alpha, beta):
+    with pytest.raises(ValueError, match=r"^alpha and beta must be positive integers$"):
+        builder(4, alpha, beta)
+
+
+def test_weighted_sum_rejects_small_weight():
+    with pytest.raises(WeightTooSmall, match=r"^need weight >= 3, got 2$"):
+        build_weighted_sum(2, 1, 1)
+
+
 def test_coefficient_identity_n4_verifies():
     ident = coefficient_identity(4, 1, 1)
     report = verify_identity(
@@ -196,6 +208,35 @@ def test_weight7_and_weight8_reductions_are_pinned():
         for k in range(1, n):
             h.update(identity_dumps(reduce_li(k, n - k)).encode())
     assert h.hexdigest() == "335c65c155e10bd0b585826095cadc1cf59b3c3c31e1988d4bb037b8215203cb"
+
+
+def test_weight9_to_weight12_reductions_are_pinned():
+    # the edges and the middle of each weight, up to the weight cap
+    from mplkit.serialize import identity_dumps
+
+    h = hashlib.sha256()
+    for n in range(9, 13):
+        for k in sorted({1, n // 2, n - 1}):
+            h.update(identity_dumps(reduce_li(k, n - k)).encode())
+    assert h.hexdigest() == "5ae6b96e6432a9eef6bbb71d5f19f6a914d707468a1cb0b8214d1253167c2365"
+
+
+def test_reduce_li_merges_once_per_probe_and_never_renames(monkeypatch):
+    # one merge per probe's triple root sum, one for the right side, one for
+    # the left; the probes are built in the emitted names, not renamed after
+    from mplkit import reduction, symalg
+
+    merges = []
+    merge = symalg._merge
+    monkeypatch.setattr(symalg, "_merge", lambda pairs: merges.append(1) or merge(pairs))
+
+    def rename(*args):
+        raise AssertionError("rename_variables called")
+
+    monkeypatch.setattr(symalg, "rename_variables", rename)
+    monkeypatch.setattr(reduction, "rename_variables", rename, raising=False)
+    reduce_li(4, 4)
+    assert len(merges) <= 4 + 4 + 1
 
 
 def test_reduce_li_convergence_safety_at_harness_radius():

@@ -180,6 +180,36 @@ def test_mutated_tensor_element_document(mutation):
         pass
 
 
+_IDENTITY_DOC = identity_to_dict(weight4_fixture_identity())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(mutation=mutations(_IDENTITY_DOC))
+def test_mutated_identity_dict(mutation):
+    # the dict entry point guards its document like identity_loads
+    try:
+        identity_from_dict(mutated(_IDENTITY_DOC, mutation))
+    except ValueError:
+        pass
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(mutation=mutations(_COMBO_DOC))
+def test_mutated_generator_combination_dict(mutation):
+    try:
+        generator_combination_from_dict(mutated(_COMBO_DOC, mutation))
+    except ValueError:
+        pass
+
+
+def test_from_dict_faults_are_value_errors():
+    with pytest.raises(ValueError, match=r"^malformed identity document: 'lhs'$"):
+        identity_from_dict({"kind": "identity", "schema_version": 1})
+    doc = mutated(_COMBO_DOC, ("replace", ("terms", 0, "args", 0, "exponents"), [1]))
+    with pytest.raises(ValueError, match="malformed generator_combination document: 'list' object"):
+        generator_combination_from_dict(doc)
+
+
 @pytest.mark.parametrize(
     "mutation, message",
     [

@@ -99,6 +99,18 @@ def test_huge_exponent_is_a_value_error_naming_the_variable():
     assert tiny.instantiate({"x": 0.5}) == 1
 
 
+def test_huge_coefficient_is_a_value_error_naming_the_term():
+    e = Expr.from_terms([Term(1, (li_factor([2], [X]),)), Term(10**400, (li_factor([2], [Y]),))])
+    with pytest.raises(ValueError, match=r"^coefficient of term \(10{400}\) Li_\(2\)\(y\) "
+                       r"has a 401-digit numerator, beyond the double range$"):
+        eval_expr_batch(e, [{"x": 0.5, "y": 0.5}], 1e-10)
+    # a large coefficient within the double range still evaluates
+    big = Expr.from_terms([Term(10**300, (li_factor([2], [X]),))])
+    value, mass = eval_expr(big, {"x": 0.5}, 1e290)
+    assert value.real == pytest.approx(1e300 * 0.5822405264650125)
+    assert mass == pytest.approx(abs(value))
+
+
 def test_instantiate_multiplicative_no_carry():
     rng = random.Random(5)
     for _ in range(10):

@@ -125,7 +125,7 @@ def test_convergence_precheck_once_per_exponent_signature(monkeypatch):
     ident = Identity(lhs, lhs, weight=2, variables=frozenset({"x"}))
     degrees = []
     monkeypatch.setattr(
-        "mplkit.verify._exponent_float", lambda e, *where: degrees.append(e) or float(e)
+        "mplkit.verify._exact_float", lambda e, *where: degrees.append(e) or float(e)
     )
     check_convergence(ident, 0.7)
     assert degrees == [1]  # four factors, one signature (x,) of one slot
