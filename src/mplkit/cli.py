@@ -21,6 +21,8 @@ from .coalgebra import (
     verify_preimage,
 )
 from .numeval import (
+    DEPTH_CAP,
+    WEIGHT_CAP,
     Composition,
     CutoffOverflow,
     DivergentRequest,
@@ -150,8 +152,8 @@ def cmd_verify(args) -> int:
 
 def cmd_surject(args) -> int:
     weights = tuple(int(w) for w in args.weights.split(","))
-    if len(weights) > 3 or sum(weights) > 8:
-        raise ValueError("need depth <= 3 and total weight <= 8")
+    if len(weights) > DEPTH_CAP or sum(weights) > WEIGHT_CAP:
+        raise ValueError(f"need depth <= {DEPTH_CAP} and total weight <= {WEIGHT_CAP}")
     gens = tuple(
         GroupElement.generator(f"a{i + 1}") for i in range(len(weights))
     )

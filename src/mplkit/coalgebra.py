@@ -19,7 +19,8 @@ monomials restricted to 2-power exponent denominators.
 
 from __future__ import annotations
 
-import functools
+import contextlib
+import gc
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -233,17 +234,49 @@ def cobracket_image(
     For a single depth-d generator of weight n the image is the sum over
     compositions n_1 + ... + n_d = n with all n_i >= 2 of the word
     Li_{n_1}(a_1) x ... x Li_{n_d}(a_d); empty when n < 2d.
+
+    The words need no merge: once the generators are merged (a cheap step
+    that also covers a hand-built combination repeating one), distinct
+    generators of one weight and depth differ in some argument, and so in
+    every word they give, while one generator's words differ in their slot
+    weights.  Each word is emitted once and sorted on an integer key that
+    orders like its symbol key: the digits n_1, rank_1, ..., n_d, rank_d of
+    one mixed-radix number, rank_j being the place of the slot-j argument
+    among the sorted distinct slot-j arguments.  The n digits come from the
+    composition and the rank digits from the generator, so a word's key is
+    the sum of one integer of each.
     """
-    pairs = g.terms if isinstance(g, Combination) else ((g, Fraction(1)),)
+    if isinstance(g, Combination):
+        pairs = Combination.from_terms(g.terms).terms
+    else:
+        pairs = ((g, Fraction(1)),)
     if not pairs:
         return Combination()
-    comps = compositions_min2(pairs[0][0].weight, pairs[0][0].depth)  # homogeneous
-    symbol = functools.cache(PolylogSymbol)  # one symbol per (n, argument)
-    return Combination.from_terms(
-        (tuple(map(symbol, comp, term.args)), coeff)
-        for term, coeff in pairs
-        for comp in comps
-    )
+    weight, depth = pairs[0][0].weight, pairs[0][0].depth  # homogeneous
+    comps = compositions_min2(weight, depth)
+    if not comps:
+        return Combination()
+    slot_weights = range(2, weight - 2 * (depth - 1) + 1)  # the n_j of any slot
+    tables, radices = [], []  # per slot: argument key -> (rank, n -> symbol)
+    for j in range(depth):
+        args = {term.args[j]._k: term.args[j] for term, _ in pairs}
+        tables.append({
+            k: (rank, {n: PolylogSymbol(n, args[k]) for n in slot_weights})
+            for rank, k in enumerate(sorted(args))
+        })
+        radices += [slot_weights.stop, len(args)]
+    places = [math.prod(radices[i + 1 :]) for i in range(2 * depth)]
+    comp_keys = [sum(n * places[2 * j] for j, n in enumerate(comp)) for comp in comps]
+    words, keys = [], []
+    for term, coeff in pairs:
+        ranked = [tables[j][a._k] for j, a in enumerate(term.args)]
+        base = sum(rank * places[2 * j + 1] for j, (rank, _) in enumerate(ranked))
+        symbols = [by_weight for _, by_weight in ranked]
+        for comp, key in zip(comps, comp_keys):
+            words.append((tuple(map(dict.__getitem__, symbols, comp)), coeff))
+            keys.append(base + key)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return Combination(tuple([words[i] for i in order]))
 
 
 # ---------------------------------------------------------------------------
@@ -265,53 +298,98 @@ def _symbol_from_key(key: tuple) -> PolylogSymbol:
     return PolylogSymbol(n, arg)
 
 
-def _merged(pairs: Iterable[tuple[tuple[int, ...], Fraction]]) -> dict:
-    acc: dict = {}
-    for w, c in pairs:
-        acc[w] = acc[w] + c if w in acc else c
-    return {w: c for w, c in acc.items() if c}
+def _lowest(num: int, k: int, r: int) -> tuple[int, int]:
+    """The one form (num, k) of the value num / (D * r**k): r divided out of
+    num while k > 0, so equal values have equal pairs (zero is (0, 0))."""
+    while k and num % r == 0:
+        num, k = num // r, k - 1
+    return num, k
 
 
 def _contract(pairs: Iterable[tuple[Word, Fraction]], r: int) -> list[tuple[Word, Fraction]]:
     """The fixpoint of `tensor_distribution_contract` as merged, unsorted
-    (word, coeff) pairs.  Two symbols share an orbit exactly when their r-th
-    powers agree, so a slot groups its words under the word with that slot's
-    id replaced by the id of its power, which is also the collapsed word."""
+    (word, coeff) pairs.
+
+    Words are tuples of int symbol ids.  Two symbols share an orbit exactly
+    when their r-th powers agree, so a slot groups its words under the word
+    with that slot's id replaced by the id of its power, which is also the
+    collapsed word.  A coefficient is an int pair (num, k) standing for
+    num / (D * r**k), D the lcm of the input denominators, in the one form
+    `_lowest` gives: a collapse at weight n adds n - 1 to k, a sum aligns
+    the two k, and equal pairs are equal coefficients.  A slot pass groups
+    only the words whose slot symbol has all r orbit partners among the
+    slot's symbols, takes out the members of complete equal-coefficient
+    orbits and adds their collapsed words; the fixpoint is reached once a
+    pass over every slot, since the last collapse, found none.  Symbols and
+    coefficients are converted once per object, by `id`, which `pairs`
+    keeps valid by holding them.
+    """
     if r < 1:
         raise ValueError("orbit order must be a positive integer")
     pairs = list(pairs)
-    table = {s._k: s for w, _ in pairs for s in w}  # symbol key -> symbol
+    objects = {id(s): s for w, _ in pairs for s in w}  # each symbol object once
+    table = {s._k: s for s in objects.values()}  # symbol key -> symbol
     keys = list(table)  # id -> symbol key
     ids = {k: i for i, k in enumerate(keys)}
+    of_object = {o: ids[s._k] for o, s in objects.items()}
     powers: dict[int, int] = {}  # id -> id of its r-th power
-    scales = {n: Fraction(1, r ** (n - 1)) for n, _ in keys}  # a power keeps its weight
-    words = _merged((tuple([ids[s._k] for s in w]), c) for w, c in pairs)
-    collapsed = r > 1  # at r = 1 every collapse is the identity
-    while collapsed:
-        collapsed = False
-        for slot in range(len(next(iter(words), ()))):
-            groups: dict = {}  # word with its slot id replaced by the orbit -> members
-            for w, c in words.items():
-                i = w[slot]
-                if i not in powers:
-                    key = _power_key(keys[i], r)
-                    powers[i] = ids.setdefault(key, len(keys))
-                    if powers[i] == len(keys):
-                        keys.append(key)
-                groups.setdefault(w[:slot] + (powers[i],) + w[slot + 1 :], []).append((w, c))
-            out = []
-            for up, members in groups.items():
-                c = members[0][1]
-                if len(members) == r and all(q == c for _, q in members[1:]):
-                    collapsed = True
-                    members = [(up, c * scales[keys[up[slot]][0]])]
-                out += members
-            words = _merged(out)
+
+    def power(i: int) -> int:  # the power's key is interned on first use
+        if i not in powers:
+            key = _power_key(keys[i], r)
+            powers[i] = ids.setdefault(key, len(keys))
+            if powers[i] == len(keys):
+                keys.append(key)
+        return powers[i]
+
+    coeffs = {id(c): c for _, c in pairs}.values()  # each coefficient object once
+    den = math.lcm(*{c.denominator for c in coeffs})
+    scaled = {id(c): (c.numerator * (den // c.denominator), 0) for c in coeffs}
+    words: dict[tuple[int, ...], tuple[int, int]] = {}
+
+    def add(w: tuple[int, ...], c: tuple[int, int]) -> None:
+        if w in words:
+            (a, i), (b, j) = words[w], c
+            k = max(i, j)
+            c = _lowest(a * r ** (k - i) + b * r ** (k - j), k, r)
+        if c[0]:
+            words[w] = c
+        else:
+            words.pop(w, None)
+
+    for w, c in pairs:
+        add(tuple(map(of_object.__getitem__, map(id, w))), scaled[id(c)])
+    depth = len(next(iter(words), ()))
+    slot, unchanged = 0, 0  # consecutive slot passes without a collapse
+    while r > 1 and unchanged < depth:  # at r = 1 every collapse is the identity
+        orbits: dict = {}  # power id -> the slot ids present with that power
+        for i in {w[slot] for w in words}:
+            orbits.setdefault(power(i), []).append(i)
+        full = {i for members in orbits.values() if len(members) == r for i in members}
+        groups: dict = {}  # word with its slot id replaced by the orbit -> members
+        for w in words:
+            if w[slot] in full:  # only these can lie in a complete orbit
+                groups.setdefault(w[:slot] + (powers[w[slot]],) + w[slot + 1 :], []).append(w)
+        collapsed = []
+        for up, members in groups.items():
+            if len(members) == r:
+                c = words[members[0]]
+                for w in members[1:]:
+                    if words[w] != c:
+                        break
+                else:
+                    collapsed.append((up, _lowest(c[0], c[1] + keys[up[slot]][0] - 1, r)))
+                    for w in members:
+                        del words[w]
+        for up, c in collapsed:
+            add(up, c)
+        unchanged = 0 if collapsed else unchanged + 1
+        slot = (slot + 1) % depth
 
     def symbol(i: int) -> PolylogSymbol:  # a power made by a collapse is built here
         return table.get(keys[i]) or table.setdefault(keys[i], _symbol_from_key(keys[i]))
 
-    return [(tuple(map(symbol, w)), c) for w, c in words.items()]
+    return [(tuple(map(symbol, w)), Fraction(num, den * r**k)) for w, (num, k) in words.items()]
 
 
 def distribution_contract(e: PolylogCombination, r: int) -> PolylogCombination:
@@ -351,10 +429,13 @@ def tensor_distribution_contract(te: TensorElement, r: int) -> TensorElement:
     Slot by slot, words equal outside the slot whose slot symbols form a
     complete orbit with one coefficient collapse as in `distribution_contract`
     (its depth-1 case); equal words merge and zeros drop after every slot.
-    The fixpoint runs on words of int symbol ids, each mapped once to the id
-    of its r-th power, computed from the symbol key in integers; only
-    symbols new to the output are built.  Which words collapse does not
-    depend on term order, so words are sorted only for output, by the merge.
+    The fixpoint runs on integers only: words are tuples of int symbol ids,
+    each mapped once to the id of its r-th power, computed from the symbol
+    key; coefficients are int pairs (num, k) for num / (D * r**k) over one
+    denominator D, normalised so that equal pairs are equal values.  Only
+    the output words get `Fraction` coefficients, and only symbols new to
+    the output are built.  Which words collapse does not depend on term
+    order, so words are sorted only for output, by the merge.
     """
     return TensorElement.from_terms(_contract(te.terms, r))
 
@@ -460,5 +541,24 @@ def verify_preimage(
         PolylogSymbol(int(w), a) for w, a in zip(weights, args)
     )
     target = TensorElement.single(word)
-    image = tensor_distribution_contract(cobracket_image(p), 2)
+    with _gc_paused():
+        image = tensor_distribution_contract(cobracket_image(p), 2)
     return PreimageReport(target, image, image - target)
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, restoring its state on exit.
+
+    The image and its contraction build only acyclic objects, by the
+    hundred thousand at weight 12, and each collection the allocations
+    trigger walks all of them again: at weight 12 that is about half the
+    time of the check.  Reference counting still frees everything.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()

@@ -53,15 +53,17 @@ def _mono(exps: dict[str, Fraction], phase: Fraction = Fraction(0)) -> ArgMonomi
     return ArgMonomial(phase, tuple(exps.items()))
 
 
-def _triple_root_sum(n: int, alpha: int, beta: int, x: str = "x", y: str = "y") -> Expr:
-    """Weighted Li_{n-1,1} sum over all root triples (X, Y, Z).
+def _triple_root_sum(
+    n: int, alpha: int, beta: int, x: str = "x", y: str = "y", c: Fraction | int = 1
+) -> Expr:
+    """Weighted Li_{n-1,1} sum over all root triples (X, Y, Z), times c.
 
     X runs over the alpha-th roots of x, Y over the beta-th roots of y and
     Z over the gamma-th roots of xy, x and y being the variable names given.
     Each summand is Li_{n-1,1}(U/V, V) for one root pair (U, V) = (X, Y),
     (Z, Y) or (Z, X), so the sum runs over those pairs and the count gamma,
-    alpha or beta of the third root is folded into the pair's coefficient.
-    Each root monomial is built once.
+    alpha or beta of the third root is folded into the pair's coefficient,
+    and so is c.  Each root monomial and each term is built once.
     """
     if n < 3:
         raise WeightTooSmall(f"need weight >= 3, got {n}")
@@ -73,9 +75,9 @@ def _triple_root_sum(n: int, alpha: int, beta: int, x: str = "x", y: str = "y") 
     y_roots = {p: _mono({y: eb}, p) for p in (Fraction(j, beta) for j in range(beta))}
     z_phases = [Fraction(k, gamma) for k in range(gamma)]  # Z is never a V: no monomial
     pairs = (  # coefficient times multiplicity, exponents of U/V, phases of U, roots V by phase
-        ((alpha * beta) ** (n - 2), {x: ea, y: -eb}, x_roots, y_roots),
-        (-((gamma * beta) ** (n - 2)), {x: eg, y: eg - eb}, z_phases, y_roots),
-        ((-gamma * alpha) ** (n - 2), {x: eg - ea, y: eg}, z_phases, x_roots),
+        (c * (alpha * beta) ** (n - 2), {x: ea, y: -eb}, x_roots, y_roots),
+        (-c * (gamma * beta) ** (n - 2), {x: eg, y: eg - eb}, z_phases, y_roots),
+        (c * (-gamma * alpha) ** (n - 2), {x: eg - ea, y: eg}, z_phases, x_roots),
     )
     top = Composition((n - 1, 1))
     return Expr.from_terms(
@@ -175,8 +177,9 @@ def reduce_li(k: int, l: int) -> Identity:
 
     The row of the inverse probe matrix belonging to index k recombines the
     reduced forms of probes i = 1..n-1.  The probes carry arguments (y, x),
-    so each is built with x and y swapped: its triple root sum scaled by its
-    row entry, then its classical term.  All the terms are merged once.
+    so each is built with x and y swapped: its triple root sum, already
+    scaled by its row entry, then its classical term.  All the terms are
+    merged once more, across probes.
     """
     n = k + l
     if k < 1 or l < 1:
@@ -185,7 +188,7 @@ def reduce_li(k: int, l: int) -> Identity:
     terms = []
     for i, c in enumerate(mat.inverse[k - 1], 1):
         if c != 0:
-            terms += _triple_root_sum(n, i, n - i, "y", "x").scale(c).terms
+            terms += _triple_root_sum(n, i, n - i, "y", "x", c).terms
             terms.append(_classical_term(n, i, n - i, -c))
     lhs = li_expr([k, l], [ArgMonomial.variable("x"), ArgMonomial.variable("y")])
     return Identity(

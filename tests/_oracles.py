@@ -81,6 +81,19 @@ def tensor_contract_reference(te, r):
     return TensorElement.from_terms(terms)
 
 
+def image_reference(pairs):
+    """The tensor element of the (generator, coeff) pairs, repeats allowed:
+    every word of every composition, from `compositions_brute`, merged and
+    sorted by one `from_terms`."""
+    from mplkit.coalgebra import PolylogSymbol, TensorElement
+
+    return TensorElement.from_terms(
+        (tuple(PolylogSymbol(n, a) for n, a in zip(comp, g.args)), coeff)
+        for g, coeff in pairs
+        for comp in compositions_brute(g.weight, g.depth, 2)
+    )
+
+
 def triple_root_sum_reference(n, alpha, beta):
     """The weighted Li_{n-1,1} sum as a literal loop over all alpha * beta *
     gamma root triples (X, Y, Z), three summands per triple."""

@@ -449,8 +449,17 @@ def test_surject_infeasible_exit_2(capsys):
 
 
 def test_surject_over_desk_scale(capsys):
-    code, _, _ = run(capsys, "surject", "--weights", "3,3,3")
-    assert code == 2
+    for weights in ("2,2,2,2,2", "4,4,5"):  # depth 5, weight 13
+        code, _, err = run(capsys, "surject", "--weights", weights)
+        assert code == 2
+        assert "need depth <= 4 and total weight <= 12" in err
+
+
+def test_surject_444(capsys):
+    code, out, _ = run(capsys, "surject", "--weights", "4,4,4")
+    assert code == 0
+    assert "matched: True" in out
+    assert "terms:   3937" in out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import gc
 import hashlib
 import math
 import os
@@ -13,7 +14,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mplkit import coalgebra
 from mplkit.coalgebra import (
+    Combination,
     GeneratorCombination,
     GeneratorTerm,
     GroupElement,
@@ -37,7 +40,7 @@ from mplkit.numeval import Composition, EvalRequest, eval_li
 from mplkit.serialize import generator_combination_dumps, preimage_report_dumps
 from mplkit.symalg import ArgMonomial, MPLFactor, Term, li_factor
 
-from _oracles import compositions_brute, tensor_contract_reference
+from _oracles import compositions_brute, image_reference, tensor_contract_reference
 
 A = GroupElement.generator("a1")
 B = GroupElement.generator("a2")
@@ -233,6 +236,38 @@ def test_image_is_linear():
     assert cobracket_image(preimage) == termwise
 
 
+@st.composite
+def _hand_built_generator_combinations(draw):
+    """(generator, coeff) pairs of one weight and depth 1-4, arguments drawn
+    from a pool of two per slot so they repeat across terms; the same
+    generator may occur more than once."""
+    depth = draw(st.integers(1, 4))
+    weight = draw(st.integers(depth, 2 * depth + 3))
+    pools = [[draw(_key_symbols()).arg for _ in range(2)] for _ in range(depth)]
+    return [
+        (GeneratorTerm(weight, tuple(draw(st.sampled_from(pool)) for pool in pools)), draw(_COEFFS))
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_hand_built_generator_combinations())
+def test_image_equals_merged_construction(pairs):
+    expected = image_reference(pairs)
+    assert cobracket_image(Combination(tuple(pairs))).terms == expected.terms
+    assert cobracket_image(Combination.from_terms(pairs)).terms == expected.terms
+    if len(pairs) == 1:
+        assert cobracket_image(pairs[0][0]).terms == image_reference([(pairs[0][0], 1)]).terms
+
+
+def test_image_of_repeated_generator_is_merged():
+    g = GeneratorTerm(5, (A, B))
+    twice = Combination(((g, Fraction(1)), (g, Fraction(2))))
+    assert cobracket_image(twice) == cobracket_image(GeneratorCombination.single(g, 3))
+    cancelled = Combination(((g, Fraction(1)), (g, Fraction(-1))))
+    assert cobracket_image(cancelled).is_zero()
+
+
 # ---------------------------------------------------------------------------
 # distribution relations
 
@@ -313,6 +348,27 @@ def test_contract_merges_collapsed_orbit_with_existing_term():
     assert distribution_contract(once, 2) == once
 
 
+def test_contract_sums_two_collapses_exactly():
+    # slot 1 collapses Li_2(x) + Li_2(-x) onto Li_2(x^2) (x) Li_2(y) with 1/2 and
+    # 2 Li_2(ix) + 2 Li_2(-ix) onto Li_2(-x^2) (x) Li_2(y) with 1; slot 2 then
+    # adds 1/2 to the first, and the two, now equal, collapse onto Li_2(x^4)
+    def turned(g, phase):
+        return GroupElement(g.phase + phase, g.exponents)
+
+    root_y = GroupElement(0, (("a3", Fraction(1, 2)),))
+    te = TensorElement.from_terms([
+        (word((2, B), (2, C)), Fraction(1)),
+        (word((2, minus(B)), (2, C)), Fraction(1)),
+        (word((2, turned(B, Fraction(1, 4))), (2, C)), Fraction(2)),
+        (word((2, turned(B, Fraction(3, 4))), (2, C)), Fraction(2)),
+        (word((2, B.power(2)), (2, root_y)), Fraction(1)),
+        (word((2, B.power(2)), (2, minus(root_y))), Fraction(1)),
+    ])
+    got = tensor_distribution_contract(te, 2)
+    assert got.terms == ((word((2, B.power(4)), (2, C)), Fraction(1, 2)),)
+    assert got == tensor_contract_reference(te, 2)
+
+
 def _orbit(sym, r):
     """Every Li_n(zeta * arg) with zeta^r = 1."""
     return [
@@ -321,15 +377,20 @@ def _orbit(sym, r):
     ]
 
 
-_COEFFS = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2, 3), Fraction(3)])
+# denominators sharing a factor with the orbit order r and ones that do not
+_COEFFS = st.sampled_from([
+    Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2, 3), Fraction(3),
+    Fraction(1, 4), Fraction(-3, 8), Fraction(1, 6), Fraction(5, 9),
+])
 
 
 @st.composite
 def _contraction_cases(draw):
     """(tensor element, r): random words from a small symbol pool plus
     planted complete orbits with equal or unequal coefficients, partial
-    orbits, and orbits whose contraction lands on a word already present
-    and completes the next orbit up."""
+    orbits, orbits whose contraction completes the next orbit up, alone or
+    summed with a word already present, and orbits whose contraction
+    cancels a word already present."""
     r = draw(st.sampled_from((2, 3, 4)))
     weights = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
 
@@ -346,7 +407,7 @@ def _contraction_cases(draw):
     for _ in range(draw(st.integers(1, 5))):
         w = tuple(symbol(n) for n in weights)
         c = draw(_COEFFS)
-        kind = draw(st.sampled_from(("word", "equal", "unequal", "partial", "collide")))
+        kind = draw(st.sampled_from(("word", "equal", "unequal", "partial", "collide", "cancel")))
         if kind == "word":
             pairs.append((w, c))
             continue
@@ -360,9 +421,14 @@ def _contraction_cases(draw):
         if kind == "collide":
             up = _orbit(PolylogSymbol(w[k].n, w[k].arg.power(r)), r)
             c_up = c / r ** (w[k].n - 1)
-            pairs.append((with_slot(w, k, up[0]), c_up))
+            planted = draw(st.booleans())  # the collapsed word is present already
+            if planted:
+                pairs.append((with_slot(w, k, up[0]), c_up))
             if draw(st.booleans()):
-                pairs += [(with_slot(w, k, s), 2 * c_up) for s in up[1:]]
+                pairs += [(with_slot(w, k, s), (1 + planted) * c_up) for s in up[1:]]
+        if kind == "cancel":
+            up = PolylogSymbol(w[k].n, w[k].arg.power(r))
+            pairs.append((with_slot(w, k, up), -c / r ** (w[k].n - 1)))
     return TensorElement.from_terms(pairs), r
 
 
@@ -443,6 +509,29 @@ def test_constructed_preimage_images_match_reference():
         report = verify_preimage(p, weights, args)
         assert report.matched
         assert report.image == tensor_contract_reference(cobracket_image(p), 2)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_verify_preimage_restores_the_collector(enabled, monkeypatch):
+    p = construct_preimage((3, 2), (A, B))
+    seen = []
+
+    def contract(te, r):
+        seen.append(gc.isenabled())
+        raise RuntimeError("contraction failed")
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert verify_preimage(p, (3, 2), (A, B)).matched
+        assert gc.isenabled() == enabled
+        monkeypatch.setattr(coalgebra, "tensor_distribution_contract", contract)
+        with pytest.raises(RuntimeError, match="contraction failed"):
+            verify_preimage(p, (3, 2), (A, B))
+        assert gc.isenabled() == enabled
+        assert seen == [False]  # paused during the check
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_expand_contract_round_trip_r2():
@@ -587,18 +676,31 @@ _BENCH_WEIGHTS = (
 )
 
 
-def test_bench_size_preimages_are_pinned():
-    args = (
-        GroupElement(Fraction(3, 8), (("a1", Fraction(3, 2)), ("b", Fraction(-1, 2)))),
-        GroupElement(Fraction(5, 8), (("a2", Fraction(-3, 4)), ("b", Fraction(2)))),
-        GroupElement(Fraction(1, 8), (("a3", Fraction(-1)), ("b", Fraction(3, 4)))),
-    )
+_PIN_ARGS = (
+    GroupElement(Fraction(3, 8), (("a1", Fraction(3, 2)), ("b", Fraction(-1, 2)))),
+    GroupElement(Fraction(5, 8), (("a2", Fraction(-3, 4)), ("b", Fraction(2)))),
+    GroupElement(Fraction(1, 8), (("a3", Fraction(-1)), ("b", Fraction(3, 4)))),
+)
+
+
+def _preimage_digest(weight_tuples):
+    """sha256 over the preimage and check-report bytes of each weight tuple."""
     h = hashlib.sha256()
-    for weights in _BENCH_WEIGHTS:
-        slot_args = args[: len(weights)]
+    for weights in weight_tuples:
+        slot_args = _PIN_ARGS[: len(weights)]
         p = construct_preimage(weights, slot_args)
         report = verify_preimage(p, weights, slot_args)
         assert report.matched, weights
         h.update(generator_combination_dumps(p).encode())
         h.update(preimage_report_dumps(report).encode())
-    assert h.hexdigest() == "7fd49201930c0947cd172ce3c429d923a2d225285f6374824b48aebccf81c133"
+    return h.hexdigest()
+
+
+def test_bench_size_preimages_are_pinned():
+    digest = _preimage_digest(_BENCH_WEIGHTS)
+    assert digest == "7fd49201930c0947cd172ce3c429d923a2d225285f6374824b48aebccf81c133"
+
+
+def test_weight12_preimages_are_pinned():
+    digest = _preimage_digest(((4, 4, 4), (6, 6)))
+    assert digest == "51e370df11cc06e51366f540c82f950925ca695dc484f1e63302b9cd6e286acb"
