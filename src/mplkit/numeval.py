@@ -28,7 +28,12 @@ bound is evaluated in the log domain and is infinite while r(M+1) >= 1.
 The recurrence runs on numpy arrays, one row per depth level and one column
 per point, when there are two or more points.  A single point runs it on
 Python complex scalars instead, because at one column the cost of each
-numpy ufunc call is almost all dispatch overhead.
+numpy ufunc call is almost all dispatch overhead.  There it is one
+straight-line loop per depth 1-4 with the levels in local variables, and
+1/m^n comes from a per-index array("d") of inverse powers, _INV_POWERS[n],
+which grows in place to the largest cutoff asked of it and is never
+rebuilt.  Every entry is 1.0 / float(m) ** n and every step keeps the
+operation order of the generic level loop, so the values are its bits.
 
 Every evaluation, eval_li's single point and symalg.eval_expr_batch's
 composition groups alike, goes through one entry, `_eval_columns`.  It
@@ -48,6 +53,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import threading
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -243,6 +250,74 @@ def _cutoff_and_bound(indices: Composition, rho: float, target_error: float, cei
     return cutoff, bound
 
 
+_INV_POWERS: dict[int, array] = {}  # n -> 1/m^n at position m - 1, m = 1, 2, ...
+_INV_POWERS_GROWING = threading.Lock()
+
+
+def _inv_powers(n: int, cutoff: int) -> array:
+    """1/m^n for m = 1..cutoff, each computed as 1.0 / float(m) ** n: a copy of
+    the front of the table _INV_POWERS[n], which first grows in place to the
+    cutoff when it is shorter."""
+    table = _INV_POWERS.get(n)
+    if table is None or len(table) < cutoff:
+        with _INV_POWERS_GROWING:
+            table = _INV_POWERS.setdefault(n, array("d"))
+            table.extend(1.0 / float(m) ** n for m in range(len(table) + 1, cutoff + 1))
+    return table[:cutoff]
+
+
+def _scalar_series(parts: tuple[int, ...], col: list[complex], cutoff: int) -> complex:
+    """The recurrence of series_value_batch at one column, depth 1-4, on
+    Python complex scalars: one straight-line loop per depth, the levels in
+    local variables and 1/m^n read from the inverse-power tables.  Each step
+    runs C_k = C_k b_{k+1} + (b_k / m^{n_k}) C_{k-1} from the top level down,
+    b_{d+1} = 1 + 0j multiplied in as well, then C_0 *= b_1: the operation
+    order of the generic level loop (tests/_oracles.py keeps it as the
+    reference), so the bits are its bits."""
+    one = 1.0 + 0.0j
+    inv = [_inv_powers(n, cutoff) for n in parts]
+    d = len(parts)
+    if d == 1:
+        b1 = col[0] * one
+        c0, c1 = one, 0.0j
+        for s1 in inv[0]:
+            c1 = c1 * one + b1 * s1 * c0
+            c0 *= b1
+        return c1
+    if d == 2:
+        b2 = col[1] * one
+        b1 = col[0] * b2
+        c0, c1, c2 = one, 0.0j, 0.0j
+        for s1, s2 in zip(*inv):
+            c2 = c2 * one + b2 * s2 * c1
+            c1 = c1 * b2 + b1 * s1 * c0
+            c0 *= b1
+        return c2
+    if d == 3:
+        b3 = col[2] * one
+        b2 = col[1] * b3
+        b1 = col[0] * b2
+        c0, c1, c2, c3 = one, 0.0j, 0.0j, 0.0j
+        for s1, s2, s3 in zip(*inv):
+            c3 = c3 * one + b3 * s3 * c2
+            c2 = c2 * b3 + b2 * s2 * c1
+            c1 = c1 * b2 + b1 * s1 * c0
+            c0 *= b1
+        return c3
+    b4 = col[3] * one
+    b3 = col[2] * b4
+    b2 = col[1] * b3
+    b1 = col[0] * b2
+    c0, c1, c2, c3, c4 = one, 0.0j, 0.0j, 0.0j, 0.0j
+    for s1, s2, s3, s4 in zip(*inv):
+        c4 = c4 * one + b4 * s4 * c3
+        c3 = c3 * b4 + b3 * s3 * c2
+        c2 = c2 * b3 + b2 * s2 * c1
+        c1 = c1 * b2 + b1 * s1 * c0
+        c0 *= b1
+    return c4
+
+
 def series_value_batch(
     indices: Composition, args: np.ndarray, cutoff: int, *, stops: np.ndarray | None = None
 ) -> np.ndarray:
@@ -253,10 +328,12 @@ def series_value_batch(
     is summed up to the cutoff, or, given `stops`, column j up to stops[j]:
     a non-increasing integer vector in [1, cutoff] whose first entry is the
     cutoff, so step m runs on the prefix of columns with stops[j] >= m.  A
-    single column runs the same recurrence, in the same operation order, on
-    Python complex scalars: at one point each numpy ufunc call costs its
-    dispatch overhead and almost no arithmetic, so the scalar loop is faster
-    there.  Two or more columns run on numpy.
+    single column of depth 1-4 runs the same recurrence, in the same
+    operation order, on Python complex scalars: at one point each numpy
+    ufunc call costs its dispatch overhead and almost no arithmetic.  It
+    runs one unrolled loop per depth over the cached inverse powers
+    1/m^{n_k} (see the module docstring).  Two or more columns, and a column
+    deeper than DEPTH_CAP, run on numpy.
     """
     parts = indices.parts
     d = len(parts)
@@ -274,19 +351,8 @@ def series_value_batch(
             raise ValueError("stops must be a non-increasing vector in [1, cutoff] "
                              "with one entry per column, the first equal to the cutoff")
 
-    if npts == 1:
-        col = a[:, 0].tolist()
-        bs = [0j] * (d + 1) + [1.0 + 0.0j]  # bs[k] = a_k * ... * a_d; bs[d+1] = 1
-        for k in range(d, 0, -1):
-            bs[k] = col[k - 1] * bs[k + 1]
-        cs = [1.0 + 0.0j] + [0.0j] * d  # C_0(0) = 1
-        for m in range(1, cutoff + 1):
-            fm = float(m)
-            for k in range(d, 0, -1):
-                scale = 1.0 / fm ** parts[k - 1]
-                cs[k] = cs[k] * bs[k + 1] + bs[k] * scale * cs[k - 1]
-            cs[0] *= bs[1]
-        return np.array([cs[d]], dtype=np.complex128)
+    if npts == 1 and d <= DEPTH_CAP:
+        return np.array([_scalar_series(parts, a[:, 0].tolist(), cutoff)], dtype=np.complex128)
 
     # b[k] = a_k * ... * a_d per point; b[d+1] = 1
     b = np.ones((d + 2, npts), dtype=np.complex128)

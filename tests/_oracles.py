@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here is deliberately naive (literal nested loops, no prefix
-sums, no closed forms) so it shares no code path with the library.
+sums, no closed forms) so it shares no code path with the library.  The
+one exception is `series_scalar_reference`, the generic level loop of the
+library's recurrence, which pins the bits of its unrolled one-column kernel.
 """
 
 from __future__ import annotations
@@ -21,6 +23,24 @@ def li_direct(parts, args, cutoff):
         return total
 
     return rec(0, 0, 1.0 + 0j)
+
+
+def series_scalar_reference(parts, col, cutoff):
+    """The suffix-scaled prefix-sum recurrence at one point as a generic
+    level loop on Python complex scalars, 1/m^n recomputed at every step:
+    the bits the one-column kernel of `series_value_batch` must reproduce."""
+    d = len(parts)
+    bs = [0j] * (d + 1) + [1.0 + 0.0j]  # bs[k] = a_k * ... * a_d; bs[d+1] = 1
+    for k in range(d, 0, -1):
+        bs[k] = complex(col[k - 1]) * bs[k + 1]
+    cs = [1.0 + 0.0j] + [0.0j] * d  # C_0(0) = 1
+    for m in range(1, cutoff + 1):
+        fm = float(m)
+        for k in range(d, 0, -1):
+            scale = 1.0 / fm ** parts[k - 1]
+            cs[k] = cs[k] * bs[k + 1] + bs[k] * scale * cs[k - 1]
+        cs[0] *= bs[1]
+    return cs[d]
 
 
 def generating_direct(x, y, t1, t2, cutoff):

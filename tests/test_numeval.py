@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from mplkit.numeval import (
     tail_bound,
 )
 
-from _oracles import generating_direct, li_direct
+from _oracles import generating_direct, li_direct, series_scalar_reference
 
 EPS = sys.float_info.epsilon
 
@@ -77,6 +78,13 @@ def test_prefix_sum_matches_nested_loops():
         assert abs(v - w) < 1e-13 * max(1, abs(w))
 
 
+def test_one_column_deeper_than_the_cap_runs_on_numpy():
+    parts, args = (1, 2, 1, 1, 3), (0.5, 0.6j, 1.1, 0.4, 0.7)
+    v = series_value(Composition(parts), args, 20)
+    w = li_direct(parts, args, 20)
+    assert abs(v - w) < 1e-13 * max(1, abs(w))
+
+
 def _one_column_cases():
     """Seeded (parts, args, cutoff) at depth 1-4: generic arguments, a zero
     argument, one |a_k| > 1 with every suffix product below 1, cutoff 1,
@@ -121,6 +129,68 @@ def test_one_column_kernel_matches_numpy_columns():
             assert abs(v[0] - ref) <= 1e-13 * max(1.0, abs(ref)), (parts, args, cutoff)
         if 0.0 in args:
             assert v[0] == 0
+
+
+def test_one_column_kernel_matches_generic_loop_bit_for_bit():
+    for parts, args, cutoff in _one_column_cases():
+        column = np.array(args, dtype=np.complex128)[:, None]
+        got = complex(series_value_batch(Composition(parts), column, cutoff)[0])
+        ref = series_scalar_reference(parts, column[:, 0].tolist(), cutoff)
+        assert repr(got) == repr(ref), (parts, args, cutoff)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    st.lists(st.floats(0.01, 0.99), min_size=4, max_size=4),
+    st.lists(st.floats(0.0, 2 * math.pi), min_size=4, max_size=4),
+    st.integers(1, 400),
+)
+def test_one_column_kernel_bits_on_sampled_points(parts, suffix, phases, cutoff):
+    # suffix[k] is the modulus |a_k ... a_d|, so a single argument may exceed 1
+    d = len(parts)
+    suffix = suffix[:d] + [1.0]
+    args = [suffix[k] / suffix[k + 1] * cmath.exp(1j * phases[k]) for k in range(d)]
+    column = np.array(args, dtype=np.complex128)[:, None]
+    got = complex(series_value_batch(Composition(tuple(parts)), column, cutoff)[0])
+    assert repr(got) == repr(series_scalar_reference(parts, args, cutoff))
+
+
+def test_inverse_power_table_grows_in_place(monkeypatch):
+    monkeypatch.setattr(numeval, "_INV_POWERS", {})
+    column = np.array([[0.4 + 0.3j], [1.2], [-0.7j]])
+    comp = Composition((3, 1, 12))
+    short = complex(series_value_batch(comp, column, 40)[0])
+    tables = dict(numeval._INV_POWERS)
+    assert sorted(tables) == [1, 3, 12] and {len(t) for t in tables.values()} == {40}
+    series_value_batch(comp, column, 900)
+    for n, table in numeval._INV_POWERS.items():
+        assert table is tables[n] and table.typecode == "d" and len(table) == 900
+        assert all(v == 1.0 / float(m) ** n for m, v in enumerate(table, 1)), n
+    # a short call after a long one: the bits of the fresh table
+    assert repr(complex(series_value_batch(comp, column, 40)[0])) == repr(short)
+
+
+def test_inverse_power_table_grows_once_under_threads(monkeypatch):
+    # threads growing one table at once must neither skip nor repeat an entry
+    monkeypatch.setattr(numeval, "_INV_POWERS", {})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [
+            threading.Thread(target=lambda: [numeval._inv_powers(2, c) for c in range(10, 4000, 10)])
+            for _ in range(8)
+        ]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    table = numeval._INV_POWERS[2]
+    assert len(table) == 3990
+    assert all(v == 1.0 / float(m) ** 2 for m, v in enumerate(table, 1))
 
 
 def test_one_column_kernel_checks_shape_and_cutoff():
@@ -242,6 +312,53 @@ def test_divergent_request():
     with pytest.raises(DivergentRequest):
         # inner suffix |a2| fine, product |a1 a2| too big
         eval_li(EvalRequest(Composition((2, 1)), (2.0, 0.6), 1e-10))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [math.nan, math.inf, complex(0.5, math.nan), complex(-math.inf, 0.1)],
+    ids=["nan", "inf", "nan-imag", "inf-real"],
+)
+@pytest.mark.parametrize("parts", [(1,), (2,), (2, 1), (1, 2, 1, 3)], ids=str)
+def test_non_finite_argument_is_divergent(parts, bad):
+    # a NaN suffix modulus fails the check like a large one, in every slot
+    for slot in range(len(parts)):
+        args = [0.3 - 0.2j] * len(parts)
+        args[slot] = bad
+        with pytest.raises(DivergentRequest):
+            eval_li(EvalRequest(Composition(parts), tuple(args), 1e-10))
+
+
+def _eval_style_requests(rng, per_depth):
+    """Single-point requests drawn like the eval benchmark's: per depth 1-4,
+    largest suffix modulus stratified over [0.05, 0.98] and attained at a
+    random slot, parts in 1-3, target 1e-12."""
+    reqs = []
+    for d in range(1, 5):
+        for i in range(per_depth):
+            rho = 0.05 + 0.93 * (i + rng.random()) / per_depth
+            top = rng.randrange(d)
+            suffix = [rho if k == top else rng.uniform(0.05 * rho, rho) for k in range(d)]
+            suffix.append(1.0)
+            args = tuple(
+                suffix[k] / suffix[k + 1] * cmath.exp(2j * math.pi * rng.random()) for k in range(d)
+            )
+            parts = tuple(rng.randint(1, 3) for _ in range(d))
+            reqs.append(EvalRequest(Composition(parts), args, 1e-12))
+    return reqs
+
+
+def test_eval_li_bound_is_tail_bound_at_the_suffix_modulus_bit_for_bit():
+    # the modulus is suffix_moduli's numpy formula: a modulus computed another
+    # way rounds differently and moves the last bit of many bounds
+    for req in _eval_style_requests(random.Random(15015), 150):
+        res = eval_li(req)
+        if req.indices.parts == (1,):
+            assert (res.tail_bound, res.cutoff) == (0.0, 1)
+            continue
+        rho = float(suffix_moduli(req.args).max())
+        assert res.cutoff == choose_cutoff(req.indices, rho, req.target_error)
+        assert res.tail_bound.hex() == tail_bound(req.indices, rho, res.cutoff).hex(), req
 
 
 def test_caps_rejected():
