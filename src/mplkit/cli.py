@@ -116,8 +116,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    if args.k < 1 or args.l < 1 or args.k + args.l > 8:
-        raise ValueError("need k, l >= 1 and k + l <= 8")
+    if args.k < 1 or args.l < 1 or args.k + args.l > WEIGHT_CAP:
+        raise ValueError(f"need k, l >= 1 and k + l <= {WEIGHT_CAP}")
     plan = _plan_from_args(args) if args.verify else None
     identity = reduce_li(args.k, args.l)
     text = (

@@ -46,6 +46,14 @@ column is certified on its own, as the per-sum error analysis of Vollinga
 and Weinzierl (CPC 167 (2005) 177) allows.  eval_li and a one-column group
 give a factor the same bits; a wider group runs numpy and agrees within the
 certified bound.
+
+A full root-of-unity orbit of Li_{a,b} terms, whose suffix values run over
+mu_N1 x mu_N2 times (w1, w2), is summed as one series instead: the roots
+keep only the indices m1 = N1 q1 and m2 - m1 = N2 q2, so the orbit is
+N1 N2 times a double sum over q1, q2 >= 1 in W_k = w_k^N_k (Goncharov's
+distribution relation, at depth 2).  `_orbit_series` sums it as one matrix
+product per block of q1, with a closed-form tail geometric in q1 and in q2;
+symalg.eval_expr_batch applies the suffix-product check to the w_k first.
 """
 
 from __future__ import annotations
@@ -390,6 +398,23 @@ def series_value(
     return complex(series_value_batch(indices, a[:, None], cutoff)[0])
 
 
+def _check_moduli(moduli: np.ndarray) -> float:
+    """The largest of a (depth, ncols) matrix of suffix moduli, which must not
+    exceed DEFAULT_RHO_MAX; a DivergentRequest names the first failing
+    column's largest one and carries the column's index as `column`."""
+    top = float(moduli.max(initial=0.0))
+    if not top <= DEFAULT_RHO_MAX:  # NaN fails too
+        column = int(np.argmax((~(moduli <= DEFAULT_RHO_MAX)).any(axis=0)))
+        k = int(np.argmax(moduli[:, column]))
+        err = DivergentRequest(
+            f"suffix product |a_{k + 1}...a_{moduli.shape[0]}| = "
+            f"{moduli[k, column]:.6g} exceeds rho_max = {DEFAULT_RHO_MAX}"
+        )
+        err.column = column
+        raise err
+    return top
+
+
 def _eval_columns(
     indices: Composition, argmat: np.ndarray, target_error: float
 ) -> tuple[np.ndarray, float, int]:
@@ -415,16 +440,7 @@ def _eval_columns(
         if abs(x) <= DEFAULT_RHO_MAX:
             return np.array([-cmath.log(1.0 - x)]), 0.0, 1
     moduli = suffix_moduli(argmat)
-    top = float(moduli.max(initial=0.0))
-    if not top <= DEFAULT_RHO_MAX:  # NaN fails too
-        column = int(np.argmax((~(moduli <= DEFAULT_RHO_MAX)).any(axis=0)))
-        k = int(np.argmax(moduli[:, column]))
-        err = DivergentRequest(
-            f"suffix product |a_{k + 1}...a_{indices.depth}| = "
-            f"{moduli[k, column]:.6g} exceeds rho_max = {DEFAULT_RHO_MAX}"
-        )
-        err.column = column
-        raise err
+    top = _check_moduli(moduli)
     if indices.parts == (1,):
         return -np.log(1.0 - argmat[0]), 0.0, 1
     if ncols == 1:
@@ -449,6 +465,80 @@ def _eval_columns(
     unsorted = np.empty_like(values)
     unsorted[order] = values
     return unsorted, bound, int(cutoffs[0])
+
+
+_ORBIT_BLOCK = 1 << 16  # entries of one block of the orbit series' denominator table
+
+
+def _first_cutoff(log_bound, limit: float) -> int:
+    """Smallest q >= 1 with log_bound(q) <= limit, for a decreasing log_bound
+    that reaches the limit: doubling, then bisection."""
+    hi = 1
+    while log_bound(hi) > limit:
+        if hi >= DEFAULT_MAX_CUTOFF:
+            raise CutoffOverflow(
+                f"orbit tail bound exceeds target {math.exp(limit):.3e} "
+                f"at the cutoff ceiling {DEFAULT_MAX_CUTOFF}"
+            )
+        hi = min(2 * hi, DEFAULT_MAX_CUTOFF)
+    lo = hi // 2  # 0, or a q whose bound is above the limit
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if log_bound(mid) <= limit else (mid, hi)
+    return hi
+
+
+def _orbit_series(
+    parts: tuple[int, int], orders: tuple[int, int], powers: np.ndarray, target_error: float
+) -> tuple[np.ndarray, float]:
+    """sum_{q1,q2 >= 1} W1^q1 W2^q2 / ((N1 q1)^a (N1 q1 + N2 q2)^b) at every
+    column of the (2, ncols) matrix of W_k; returns (values, tail bound).
+
+    The depth-2 orbit sum over mu_N1 x mu_N2 in suffix coordinates, divided
+    by N1 N2: the roots of unity keep only the indices m1 = N1 q1 and
+    m2 - m1 = N2 q2 of Li_{a,b}.  With r_k the largest |W_k|, below 1, the
+    terms past q1 = Q1 weigh at most
+        A = r1^(Q1+1) / ((1 - r1) (N1 (Q1+1))^(a+b)) * r2 / (1 - r2),
+    as N1 q1 + N2 q2 >= N1 q1, and those with q1 <= Q1 past q2 = Q2 at most
+        B = r1 / ((1 - r1) N1^a) * r2^(Q2+1) / ((1 - r2) (N1 + N2 (Q2+1))^b);
+    Q1 and Q2 are the smallest cutoffs with A and B each at most half the
+    target.  The double sum is one matrix product per block of q1 against a
+    (q1, q2) denominator table that holds no column axis.
+    """
+    (a, b), (n1, n2) = parts, orders
+    if a + b > WEIGHT_CAP:
+        raise ValueError(f"weight {a + b} above cap {WEIGHT_CAP}")
+    ncols = powers.shape[1]
+    r1, r2 = (float(r) for r in np.abs(powers).max(axis=1))
+    if not (r1 < 1.0 and r2 < 1.0):
+        raise DivergentRequest(f"orbit power moduli {r1:.6g}, {r2:.6g} not below 1")
+    if r1 == 0.0 or r2 == 0.0:
+        return np.zeros(ncols, dtype=np.complex128), 0.0
+    log_r1, log_r2 = math.log(r1), math.log(r2)
+    log_g1, log_g2 = log_r1 - math.log1p(-r1), log_r2 - math.log1p(-r2)  # log r/(1 - r)
+
+    def log_a(q: int) -> float:
+        return q * log_r1 + log_g1 - (a + b) * math.log(n1 * (q + 1)) + log_g2
+
+    def log_b(q: int) -> float:
+        return log_g1 - a * math.log(n1) + q * log_r2 + log_g2 - b * math.log(n1 + n2 * (q + 1))
+
+    limit = math.log(target_error / 2.0)
+    cut1, cut2 = _first_cutoff(log_a, limit), _first_cutoff(log_b, limit)
+    bound = math.exp(log_a(cut1)) + math.exp(log_b(cut2))
+    q1, q2 = np.arange(1, cut1 + 1), np.arange(1, cut2 + 1)
+    left = np.cumprod(np.repeat(powers[0, :, None], cut1, axis=1), axis=1)
+    left *= (n1 * q1).astype(float) ** -float(a)
+    right = np.cumprod(np.repeat(powers[1, :, None], cut2, axis=1), axis=1)
+    right = np.concatenate([right.real, right.imag])  # (2 ncols, Q2), for a real product
+    values = np.zeros(ncols, dtype=np.complex128)
+    block = max(1, _ORBIT_BLOCK // cut2)
+    for start in range(0, cut1, block):
+        rows = q1[start : start + block, None]
+        inner = right @ ((n1 * rows + n2 * q2).astype(float) ** -float(b)).T
+        inner = inner[:ncols] + 1j * inner[ncols:]
+        values += (left[:, start : start + block] * inner).sum(axis=1)
+    return values, bound
 
 
 def eval_li(req: EvalRequest) -> EvalResult:

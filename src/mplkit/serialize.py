@@ -93,23 +93,57 @@ def _fraction_dict(q: Fraction) -> dict:
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
+_FAULTS = (ValueError, LookupError, TypeError, AttributeError, OverflowError)
+
+
+class _Fault(ValueError):
+    """A fault of a document: the exception raised on it and the path of the
+    field that holds it, outermost segment first."""
+
+    def __init__(self, cause: Exception, path: list[str]) -> None:
+        super().__init__(cause, path)
+        self.cause, self.path = cause, path
+
+
+def _at(segment: str, parse, value):
+    """parse(value), a fault of it located at `segment` of the enclosing field."""
+    try:
+        return parse(value)
+    except _Fault as fault:
+        raise _Fault(fault.cause, [segment, *fault.path]) from None
+    except _FAULTS as exc:
+        raise _Fault(exc, [segment]) from None
+
+
+def _each(name: str, parse, items) -> list:
+    """parse of every item of a list field, a fault located at name[i]."""
+    return [_at(f"{name}[{i}]", parse, item) for i, item in enumerate(items)]
+
+
 def _ratio(num, den) -> Fraction:
-    if int(den) == 0:
+    if den == 0:
         raise ValueError("zero denominator")
-    return Fraction(int(num), int(den))
+    return Fraction(num, den)
 
 
 def _fraction_from(d: Mapping) -> Fraction:
     if not isinstance(d, Mapping):
         raise ValueError(f"expected a rational {{num, den}}, got {d!r}")
-    return _ratio(d["num"], d["den"])
+    return _ratio(_at("num", int, d["num"]), _at("den", int, d["den"]))
+
+
+def _message(exc: Exception, kind: str) -> str:
+    if isinstance(exc, ValueError):  # the loaders' own checks
+        return str(exc)
+    return f"malformed {kind} document: {exc}"
 
 
 @contextlib.contextmanager
 def _document(d, kind: str):
     """Check a parsed document's kind and schema version, then turn any fault
-    of it into a ValueError; the loaders' own checks raise ValueError already.
-    Every *_from_dict loader reads its document inside this guard."""
+    of it into a ValueError, which names the path of the faulty field, as in
+    `rhs[1].coeff.den`, when the fault is below the top level.  Every
+    *_from_dict loader reads its document inside this guard."""
     if not isinstance(d, Mapping):
         raise ValueError(f"expected a JSON object, got {type(d).__name__}")
     if d.get("kind") != kind:
@@ -121,8 +155,11 @@ def _document(d, kind: str):
         )
     try:
         yield
+    except _Fault as fault:
+        path = ".".join(fault.path).replace(".[", "[")
+        raise ValueError(f"{_message(fault.cause, kind)} at {path}") from None
     except (LookupError, TypeError, AttributeError, OverflowError) as exc:
-        raise ValueError(f"malformed {kind} document: {exc}") from None
+        raise ValueError(_message(exc, kind)) from None
 
 
 def _monomial_dict(m: ArgMonomial) -> dict:
@@ -133,10 +170,10 @@ def _monomial_dict(m: ArgMonomial) -> dict:
     }
 
 
-def _monomial_from(cls: type[ArgMonomial], d: Mapping) -> ArgMonomial:
+def _monomial_from(d: Mapping, cls: type[ArgMonomial] = ArgMonomial) -> ArgMonomial:
     return cls(
-        _ratio(d["zeta_pow"], d["zeta_order"]),
-        tuple((v, _fraction_from(e)) for v, e in d["exponents"].items()),
+        _ratio(_at("zeta_pow", int, d["zeta_pow"]), _at("zeta_order", int, d["zeta_order"])),
+        tuple((v, _at(f"exponents.{v}", _fraction_from, e)) for v, e in d["exponents"].items()),
     )
 
 
@@ -153,16 +190,17 @@ def _term_dict(t: Term) -> dict:
     }
 
 
+def _factor_from(d: Mapping) -> MPLFactor:
+    return MPLFactor(
+        Composition(tuple(_each("indices", int, d["indices"]))),
+        tuple(_each("args", _monomial_from, d["args"])),
+    )
+
+
 def _term_from(d: Mapping) -> Term:
     return Term(
-        _fraction_from(d["coeff"]),
-        tuple(
-            MPLFactor(
-                Composition(tuple(int(i) for i in f["indices"])),
-                tuple(_monomial_from(ArgMonomial, a) for a in f["args"]),
-            )
-            for f in d["factors"]
-        ),
+        _at("coeff", _fraction_from, d["coeff"]),
+        tuple(_each("factors", _factor_from, d["factors"])),
     )
 
 
@@ -186,9 +224,9 @@ def identity_from_dict(d: Mapping) -> Identity:
     """Build an identity from its dict; any fault in it raises a ValueError."""
     with _document(d, "identity"):
         return Identity(
-            Expr.from_terms(_term_from(t) for t in d["lhs"]),
-            Expr.from_terms(_term_from(t) for t in d["rhs"]),
-            weight=int(d["weight"]),
+            Expr.from_terms(_each("lhs", _term_from, d["lhs"])),
+            Expr.from_terms(_each("rhs", _term_from, d["rhs"])),
+            weight=_at("weight", int, d["weight"]),
             variables=frozenset(d["variables"]),
             provenance=str(d.get("provenance", "")),
         )
@@ -223,19 +261,22 @@ def generator_combination_to_dict(c: GeneratorCombination) -> dict:
     }
 
 
+def _group_element_from(d: Mapping) -> GroupElement:
+    return _monomial_from(d, GroupElement)
+
+
+def _generator_term_from(d: Mapping) -> tuple[GeneratorTerm, Fraction]:
+    args = _each("args", _group_element_from, d["args"])
+    return (
+        GeneratorTerm(_at("weight", int, d["weight"]), tuple(args)),
+        _at("coeff", _fraction_from, d["coeff"]),
+    )
+
+
 def generator_combination_from_dict(d: Mapping) -> GeneratorCombination:
     """Build a generator combination from its dict; any fault in it raises a ValueError."""
     with _document(d, "generator_combination"):
-        return GeneratorCombination.from_terms(
-            (
-                GeneratorTerm(
-                    int(t["weight"]),
-                    tuple(_monomial_from(GroupElement, a) for a in t["args"]),
-                ),
-                _fraction_from(t["coeff"]),
-            )
-            for t in d["terms"]
-        )
+        return GeneratorCombination.from_terms(_each("terms", _generator_term_from, d["terms"]))
 
 
 def generator_combination_dumps(c: GeneratorCombination) -> str:
@@ -263,19 +304,18 @@ def tensor_element_to_dict(te: TensorElement) -> dict:
     }
 
 
+def _symbol_from(d: Mapping) -> PolylogSymbol:
+    return PolylogSymbol(_at("n", int, d["n"]), _at("arg", _group_element_from, d["arg"]))
+
+
+def _tensor_term_from(d: Mapping) -> tuple[tuple[PolylogSymbol, ...], Fraction]:
+    return tuple(_each("word", _symbol_from, d["word"])), _at("coeff", _fraction_from, d["coeff"])
+
+
 def tensor_element_from_dict(d: Mapping) -> TensorElement:
     """Build a tensor element from its dict; any fault in it raises a ValueError."""
     with _document(d, "tensor_element"):
-        return TensorElement.from_terms(
-            (
-                tuple(
-                    PolylogSymbol(int(s["n"]), _monomial_from(GroupElement, s["arg"]))
-                    for s in t["word"]
-                ),
-                _fraction_from(t["coeff"]),
-            )
-            for t in d["terms"]
-        )
+        return TensorElement.from_terms(_each("terms", _tensor_term_from, d["terms"]))
 
 
 def preimage_report_to_dict(report: PreimageReport) -> dict:

@@ -18,7 +18,14 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .numeval import DEPTH_CAP, Composition, DivergentRequest, _eval_columns
+from .numeval import (
+    DEPTH_CAP,
+    Composition,
+    DivergentRequest,
+    _check_moduli,
+    _eval_columns,
+    _orbit_series,
+)
 
 __all__ = [
     "ArgMonomial",
@@ -27,6 +34,7 @@ __all__ = [
     "Expr",
     "Identity",
     "MPLFactor",
+    "Orbit",
     "Term",
     "UnboundVariable",
     "ZeroBase",
@@ -37,6 +45,7 @@ __all__ = [
     "normalize",
     "rename_variables",
     "root_expand",
+    "root_orbits",
     "stuffle_product",
 ]
 
@@ -397,6 +406,81 @@ def rename_variables(e: Expr, mapping: Mapping[str, str]) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# root-of-unity orbits
+
+
+@dataclass(frozen=True)
+class Orbit:
+    """coeff * sum of Li_indices over a full root-of-unity orbit: its terms'
+    suffix values a_k ... a_d run over zeta_k * w_k, zeta_k in mu_{N_k} and
+    N_k = orders[k], one term for every tuple of roots.  `powers` holds
+    W_k = w_k^{N_k}, the same monomial for every member."""
+
+    coeff: Fraction
+    indices: Composition
+    orders: tuple[int, ...]
+    powers: tuple[ArgMonomial, ...]
+    terms: tuple[Term, ...]
+
+
+def _coset_orders(rows: list[tuple]) -> tuple[int, ...] | None:
+    """The orders N_k when the suffix phases of the argument-key rows, one
+    row of `_k` keys per term, form a full coset of mu_N1 x ... x mu_Nd; else
+    None.  Phases are integers mod the lcm of their denominators."""
+    lcm = math.lcm(*{den for row in rows for _, den, _ in row})
+    suffixes = set()
+    for row in rows:
+        s, suffix = 0, []
+        for num, den, _ in reversed(row):
+            s = (s + num * (lcm // den)) % lcm
+            suffix.append(s)
+        suffixes.add(tuple(suffix))  # s_d, ..., s_1
+    if len(suffixes) != len(rows):
+        return None
+    base = next(iter(suffixes))
+    orders = []
+    for k in range(len(base)):
+        n = len({s[k] for s in suffixes})
+        if lcm % n or any((s[k] - base[k]) % (lcm // n) for s in suffixes):
+            return None
+        orders.append(n)
+    return tuple(orders[::-1]) if math.prod(orders) == len(rows) else None
+
+
+def root_orbits(e: Expr) -> tuple[list[Orbit], list[Term]]:
+    """The full root-of-unity orbits of an expression, and its other terms.
+
+    Single-factor terms of depth 1 or 2 are grouped by coefficient,
+    composition and argument exponents; a group of two or more whose suffix
+    phases form a full product coset is an orbit.  Every other term is left
+    over, in expression order: partial groups, groups of one, product terms
+    and depth 3 or more.
+    """
+    groups: dict[tuple, list[Term]] = {}
+    for t in e.terms:
+        if len(t.factors) == 1:
+            _, depth, parts, args = t.factors[0]._k
+            if depth <= 2:
+                key = (t.coeff.numerator, t.coeff.denominator, parts, *[a[2] for a in args])
+                groups.setdefault(key, []).append(t)
+    orbits, taken = [], set()
+    for members in groups.values():
+        if len(members) < 2:
+            continue
+        orders = _coset_orders([t.factors[0]._k[3] for t in members])
+        if orders is None:
+            continue
+        suffixes = list(members[0].factors[0].args)  # becomes w_k = a_k ... a_d
+        for k in range(len(suffixes) - 2, -1, -1):
+            suffixes[k] = suffixes[k] * suffixes[k + 1]
+        powers = tuple(w.power(n) for w, n in zip(suffixes, orders))
+        first = members[0]
+        orbits.append(Orbit(first.coeff, first.factors[0].indices, orders, powers, tuple(members)))
+        taken.update(map(id, members))
+    return orbits, [t for t in e.terms if id(t) not in taken]
+
+
+# ---------------------------------------------------------------------------
 # numeric instantiation
 
 
@@ -405,29 +489,81 @@ def eval_expr_batch(
     assignments: Sequence[Mapping[str, complex]],
     target_error: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate an expression at several points; returns (values, l1 masses).
+    """Evaluate an expression at several points; returns (values, masses).
 
-    The absolute truncation budget is split evenly: each factor evaluation
-    targets target_error / (number of factor evaluations * max |coeff|).
-    Every distinct monomial is valued at every point by one helper call.
-    The distinct factors are grouped by composition, and each group, all
-    its factors at all points, is one call of the evaluation entry that
+    The full root-of-unity orbits of `root_orbits` come first, each summed
+    as one series, so their roots of unity cancel before anything is
+    rounded: a depth-1 orbit is the one term c N^(1-n) Li_n(W) of the
+    distribution relation, a depth-2 orbit c N1 N2 times numeval's filtered
+    double sum over (W1, W2).  The suffix-product check applies to every
+    orbit at every point, at |w_k| = |W_k|^(1/N_k).
+
+    The absolute truncation budget is split evenly over the depth-2 orbits
+    and the factor evaluations of the other terms, the depth-1 orbits among
+    them; each factor evaluation targets its share / max |coeff| of those
+    terms.  Every distinct monomial is valued at every point by one helper
+    call.  The distinct factors are grouped by composition, and each group,
+    all its factors at all points, is one call of the evaluation entry that
     eval_li also uses: the same caps, suffix-product check, Li_1 closed
     form and cutoff rule, with each column stopping at its own cutoff.  A
     divergent column is reported with its term, factor and point.  The
     terms are then assembled at once: each term's factor rows (padded with
     a row of ones) multiplied, and the products summed with the coefficients.
+
+    The mass at a point, the scale of the rounding in the value, is the sum
+    of |coefficient x orbit value| over the orbits and of |coefficient| times
+    the product of the factors' moduli over the other terms.
     """
     npts = len(assignments)
-    n_evals = sum(len(t.factors) for t in e.terms)
+    orbits, leftover = root_orbits(e)
+    pairs = [o for o in orbits if o.indices.depth == 2]
+    terms = leftover + [  # the distribution relation
+        Term(o.coeff / o.orders[0] ** (o.indices.weight - 1), (MPLFactor(o.indices, o.powers),))
+        for o in orbits
+        if o.indices.depth == 1
+    ]
+    n_evals = sum(len(t.factors) for t in terms) + len(pairs)
+    values, masses = np.zeros(npts, dtype=np.complex128), np.zeros(npts)
     if n_evals == 0:
-        return np.zeros(npts, dtype=np.complex128), np.zeros(npts)
+        return values, masses
+    monomials: dict[ArgMonomial, int] = {}  # monomial -> row of its values
+    for m in [m for t in terms for f in t.factors for m in f.args] + [
+        m for o in pairs for m in o.powers
+    ]:
+        monomials.setdefault(m, len(monomials))
+    monomial_values = _monomial_values(list(monomials), assignments)
+
+    def located(exc: DivergentRequest, factor: MPLFactor, term: Term) -> DivergentRequest:
+        return DivergentRequest(f"term {term}: {factor}: {exc} at point {exc.column % npts}")
+
+    for o in orbits:  # |w_k| = |W_k|^(1/N_k)
+        moduli = np.abs(monomial_values[[monomials[m] for m in o.powers]])
+        try:
+            _check_moduli(moduli ** (1.0 / np.array(o.orders))[:, None])
+        except DivergentRequest as exc:
+            raise located(exc, o.terms[0].factors[0], o.terms[0]) from None
+    share = float(target_error) / n_evals
+    for o in pairs:
+        scale = _exact_float(o.coeff * math.prod(o.orders), "coefficient of term {}", o.terms[0])
+        target = share / abs(scale)
+        if not target > 0.0:
+            raise BudgetUnderflow(
+                f"error target {float(target_error):.3g} leaves a target of "
+                f"{target:.3g} for the orbit of {o.terms[0]}"
+            )
+        powers = monomial_values[[monomials[m] for m in o.powers]]
+        series, _ = _orbit_series(o.indices.parts, o.orders, powers, target)
+        values += scale * series
+        masses += np.abs(scale * series)
+    if not terms:
+        return values, masses
+
     try:
-        coeffs = np.array([float(t.coeff) for t in e.terms])[:, None]
+        coeffs = np.array([float(t.coeff) for t in terms])[:, None]
     except OverflowError:  # name the term; no call per term when all convert
-        coeffs = np.array([_exact_float(t.coeff, "coefficient of term {}", t) for t in e.terms])
+        coeffs = np.array([_exact_float(t.coeff, "coefficient of term {}", t) for t in terms])
     max_coeff = float(np.abs(coeffs).max())
-    per_factor = float(target_error) / (n_evals * max(max_coeff, 1e-300))
+    per_factor = share / max(max_coeff, 1e-300)
     if not per_factor > 0.0:
         raise BudgetUnderflow(
             f"error target {float(target_error):.3g} leaves a per-factor target of "
@@ -435,17 +571,13 @@ def eval_expr_batch(
         )
 
     groups: dict[Composition, dict[MPLFactor, None]] = {}
-    for term in e.terms:
+    for term in terms:
         for factor in term.factors:
             groups.setdefault(factor.indices, {})[factor] = None
-    monomials: dict[ArgMonomial, int] = {}  # monomial -> row of its values
     slots = {  # (depth, factors) matrix of monomial rows per group
-        indices: np.array(
-            [[monomials.setdefault(m, len(monomials)) for m in f.args] for f in factors]
-        ).T
+        indices: np.array([[monomials[m] for m in f.args] for f in factors]).T
         for indices, factors in groups.items()
     }
-    monomial_values = _monomial_values(list(monomials), assignments)
     rows, row = [], {}  # factor values, a block per group; factor -> its row in them
     for indices, factors in groups.items():
         try:  # one (depth, n_factors * npts) argument matrix, factor-major, not kept
@@ -454,22 +586,22 @@ def eval_expr_batch(
             )
         except DivergentRequest as exc:
             factor = list(factors)[exc.column // npts]
-            term = next(t for t in e.terms if factor in t.factors)
-            raise DivergentRequest(
-                f"term {term}: {factor}: {exc} at point {exc.column % npts}"
-            ) from None
+            raise located(exc, factor, next(t for t in terms if factor in t.factors)) from None
         row.update(zip(factors, range(len(row), len(row) + len(factors))))
         rows.append(flat.reshape(len(factors), npts))
     rows.append(np.ones((1, npts), dtype=np.complex128))
 
-    values = np.concatenate(rows)
-    width = max(len(t.factors) for t in e.terms)
-    index = np.full((len(e.terms), width), len(row))  # padded with the row of ones
-    for i, term in enumerate(e.terms):
+    factor_values = np.concatenate(rows)
+    width = max(len(t.factors) for t in terms)
+    index = np.full((len(terms), width), len(row))  # padded with the row of ones
+    for i, term in enumerate(terms):
         index[i, : len(term.factors)] = [row[f] for f in term.factors]
-    products = values[index].prod(axis=1)
-    masses = np.abs(values)[index].prod(axis=1)
-    return (coeffs * products).sum(axis=0), (np.abs(coeffs) * masses).sum(axis=0)
+    products = factor_values[index].prod(axis=1)
+    factor_masses = np.abs(factor_values)[index].prod(axis=1)
+    return (
+        values + (coeffs * products).sum(axis=0),
+        masses + (np.abs(coeffs) * factor_masses).sum(axis=0),
+    )
 
 
 def eval_expr(
@@ -477,7 +609,7 @@ def eval_expr(
     assignment: Mapping[str, complex],
     target_error: float,
 ) -> tuple[complex, float]:
-    """Value and L1 mass of an expression at one point."""
+    """Value and mass of an expression at one point, as eval_expr_batch."""
     values, masses = eval_expr_batch(e, [assignment], target_error)
     return complex(values[0]), float(masses[0])
 

@@ -142,3 +142,48 @@ def triple_root_sum_reference(n, alpha, beta):
                 terms.append(Term(c_zy, (li_factor([n - 1, 1], [z_over_y, y_root]),)))
                 terms.append(Term(c_zx, (li_factor([n - 1, 1], [z_over_x, x_root]),)))
     return Expr.from_terms(terms)
+
+
+def monomial_mp(m, assignment):
+    """An ArgMonomial's principal-branch value in mpmath at the working
+    precision: exp(2 pi i phase + sum_v e_v log v)."""
+    import mpmath
+
+    z = 2j * mpmath.pi * mpmath.mpf(m.phase.numerator) / m.phase.denominator
+    for v, e in m.exponents:
+        z += mpmath.mpf(e.numerator) / e.denominator * mpmath.log(mpmath.mpc(assignment[v]))
+    return mpmath.exp(z)
+
+
+def expr_mp(e, assignment, cutoff, dps=30):
+    """Sum of an expression's single-factor terms of depth 1 or 2, term by
+    term in mpmath at dps digits: each series truncated at outermost index
+    `cutoff`, the inner sum carried along the outer loop."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        total = mpmath.mpc(0)
+        for t in e.terms:
+            (f,) = t.factors
+            args = [monomial_mp(a, assignment) for a in f.args]
+            parts = f.indices.parts
+            value, inner = mpmath.mpc(0), mpmath.mpc(0)
+            for m in range(1, cutoff + 1):
+                if len(parts) == 1:
+                    value += args[0] ** m / mpmath.mpf(m) ** parts[0]
+                else:  # inner = sum_{m1 < m} a1^m1 / m1^p1
+                    value += inner * args[1] ** m / mpmath.mpf(m) ** parts[1]
+                    inner += args[0] ** m / mpmath.mpf(m) ** parts[0]
+            total += mpmath.mpf(t.coeff.numerator) / t.coeff.denominator * value
+        return complex(total)
+
+
+def orbit_series_direct(parts, orders, w1, w2, cutoff):
+    """sum over 1 <= q1, q2 <= cutoff of W1^q1 W2^q2 / ((N1 q1)^a (N1 q1 + N2 q2)^b),
+    as a literal double loop."""
+    (a, b), (n1, n2) = parts, orders
+    total = 0j
+    for q1 in range(1, cutoff + 1):
+        for q2 in range(1, cutoff + 1):
+            total += w1**q1 * w2**q2 / ((n1 * q1) ** a * (n1 * q1 + n2 * q2) ** b)
+    return total

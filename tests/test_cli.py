@@ -101,9 +101,19 @@ def test_reduce_near_trivial(capsys):
 
 
 def test_reduce_rejects_large_weight(capsys):
-    code, _, err = run(capsys, "reduce", "--k", "5", "--l", "4")
+    code, _, err = run(capsys, "reduce", "--k", "7", "--l", "6")
     assert code == 2
-    assert "k + l <= 8" in err
+    assert err == "error: need k, l >= 1 and k + l <= 12\n"
+
+
+def test_reduce_verifies_at_the_weight_cap(tmp_path, capsys):
+    out_file = tmp_path / "li66.json"
+    code, out, _ = run(
+        capsys, "reduce", "--k", "6", "--l", "6", "--verify", "--out", str(out_file)
+    )
+    assert code == 0
+    assert "result:       pass" in out
+    assert json.loads(out_file.read_text())["weight"] == 12
 
 
 def test_reduce_rejects_small_weight(capsys):

@@ -693,3 +693,26 @@ def test_stuffle_consistency_numeric():
             + rn.tail_bound
         )
         assert residual <= combined + 1e-10
+
+
+@pytest.mark.parametrize(
+    "parts, orders, moduli, target",
+    [
+        ((3, 1), (8, 3), (0.9, 0.85), 1e-9),
+        ((1, 1), (1, 2), (0.8, 0.6), 1e-6),
+        ((5, 4), (2, 7), (0.5, 0.9), 1e-12),
+    ],
+    ids=["7,1-orders-8,3", "1,1-orders-1,2", "5,4-orders-2,7"],
+)
+def test_orbit_series_within_its_certified_tail(parts, orders, moduli, target):
+    # the closed-form tail covers what the cutoffs leave out: compare with a
+    # literal double sum far past them (0.9^300 < 1e-13)
+    from _oracles import orbit_series_direct
+
+    r1, r2 = moduli
+    powers = np.array([[r1 * cmath.exp(0.4j), -r1], [r2 * cmath.exp(-1.3j), 0.5j]])
+    values, bound = numeval._orbit_series(parts, orders, powers, target)
+    assert 0.0 < bound <= target
+    for j in range(2):
+        truth = orbit_series_direct(parts, orders, powers[0, j], powers[1, j], 300)
+        assert abs(values[j] - truth) <= bound + 1e-15

@@ -211,6 +211,32 @@ def test_from_dict_faults_are_value_errors():
 
 
 @pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (("rhs", 1, "coeff", "den"), "x", r"^invalid literal for int\(\) .* at rhs\[1\]\.coeff\.den$"),
+        (("lhs", 0, "factors", 0, "indices", 1), 0, r"parts must be positive.* at lhs\[0\]\.factors\[0\]$"),
+        (("rhs", 0, "factors", 0, "args", 0, "exponents", "x"), {"num": "1"},
+         r"^malformed identity document: 'den' at rhs\[0\]\.factors\[0\]\.args\[0\]\.exponents\.x$"),
+        (("weight",), float("inf"), r"cannot convert float infinity to integer at weight$"),
+    ],
+    ids=["den-not-an-integer", "zero-index", "no-den", "infinite-weight"],
+)
+def test_identity_loads_names_the_faulty_field(field, value, message):
+    doc = mutated(_IDENTITY_DOC, ("replace", field, value))
+    with pytest.raises(ValueError, match=message):
+        identity_loads(json.dumps(doc))
+
+
+def test_tensor_and_generator_loads_name_the_faulty_field():
+    doc = mutated(_TENSOR_DOC, ("replace", ("terms", 1, "word", 0, "n"), "two"))
+    with pytest.raises(ValueError, match=r" at terms\[1\]\.word\[0\]\.n$"):
+        tensor_element_from_dict(doc)
+    doc = mutated(_COMBO_DOC, ("replace", ("terms", 0, "args", 1, "zeta_order"), 0))
+    with pytest.raises(ValueError, match=r"^zero denominator at terms\[0\]\.args\[1\]$"):
+        generator_combination_from_dict(doc)
+
+
+@pytest.mark.parametrize(
     "mutation, message",
     [
         (("replace", ("terms", 0, "args", 0, "exponents"), [1]), "'list' object"),

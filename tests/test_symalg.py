@@ -23,6 +23,7 @@ from mplkit.symalg import (
     normalize,
     rename_variables,
     root_expand,
+    root_orbits,
     stuffle_product,
 )
 
@@ -306,23 +307,33 @@ def test_eval_batch_one_kernel_call_per_composition_and_per_column_stops(monkeyp
     instantiated = []
     monkeypatch.setattr(ArgMonomial, "instantiate", lambda m, a: instantiated.append(m))
     ident = reduce_li(3, 2)
+    # each term its own coefficient: no orbit, every term on the per-term path
+    unpaired = Expr.from_terms(
+        Term(t.coeff * (1 + Fraction(i, 7**9)), t.factors) for i, t in enumerate(ident.rhs.terms)
+    )
     rng = random.Random(4)
     points = [{"x": random_point(rng), "y": random_point(rng)} for _ in range(5)]
     target = 1e-10
-    for side in (ident.lhs, ident.rhs):
+    for side in (ident.lhs, unpaired, ident.rhs):
+        orbits, leftover = root_orbits(side)
+        assert all(o.indices.depth == 2 for o in orbits)  # none contracts to a term
+        assert (side is ident.rhs) == bool(orbits)
         cutoffs.clear()
         kernels.clear()
         helper.clear()
         eval_expr_batch(side, points, target)
-        # every distinct monomial valued by one helper call, none point by point
+        # every distinct monomial of the per-term path and every orbit power
+        # valued by one helper call, none point by point
         assert len(helper) == 1 and not instantiated
-        assert set(helper[0]) == {m for t in side.terms for f in t.factors for m in f.args}
-        compositions = {f.indices for t in side.terms for f in t.factors}
+        assert set(helper[0]) == {m for t in leftover for f in t.factors for m in f.args} | {
+            m for o in orbits for m in o.powers
+        }
+        compositions = {f.indices for t in leftover for f in t.factors}
         called = [indices for indices, *_ in kernels]
         assert len(called) == len(set(called)) == len(compositions)
         assert set(called) == compositions
-        n_evals = sum(len(t.factors) for t in side.terms)
-        per_factor = target / (n_evals * max(abs(float(t.coeff)) for t in side.terms))
+        n_evals = sum(len(t.factors) for t in leftover) + len(orbits)
+        per_factor = target / (n_evals * max(abs(float(t.coeff)) for t in leftover))
         for indices, argmat, cutoff, stops in kernels:
             assert argmat.shape[1] % 5 == 0
             rho = numeval.suffix_moduli(argmat).max(axis=0)
@@ -489,6 +500,130 @@ def test_root_expand_branch_shift_invariance():
         for t in expanded.terms
     )
     assert rotated == expanded
+
+
+# ---------------------------------------------------------------------------
+# root-of-unity orbits
+
+
+def _suffixes(f):
+    """The suffix monomials a_k ... a_d of a factor's arguments."""
+    out = list(f.args)
+    for k in range(len(out) - 2, -1, -1):
+        out[k] = out[k] * out[k + 1]
+    return tuple(out)
+
+
+# every first suffix monomial is x itself, and no other one holds x
+_ORBIT_SOURCE = Expr.from_terms(
+    [
+        Term(Fraction(5, 3), (li_factor([2, 1], [ArgMonomial.make({"x": 1, "y": -1}), Y]),)),
+        Term(Fraction(-2), (li_factor([3, 2], [ArgMonomial.make({"x": 1, "y": -2}), Y.power(2)]),)),
+        Term(Fraction(7), (li_factor([3], [X]),)),
+    ]
+)
+
+
+@pytest.mark.parametrize("order", [2, 5, 6])
+def test_root_orbits_contract_root_expand(order):
+    orbits, leftover = root_orbits(root_expand(_ORBIT_SOURCE, "x", order))
+    assert leftover == []
+    got = {(o.coeff, o.indices, o.orders, o.powers) for o in orbits}
+    want = {
+        (t.coeff, f.indices, (order, 1)[: f.depth], _suffixes(f))
+        for t in _ORBIT_SOURCE.terms
+        for f in t.factors
+    }
+    assert got == want
+    assert all(len(o.terms) == order for o in orbits)
+
+
+def test_root_orbits_take_a_coset_that_is_no_subgroup():
+    # x^(1/3) y and x^(1/2): the six branches give suffix phases (j/3, j/2),
+    # the full product mu_3 x mu_2, here shifted by (1/7, 0)
+    e = li_expr([2, 1], [ArgMonomial.make({"x": -1, "y": 1}, 7, 1), ArgMonomial.make({"x": 3})])
+    orbits, leftover = root_orbits(root_expand(e, "x", 6))
+    (orbit,) = orbits
+    assert leftover == [] and orbit.orders == (3, 2)
+    assert orbit.powers == (ArgMonomial.make({"x": 1, "y": 3}, 7, 3), X)
+
+
+def test_root_orbits_refuse_a_partial_group():
+    expanded = root_expand(_ORBIT_SOURCE, "x", 5)
+    dropped = Expr(expanded.terms[1:])
+    nudged = Expr(
+        (Term(expanded.terms[0].coeff + Fraction(1, 7), expanded.terms[0].factors),)
+        + expanded.terms[1:]
+    )
+    for broken in (dropped, nudged):
+        orbits, leftover = root_orbits(broken)
+        assert len(orbits) == 2
+        assert len(leftover) == 5 - (broken is dropped)
+        assert {t.factors[0].indices for t in leftover} == {expanded.terms[0].factors[0].indices}
+
+
+def test_root_orbits_leave_products_and_depth_three():
+    product = Expr.single(1, [li_factor([1], [X]), li_factor([3], [Y])])
+    deep = li_expr([1, 1, 1], [X, Y, X])
+    for e in (root_expand(product, "x", 3), root_expand(deep, "x", 3)):
+        orbits, leftover = root_orbits(e)
+        assert orbits == [] and leftover == list(e.terms)
+
+
+def test_orbit_suffix_check_is_on_the_roots_and_names_the_point():
+    from mplkit.numeval import DivergentRequest
+
+    pair = root_expand(li_expr([2, 1], [ArgMonomial.make({"x": 1, "y": -1}), Y]), "x", 3)
+    with pytest.raises(DivergentRequest, match=r"^term .*Li_\(2,1\).*\|a_2...a_2\| = 1.2 "
+                       r"exceeds rho_max = 0.99 at point 1$"):
+        eval_expr_batch(pair, [{"x": 0.5, "y": 0.5}, {"x": 0.5, "y": 1.2}], 1e-10)
+    # W = x passes at 0.985, its square roots w do not: 0.985^(1/2) > 0.99
+    single = root_expand(li_expr([2], [X]), "x", 2)
+    assert len(root_orbits(single)[0]) == 1
+    with pytest.raises(DivergentRequest, match=r"= 0.992472 exceeds rho_max = 0.99 at point 0$"):
+        eval_expr_batch(single, [{"x": 0.985}], 1e-10)
+
+
+@pytest.mark.parametrize("kl", [(2, 2), (3, 2)])
+def test_orbit_path_agrees_with_the_per_term_path(monkeypatch, kl):
+    # below weight 6 the per-term sum still resolves the right side
+    from mplkit import symalg
+    from mplkit.reduction import reduce_li
+
+    rhs = reduce_li(*kl).rhs
+    rng = random.Random(17)
+    points = [{"x": random_point(rng, 0.7), "y": random_point(rng, 0.7)} for _ in range(8)]
+    target = 1e-10
+    orbit_values, orbit_masses = eval_expr_batch(rhs, points, target)
+    monkeypatch.setattr(symalg, "root_orbits", lambda e: ([], list(e.terms)))
+    term_values, term_masses = eval_expr_batch(rhs, points, target)
+    eps = np.finfo(float).eps
+    for a, b, mass in zip(orbit_values, term_values, term_masses):
+        assert abs(a - b) <= 2 * target + 64 * eps * mass
+    assert (orbit_masses < term_masses).all()
+
+
+@pytest.mark.parametrize(
+    "source, order",
+    [
+        (li_expr([4], [ArgMonomial.make({"x": 1, "y": 1})], Fraction(-3, 4)), 4),
+        (li_expr([2, 3], [ArgMonomial.make({"x": -1, "y": 1}, 7, 1), X.power(3)], 2), 6),
+    ],
+    ids=["depth-1", "depth-2-orders-3-2"],
+)
+def test_orbit_values_match_mpmath_term_sum(source, order):
+    from _oracles import expr_mp
+
+    e = root_expand(source, "x", order)
+    (orbit,), _ = root_orbits(e)
+    assert len(orbit.terms) == order
+    # every suffix modulus at most 0.35^(1/2) < 0.6, so 150 terms reach 30 digits
+    asg = {"x": 0.35 * cmath.exp(0.7j), "y": 0.3 * cmath.exp(-2.1j)}
+    target = 1e-13
+    value, mass = eval_expr(e, asg, target)
+    truth = expr_mp(e, asg, 150)
+    assert abs(value - truth) <= target + 64 * np.finfo(float).eps * mass
+    assert mass == pytest.approx(abs(value), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

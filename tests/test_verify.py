@@ -134,10 +134,15 @@ def test_convergence_precheck_once_per_exponent_signature(monkeypatch):
         check_convergence(bad, 0.7)
 
 
-def test_reduce44_verify_sums_at_most_half_the_group_cutoff_steps(monkeypatch):
-    # each column stops at its own cutoff instead of its group's largest
+def test_per_term_path_sums_at_most_half_the_group_cutoff_steps(monkeypatch):
+    # each column stops at its own cutoff instead of its group's largest: here
+    # on reduce_li(4,4)'s right side with each term its own coefficient, so no
+    # orbit forms and its (7,1) group of 10,640 columns takes the per-term path
+    from fractions import Fraction
+
     from mplkit import numeval
     from mplkit.reduction import reduce_li
+    from mplkit.symalg import Expr, Term, eval_expr_batch
 
     steps = {"group cutoff": 0, "own cutoff": 0}
     kernel = numeval.series_value_batch
@@ -149,8 +154,13 @@ def test_reduce44_verify_sums_at_most_half_the_group_cutoff_steps(monkeypatch):
         return kernel(indices, argmat, cutoff, stops=stops)
 
     monkeypatch.setattr(numeval, "series_value_batch", counted)
+    rhs = reduce_li(4, 4).rhs
+    unpaired = Expr.from_terms(
+        Term(t.coeff * (1 + Fraction(i, 7**9)), t.factors) for i, t in enumerate(rhs.terms)
+    )
     plan = VerificationPlan(seed=7, point_count=20, radius=0.7, tolerance=1e-9)
-    assert verify_identity(reduce_li(4, 4), plan).passed
+    eval_expr_batch(unpaired, sample_points(plan, {"x", "y"}), plan.tolerance / 1000)
+    assert steps["group cutoff"] > 10**6  # the (7,1) group ran
     assert steps["own cutoff"] <= steps["group cutoff"] / 2, steps
 
 
@@ -161,3 +171,45 @@ def test_reduce66_verifies_at_20_points():
     plan = VerificationPlan(seed=1, point_count=20, radius=0.7, tolerance=1e-9)
     report = verify_identity(reduce_li(6, 6), plan)
     assert report.passed and len(report.points) == 20
+
+
+def test_reduce66_orbit_residual_within_1e8_of_lhs():
+    # the orbit sums leave rounding far below |lhs|; by the term-by-term sum
+    # the residual at weight 12 reached 14.6 in absolute terms
+    from mplkit.reduction import reduce_li
+
+    plan = VerificationPlan(seed=1, point_count=20, radius=0.7, tolerance=1e-9)
+    report = verify_identity(reduce_li(6, 6), plan)
+    assert max(p.residual / abs(p.lhs) for p in report.points) <= 1e-8
+
+
+# every reduction up to the weight cap; at weights 11 and 12 the first, the
+# middle and the last index split, as in the pinned weight-9 to 12 digest
+POWER_CASES = [(k, n - k) for n in range(3, 11) for k in range(1, n)] + [
+    (k, n - k) for n in (11, 12) for k in (1, n // 2, n - 1)
+]
+
+
+@pytest.mark.parametrize("kl", POWER_CASES, ids=[f"{k},{l}" for k, l in POWER_CASES])
+def test_reduction_check_fails_on_a_wrong_identity(kl):
+    # at the CLI plan defaults; with term-by-term masses the check passed on
+    # every one of these mutations from weight 7 on
+    import dataclasses
+
+    from mplkit.reduction import reduce_li
+    from mplkit.symalg import Expr, root_orbits
+
+    identity = reduce_li(*kl)
+    plan = VerificationPlan()
+    assert verify_identity(identity, plan).passed
+    orbits, _ = root_orbits(identity.rhs)
+    dropped = max(orbits, key=lambda o: len(o.terms)).terms[0]  # breaks that orbit
+    wrong = {
+        "no lhs": dataclasses.replace(identity, lhs=Expr.zero()),
+        "lhs doubled": dataclasses.replace(identity, lhs=identity.lhs.scale(2)),
+        "rhs term dropped": dataclasses.replace(
+            identity, rhs=Expr(tuple(t for t in identity.rhs.terms if t is not dropped))
+        ),
+    }
+    for name, mutant in wrong.items():
+        assert not verify_identity(mutant, plan).passed, name
