@@ -39,13 +39,12 @@ Every evaluation, eval_li's single point and symalg.eval_expr_batch's
 composition groups alike, goes through one entry, `_eval_columns`.  It
 applies the depth and weight caps and the suffix-product check
 rho <= DEFAULT_RHO_MAX, takes Li_1 from its closed form -log(1 - x), and
-sums every other series below DEFAULT_MAX_CUTOFF, each column to the cutoff
-of its own largest suffix modulus: the columns are sorted by that modulus,
-largest first, and the recurrence runs on a shrinking prefix of them.  Each
-column is certified on its own, as the per-sum error analysis of Vollinga
-and Weinzierl (CPC 167 (2005) 177) allows.  eval_li and a one-column group
-give a factor the same bits; a wider group runs numpy and agrees within the
-certified bound.
+sums every other series below DEFAULT_MAX_CUTOFF to one cutoff per call:
+the cutoff of the largest suffix modulus over all its columns.  The tail
+bound grows with rho, so that cutoff certifies every column on its own,
+as the per-sum error analysis of Vollinga and Weinzierl (CPC 167 (2005)
+177) allows.  eval_li and a one-column group give a factor the same bits;
+a wider group runs numpy and agrees within the certified bound.
 
 A full root-of-unity orbit of Li_{a,b} terms, whose suffix values run over
 mu_N1 x mu_N2 times (w1, w2), is summed as one series instead: the roots
@@ -80,7 +79,6 @@ __all__ = [
     "choose_cutoff",
     "eval_generating_series",
     "eval_li",
-    "series_value",
     "series_value_batch",
     "suffix_moduli",
     "tail_bound",
@@ -326,22 +324,19 @@ def _scalar_series(parts: tuple[int, ...], col: list[complex], cutoff: int) -> c
     return c4
 
 
-def series_value_batch(
-    indices: Composition, args: np.ndarray, cutoff: int, *, stops: np.ndarray | None = None
-) -> np.ndarray:
+def series_value_batch(indices: Composition, args: np.ndarray, cutoff: int) -> np.ndarray:
     """Truncated nested sum for a (depth, npoints) argument matrix.
 
-    Returns the length-npoints vector of partial sums, running the
-    suffix-scaled prefix-sum recurrence at every point at once.  Every column
-    is summed up to the cutoff, or, given `stops`, column j up to stops[j]:
-    a non-increasing integer vector in [1, cutoff] whose first entry is the
-    cutoff, so step m runs on the prefix of columns with stops[j] >= m.  A
-    single column of depth 1-4 runs the same recurrence, in the same
-    operation order, on Python complex scalars: at one point each numpy
-    ufunc call costs its dispatch overhead and almost no arithmetic.  It
-    runs one unrolled loop per depth over the cached inverse powers
-    1/m^{n_k} (see the module docstring).  Two or more columns, and a column
-    deeper than DEPTH_CAP, run on numpy.
+    Returns the length-npoints vector of partial sums to the cutoff, running
+    the suffix-scaled prefix-sum recurrence at every point at once.  The
+    cutoff must lie in [1, DEFAULT_MAX_CUTOFF], the ceiling of every
+    evaluation, which also bounds the inverse-power tables.  A single column
+    of depth 1-4 runs the same recurrence, in the same operation order, on
+    Python complex scalars: at one point each numpy ufunc call costs its
+    dispatch overhead and almost no arithmetic.  It runs one unrolled loop
+    per depth over the cached inverse powers 1/m^{n_k} (see the module
+    docstring).  Two or more columns, and a column deeper than DEPTH_CAP,
+    run on numpy.
     """
     parts = indices.parts
     d = len(parts)
@@ -349,15 +344,8 @@ def series_value_batch(
     if a.ndim != 2 or a.shape[0] != d:
         raise ValueError(f"argument matrix must have shape ({d}, npoints)")
     npts = a.shape[1]
-    if cutoff < 1:
-        raise ValueError("cutoff must be a positive integer")
-    if stops is not None:
-        stops = np.asarray(stops)
-        if stops.shape != (npts,) or (npts and not (
-            stops[0] == cutoff and stops[-1] >= 1 and (np.diff(stops) <= 0).all()
-        )):
-            raise ValueError("stops must be a non-increasing vector in [1, cutoff] "
-                             "with one entry per column, the first equal to the cutoff")
+    if not 1 <= cutoff <= DEFAULT_MAX_CUTOFF:
+        raise ValueError(f"cutoff must be an integer in [1, {DEFAULT_MAX_CUTOFF}], got {cutoff}")
 
     if npts == 1 and d <= DEPTH_CAP:
         return np.array([_scalar_series(parts, a[:, 0].tolist(), cutoff)], dtype=np.complex128)
@@ -370,32 +358,16 @@ def series_value_batch(
     c = np.zeros((d + 1, npts), dtype=np.complex128)
     c[0] = 1.0  # C_0(0)
     scratch = np.empty(npts, dtype=np.complex128)
-    shrink = {}  # step -> the number of columns that still sum from that step on
-    if stops is not None:
-        cuts = np.flatnonzero(np.diff(stops)) + 1  # the first column of each lower stop
-        shrink = dict(zip((stops[cuts] + 1).tolist(), cuts.tolist()))
-    bv, cv, sv = b, c, scratch
     for m in range(1, cutoff + 1):
-        if m in shrink:  # the columns past their stop keep their value
-            n = shrink[m]
-            bv, cv, sv = b[:, :n], c[:, :n], scratch[:n]
         fm = float(m)
         for k in range(d, 0, -1):
             # C_k(m) = b_{k+1} C_k(m-1) + (b_k / m^{n_k}) C_{k-1}(m-1)
-            np.multiply(bv[k], 1.0 / fm ** parts[k - 1], out=sv)
-            sv *= cv[k - 1]
-            np.multiply(cv[k], bv[k + 1], out=cv[k])
-            cv[k] += sv
-        cv[0] *= bv[1]
+            np.multiply(b[k], 1.0 / fm ** parts[k - 1], out=scratch)
+            scratch *= c[k - 1]
+            np.multiply(c[k], b[k + 1], out=c[k])
+            c[k] += scratch
+        c[0] *= b[1]
     return c[d].copy()
-
-
-def series_value(
-    indices: Composition, args: Sequence[complex], cutoff: int
-) -> complex:
-    """Truncated nested sum at a single point (no closed forms, no bounds)."""
-    a = np.asarray([complex(v) for v in args], dtype=np.complex128)
-    return complex(series_value_batch(indices, a[:, None], cutoff)[0])
 
 
 def _check_moduli(moduli: np.ndarray) -> float:
@@ -424,47 +396,25 @@ def _eval_columns(
     and the suffix-product check; a DivergentRequest carries the index of
     the first failing column as `column`.  Li_1 is the closed form -log(1-x)
     (principal branch, bound 0, cutoff 1), on scalars at one column.  Any
-    other composition is summed per column: one cutoff per distinct largest
-    suffix modulus, each column stopping at its own, the columns sorted by
-    that modulus, largest first, for series_value_batch's shrinking prefix.
-    The bound returned is the largest of the columns' bounds, the cutoff the
-    largest stop.
+    other composition is summed to one cutoff, that of the largest suffix
+    modulus over all columns, at every width: the tail bound grows with rho,
+    so it certifies each column on its own.
     """
     if indices.depth > DEPTH_CAP:
         raise ValueError(f"depth {indices.depth} above cap {DEPTH_CAP}")
     if indices.weight > WEIGHT_CAP:
         raise ValueError(f"weight {indices.weight} above cap {WEIGHT_CAP}")
-    ncols = argmat.shape[1]
-    if indices.parts == (1,) and ncols == 1:  # one closed form: no numpy dispatch
+    if indices.parts == (1,) and argmat.shape[1] == 1:  # one closed form: no numpy dispatch
         x = complex(argmat[0, 0])
         if abs(x) <= DEFAULT_RHO_MAX:
             return np.array([-cmath.log(1.0 - x)]), 0.0, 1
-    moduli = suffix_moduli(argmat)
-    top = _check_moduli(moduli)
+    top = _check_moduli(suffix_moduli(argmat))
     if indices.parts == (1,):
         return -np.log(1.0 - argmat[0]), 0.0, 1
-    if ncols == 1:
-        cutoff = choose_cutoff(indices, top, target_error)
-        # the bound choose_cutoff's confirming probe computed, not a new probe
-        bound = _cutoff_and_bound(indices, top, target_error, DEFAULT_MAX_CUTOFF)[1]
-        return series_value_batch(indices, argmat, cutoff), bound, cutoff
-    rho = moduli.max(axis=0)
-    del moduli  # the kernel's buffers come next
-    order = np.argsort(-rho, kind="stable")
-    argmat, rho = argmat[:, order], rho[order]
-    starts = np.flatnonzero(np.diff(rho, prepend=np.inf))  # the first column of each rho
-    cutoffs, bound = [], 0.0
-    for r in rho[starts].tolist():
-        cutoffs.append(choose_cutoff(indices, r, target_error))
-        bound = max(bound, _cutoff_and_bound(indices, r, target_error, DEFAULT_MAX_CUTOFF)[1])
-    # tail_bound grows with rho, so the stops do not increase down the
-    # columns; the running maximum only guards that against rounding
-    cutoffs = np.maximum.accumulate(cutoffs[::-1])[::-1]
-    stops = np.repeat(cutoffs, np.diff(starts, append=ncols))
-    values = series_value_batch(indices, argmat, int(cutoffs[0]), stops=stops)
-    unsorted = np.empty_like(values)
-    unsorted[order] = values
-    return unsorted, bound, int(cutoffs[0])
+    cutoff = choose_cutoff(indices, top, target_error)
+    # the bound choose_cutoff's confirming probe computed, not a new probe
+    bound = _cutoff_and_bound(indices, top, target_error, DEFAULT_MAX_CUTOFF)[1]
+    return series_value_batch(indices, argmat, cutoff), bound, cutoff
 
 
 _ORBIT_BLOCK = 1 << 16  # entries of one block of the orbit series' denominator table

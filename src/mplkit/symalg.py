@@ -43,7 +43,6 @@ __all__ = [
     "li_expr",
     "li_factor",
     "normalize",
-    "rename_variables",
     "root_expand",
     "root_orbits",
     "stuffle_product",
@@ -390,21 +389,6 @@ def normalize(e: Expr) -> Expr:
     return Expr.from_terms(e.terms)
 
 
-def rename_variables(e: Expr, mapping: Mapping[str, str]) -> Expr:
-    """Rename variables in every argument monomial (simultaneously), each distinct factor once."""
-    renamed: dict[MPLFactor, MPLFactor] = {}
-
-    def ren(f: MPLFactor) -> MPLFactor:
-        if f not in renamed:
-            renamed[f] = MPLFactor(f.indices, tuple(
-                ArgMonomial(a.phase, tuple((mapping.get(v, v), x) for v, x in a.exponents))
-                for a in f.args
-            ))
-        return renamed[f]
-
-    return Expr.from_terms(Term(t.coeff, tuple(map(ren, t.factors))) for t in e.terms)
-
-
 # ---------------------------------------------------------------------------
 # root-of-unity orbits
 
@@ -505,10 +489,11 @@ def eval_expr_batch(
     call.  The distinct factors are grouped by composition, and each group,
     all its factors at all points, is one call of the evaluation entry that
     eval_li also uses: the same caps, suffix-product check, Li_1 closed
-    form and cutoff rule, with each column stopping at its own cutoff.  A
-    divergent column is reported with its term, factor and point.  The
-    terms are then assembled at once: each term's factor rows (padded with
-    a row of ones) multiplied, and the products summed with the coefficients.
+    form and cutoff rule, one cutoff for the group at its largest suffix
+    modulus, which certifies every column in it.  A divergent column is
+    reported with its term, factor and point.  The terms are then assembled
+    at once: each term's factor rows (padded with a row of ones) multiplied,
+    and the products summed with the coefficients.
 
     The mass at a point, the scale of the rounding in the value, is the sum
     of |coefficient x orbit value| over the orbits and of |coefficient| times

@@ -28,7 +28,7 @@ from mplkit.numeval import (
     EvalRequest,
     choose_cutoff,
     eval_li,
-    series_value,
+    series_value_batch,
     suffix_moduli,
     tail_bound,
 )
@@ -291,8 +291,9 @@ def test_criterion_8_truncation_certificates():
         comp = Composition(parts)
         target = 10 ** rng.uniform(-9, -6)
         m = choose_cutoff(comp, rho, target)
-        v1 = series_value(comp, args, m)
-        v2 = series_value(comp, args, 2 * m)
+        column = [[a] for a in args]  # one (depth, 1) column
+        v1 = complex(series_value_batch(comp, column, m)[0])
+        v2 = complex(series_value_batch(comp, column, 2 * m)[0])
         bound = tail_bound(comp, rho, m)
         assert abs(v1 - v2) <= bound, (parts, args, m)
         checked += 1

@@ -18,7 +18,6 @@ from mplkit.numeval import (
     choose_cutoff,
     eval_generating_series,
     eval_li,
-    series_value,
     series_value_batch,
     suffix_moduli,
     tail_bound,
@@ -73,14 +72,16 @@ def test_prefix_sum_matches_nested_loops():
         ((1, 1, 1, 1), (0.3, 0.4, 0.5, 0.5)),
     ]
     for parts, args in cases:
-        v = series_value(Composition(parts), args, 60)
+        column = np.array(args, dtype=np.complex128)[:, None]
+        v = complex(series_value_batch(Composition(parts), column, 60)[0])
         w = li_direct(parts, args, 60)
         assert abs(v - w) < 1e-13 * max(1, abs(w))
 
 
 def test_one_column_deeper_than_the_cap_runs_on_numpy():
     parts, args = (1, 2, 1, 1, 3), (0.5, 0.6j, 1.1, 0.4, 0.7)
-    v = series_value(Composition(parts), args, 20)
+    column = np.array(args, dtype=np.complex128)[:, None]
+    v = complex(series_value_batch(Composition(parts), column, 20)[0])
     w = li_direct(parts, args, 20)
     assert abs(v - w) < 1e-13 * max(1, abs(w))
 
@@ -204,6 +205,17 @@ def test_one_column_kernel_checks_shape_and_cutoff():
             series_value_batch(comp, np.full((2, 1), 0.5), cutoff)
 
 
+def test_kernel_refuses_a_cutoff_past_the_ceiling(monkeypatch):
+    # refused before any inverse-power table grows
+    monkeypatch.setattr(numeval, "_INV_POWERS", {})
+    for ncols in (1, 2):
+        with pytest.raises(ValueError, match="cutoff"):
+            series_value_batch(
+                Composition((2, 1)), np.full((2, ncols), 0.5), numeval.DEFAULT_MAX_CUTOFF + 1
+            )
+    assert numeval._INV_POWERS == {}
+
+
 def _wide_group(rng, parts, ncols):
     """A (depth, ncols) argument matrix whose columns' largest suffix moduli
     spread over [0.05, 0.98]; an argument may exceed modulus 1."""
@@ -217,32 +229,6 @@ def _wide_group(rng, parts, ncols):
             for k in range(d)
         ])
     return np.array(cols, dtype=np.complex128).T
-
-
-def test_kernel_stops_end_each_column_at_its_own_cutoff():
-    rng = random.Random(1207)
-    for parts in [(2,), (1, 2), (2, 1, 1), (3, 1)]:
-        comp = Composition(parts)
-        a = _wide_group(rng, parts, 9)
-        stops = np.array(sorted((rng.randint(1, 25) for _ in range(9)), reverse=True))
-        got = series_value_batch(comp, a, int(stops[0]), stops=stops)
-        for j in range(9):
-            ref = li_direct(parts, a[:, j], int(stops[j]))
-            assert abs(got[j] - ref) <= 1e-13 * max(1.0, abs(ref)), (parts, j)
-        # stops all at the cutoff run exactly the recurrence without stops
-        full = np.full(9, int(stops[0]))
-        assert (series_value_batch(comp, a, int(stops[0]), stops=full)
-                == series_value_batch(comp, a, int(stops[0]))).all()
-
-
-@pytest.mark.parametrize(
-    "stops",
-    [[5, 5], [5, 3, 4], [4, 3, 1], [5, 3, 0], [[5, 3, 1]]],
-    ids=["short", "increasing", "first-below-cutoff", "zero", "two-dimensional"],
-)
-def test_kernel_rejects_bad_stops(stops):
-    with pytest.raises(ValueError, match="stops"):
-        series_value_batch(Composition((2, 1)), np.full((2, 3), 0.5), 5, stops=np.array(stops))
 
 
 def _mp_nested_sum(parts, args):
@@ -281,6 +267,7 @@ def test_wide_group_columns_agree_with_eval_li_and_mpmath():
         values, bound, cutoff = numeval._eval_columns(comp, a, target)
         assert bound <= target
         rho = suffix_moduli(a).max(axis=0)
+        assert cutoff == choose_cutoff(comp, rho.max(), target)  # one cutoff for the group
         for j in range(a.shape[1]):
             single = eval_li(EvalRequest(comp, tuple(a[:, j]), target))
             assert single.cutoff <= cutoff
@@ -555,8 +542,9 @@ def test_certified_truncation_doubling():
         target = 10 ** rng.uniform(-9, -6)
         comp = Composition(parts)
         m = choose_cutoff(comp, rho, target)
-        v1 = series_value(comp, args, m)
-        v2 = series_value(comp, args, 2 * m)
+        column = np.array(args, dtype=np.complex128)[:, None]
+        v1 = complex(series_value_batch(comp, column, m)[0])
+        v2 = complex(series_value_batch(comp, column, 2 * m)[0])
         assert abs(v1 - v2) <= tail_bound(comp, rho, m)
 
 

@@ -21,7 +21,6 @@ from mplkit.symalg import (
     li_expr,
     li_factor,
     normalize,
-    rename_variables,
     root_expand,
     root_orbits,
     stuffle_product,
@@ -280,25 +279,12 @@ def counting(monkeypatch, name):
     return calls
 
 
-def kernel_calls(monkeypatch):
-    """Record (indices, argmat, cutoff, stops) of every series_value_batch call."""
-    calls = []
-    original = numeval.series_value_batch
-
-    def wrapper(indices, argmat, cutoff, *, stops=None):
-        calls.append((indices, argmat, cutoff, stops))
-        return original(indices, argmat, cutoff, stops=stops)
-
-    monkeypatch.setattr(numeval, "series_value_batch", wrapper)
-    return calls
-
-
-def test_eval_batch_one_kernel_call_per_composition_and_per_column_stops(monkeypatch):
+def test_eval_batch_one_kernel_call_and_one_cutoff_per_composition(monkeypatch):
     from mplkit import symalg
     from mplkit.reduction import reduce_li
 
     cutoffs = counting(monkeypatch, "choose_cutoff")
-    kernels = kernel_calls(monkeypatch)
+    kernels = counting(monkeypatch, "series_value_batch")
     helper = []
     monomial_values = symalg._monomial_values
     monkeypatch.setattr(
@@ -334,18 +320,13 @@ def test_eval_batch_one_kernel_call_per_composition_and_per_column_stops(monkeyp
         assert set(called) == compositions
         n_evals = sum(len(t.factors) for t in leftover) + len(orbits)
         per_factor = target / (n_evals * max(abs(float(t.coeff)) for t in leftover))
-        for indices, argmat, cutoff, stops in kernels:
+        assert [indices for indices, *_ in cutoffs] == called  # one cutoff per composition
+        for indices, (argmat, cutoff), _ in kernels:
             assert argmat.shape[1] % 5 == 0
-            rho = numeval.suffix_moduli(argmat).max(axis=0)
-            # one cutoff per distinct largest suffix modulus of the group
-            assert [c for c, *_ in cutoffs].count(indices) == len(set(rho.tolist()))
-            assert (np.diff(rho) <= 0).all() and (np.diff(stops) <= 0).all()
-            assert stops.max() == stops[0] == cutoff
-            for r, stop in zip(rho.tolist(), stops.tolist()):
-                assert 1 <= stop <= cutoff
-                assert numeval.tail_bound(indices, r, stop) <= per_factor
-                # the column's own cutoff, not a longer one
-                assert stop == 1 or numeval.tail_bound(indices, r, stop - 1) > per_factor
+            # the cutoff of the group's largest suffix modulus, for every column
+            rho = float(numeval.suffix_moduli(argmat).max())
+            assert 1 <= cutoff and numeval.tail_bound(indices, rho, cutoff) <= per_factor
+            assert cutoff == 1 or numeval.tail_bound(indices, rho, cutoff - 1) > per_factor
 
 
 def test_eval_batch_grouped_values_match_eval_li(monkeypatch):
@@ -650,8 +631,3 @@ def test_identity_refuses_undeclared_variables():
             variables=frozenset({"x"}),
         )
 
-
-def test_rename_variables():
-    e = li_expr([2, 1], [X, Y])
-    swapped = rename_variables(e, {"x": "y", "y": "x"})
-    assert swapped == li_expr([2, 1], [Y, X])

@@ -134,36 +134,6 @@ def test_convergence_precheck_once_per_exponent_signature(monkeypatch):
         check_convergence(bad, 0.7)
 
 
-def test_per_term_path_sums_at_most_half_the_group_cutoff_steps(monkeypatch):
-    # each column stops at its own cutoff instead of its group's largest: here
-    # on reduce_li(4,4)'s right side with each term its own coefficient, so no
-    # orbit forms and its (7,1) group of 10,640 columns takes the per-term path
-    from fractions import Fraction
-
-    from mplkit import numeval
-    from mplkit.reduction import reduce_li
-    from mplkit.symalg import Expr, Term, eval_expr_batch
-
-    steps = {"group cutoff": 0, "own cutoff": 0}
-    kernel = numeval.series_value_batch
-
-    def counted(indices, argmat, cutoff, *, stops=None):
-        steps["group cutoff"] += cutoff * argmat.shape[1] * indices.depth
-        own = cutoff * argmat.shape[1] if stops is None else int(stops.sum())
-        steps["own cutoff"] += own * indices.depth
-        return kernel(indices, argmat, cutoff, stops=stops)
-
-    monkeypatch.setattr(numeval, "series_value_batch", counted)
-    rhs = reduce_li(4, 4).rhs
-    unpaired = Expr.from_terms(
-        Term(t.coeff * (1 + Fraction(i, 7**9)), t.factors) for i, t in enumerate(rhs.terms)
-    )
-    plan = VerificationPlan(seed=7, point_count=20, radius=0.7, tolerance=1e-9)
-    eval_expr_batch(unpaired, sample_points(plan, {"x", "y"}), plan.tolerance / 1000)
-    assert steps["group cutoff"] > 10**6  # the (7,1) group ran
-    assert steps["own cutoff"] <= steps["group cutoff"] / 2, steps
-
-
 def test_reduce66_verifies_at_20_points():
     # weight 12, the weight cap: a (11,1) group of 37,400 columns
     from mplkit.reduction import reduce_li
