@@ -54,6 +54,7 @@ FAILURES = {
     ConvergenceViolation: (EXIT_PRECONDITION, "convergence violation"),
     InfeasibleWeights: (EXIT_PRECONDITION, "infeasible weights"),
     ValueError: (EXIT_PRECONDITION, "error"),
+    OSError: (EXIT_PRECONDITION, "cannot write"),
     CutoffOverflow: (EXIT_CUTOFF, "cutoff overflow"),
     RootCapExceeded: (EXIT_CAP, "cap exceeded"),
 }
@@ -61,7 +62,10 @@ FAILURES = {
 
 def write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mplkit-", suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mplkit-", suffix=".tmp")
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

@@ -3,9 +3,13 @@ tensor elements and verification reports, plus LaTeX rendering.
 
 Rationals travel as decimal strings {num, den} in lowest terms so parsers
 in any language can read them without integer-width assumptions; floats are
-rendered as 17-significant-digit decimal strings.  Serialization is
-canonical (sorted keys, fixed indentation), so equal objects produce
-byte-identical files.
+rendered as 17-significant-digit decimal strings.  Every document is byte
+for byte `json.dumps(doc, indent=2, sort_keys=True)` and a newline, so equal
+objects produce byte-identical files.  The records that carry terms (an
+identity term with its factors, a generator term, a tensor word) are written
+from text templates at their known indent, each monomial once per document;
+`_write` writes the envelope around them and the verification reports.  The
+*_to_dict functions parse that text, so each schema is written in one place.
 """
 
 from __future__ import annotations
@@ -61,14 +65,14 @@ def _dumps(obj) -> str:
     return out.getvalue()
 
 
+class _Raw(str):
+    """JSON text already rendered for its place in a document; `_write` emits it verbatim."""
+
+
 def _write(obj, newline: str, emit) -> None:
     """Emit obj as JSON; newline is the line break and indent of its line."""
     if isinstance(obj, str):
-        emit(_quote(obj))
-    elif obj is None or isinstance(obj, bool):
-        emit("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, int):
-        emit(int.__repr__(obj))
+        emit(obj if type(obj) is _Raw else _quote(obj))
     elif isinstance(obj, (dict, list, tuple)) and obj:
         keyed, inner = isinstance(obj, dict), newline + "  "
         for i, item in enumerate(sorted(obj) if keyed else obj):
@@ -77,7 +81,7 @@ def _write(obj, newline: str, emit) -> None:
                 emit(_quote(item) + ": ")
             _write(obj[item] if keyed else item, inner, emit)
         emit(newline + ("}" if keyed else "]"))
-    else:  # floats, empty containers, and what json.dumps rejects
+    else:  # scalars, empty containers, and what json.dumps rejects
         emit(json.dumps(obj))
 
 
@@ -85,12 +89,44 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _envelope(kind: str, fields: dict) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
+
+
 def _complex_dict(z: complex) -> dict:
     return {"re": format_float(z.real), "im": format_float(z.imag)}
 
 
-def _fraction_dict(q: Fraction) -> dict:
-    return {"num": str(q.numerator), "den": str(q.denominator)}
+def _fraction_text(num: int, den: int, newline: str) -> str:
+    inner = newline + "  "
+    return f'{{{inner}"den": "{den}",{inner}"num": "{num}"{newline}}}'
+
+
+def _join(items: list[str], newline: str, brackets: str = "[]") -> str:
+    """A JSON list, or with brackets "{}" an object, of items already rendered
+    for the line below the one at `newline`."""
+    if not items:
+        return brackets
+    inner = newline + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
+def _monomial_writer(newline: str):
+    """m -> the text of monomial m, whose "{" ends the line at `newline`.  A
+    writer serves one document, which keeps every m alive meanwhile, so its
+    memo can key on id(m), and renders each monomial object once."""
+    n1, n2 = newline + "  ", newline + "    "
+    memo: dict[int, str] = {}
+
+    def write(m: ArgMonomial) -> str:
+        if (text := memo.get(id(m))) is None:
+            num, den, key = m._k  # the phase and the exponents, as integers
+            exps = _join([f"{_quote(v)}: {_fraction_text(n, d, n2)}" for v, n, d in key], n1, "{}")
+            zeta = f'{n1}"zeta_order": {den},{n1}"zeta_pow": {num}{newline}}}'
+            text = memo[id(m)] = f'{{{n1}"exponents": {exps},{zeta}'
+        return text
+
+    return write
 
 
 _FAULTS = (ValueError, LookupError, TypeError, AttributeError, OverflowError)
@@ -162,32 +198,11 @@ def _document(d, kind: str):
         raise ValueError(_message(exc, kind)) from None
 
 
-def _monomial_dict(m: ArgMonomial) -> dict:
-    return {
-        "zeta_order": m.zeta_order,
-        "zeta_pow": m.zeta_power,
-        "exponents": {v: _fraction_dict(e) for v, e in m.exponents},
-    }
-
-
 def _monomial_from(d: Mapping, cls: type[ArgMonomial] = ArgMonomial) -> ArgMonomial:
     return cls(
         _ratio(_at("zeta_pow", int, d["zeta_pow"]), _at("zeta_order", int, d["zeta_order"])),
         tuple((v, _at(f"exponents.{v}", _fraction_from, e)) for v, e in d["exponents"].items()),
     )
-
-
-def _term_dict(t: Term) -> dict:
-    return {
-        "coeff": _fraction_dict(t.coeff),
-        "factors": [
-            {
-                "indices": list(f.indices.parts),
-                "args": [_monomial_dict(a) for a in f.args],
-            }
-            for f in t.factors
-        ],
-    }
 
 
 def _factor_from(d: Mapping) -> MPLFactor:
@@ -209,15 +224,7 @@ def _term_from(d: Mapping) -> Term:
 
 
 def identity_to_dict(identity: Identity) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "identity",
-        "weight": identity.weight,
-        "variables": sorted(identity.variables),
-        "lhs": [_term_dict(t) for t in identity.lhs.terms],
-        "rhs": [_term_dict(t) for t in identity.rhs.terms],
-        "provenance": identity.provenance,
-    }
+    return json.loads(identity_dumps(identity))
 
 
 def identity_from_dict(d: Mapping) -> Identity:
@@ -233,7 +240,26 @@ def identity_from_dict(d: Mapping) -> Identity:
 
 
 def identity_dumps(identity: Identity) -> str:
-    return _dumps(identity_to_dict(identity))
+    # the indents of a term's keys, of a factor's "{" and keys, and of its args and indices
+    n6, n8, n10, n12 = ("\n" + " " * i for i in (6, 8, 10, 12))
+    monomial, sep = _monomial_writer(n12), "," + n12
+
+    def term(t: Term) -> str:
+        factors = [
+            f'{{{n10}"args": [{n12}{sep.join([monomial(a) for a in f.args])}{n10}],'
+            f'{n10}"indices": [{n12}{sep.join(map(str, f.indices.parts))}{n10}]{n8}}}'
+            for f in t.factors
+        ]
+        coeff = _fraction_text(*t.coeff.as_integer_ratio(), n6)
+        return f'{{{n6}"coeff": {coeff},{n6}"factors": {_join(factors, n6)}\n    }}'
+
+    return _dumps(_envelope("identity", {
+        "weight": identity.weight,
+        "variables": sorted(identity.variables),
+        "lhs": _Raw(_join([term(t) for t in identity.lhs.terms], "\n  ")),
+        "rhs": _Raw(_join([term(t) for t in identity.rhs.terms], "\n  ")),
+        "provenance": identity.provenance,
+    }))
 
 
 def identity_loads(text: str) -> Identity:
@@ -246,19 +272,7 @@ def identity_loads(text: str) -> Identity:
 
 
 def generator_combination_to_dict(c: GeneratorCombination) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "generator_combination",
-        "terms": [
-            {
-                "coeff": _fraction_dict(coeff),
-                "weight": g.weight,
-                "depth": g.depth,
-                "args": [_monomial_dict(a) for a in g.args],
-            }
-            for g, coeff in c.terms
-        ],
-    }
+    return json.loads(generator_combination_dumps(c))
 
 
 def _group_element_from(d: Mapping) -> GroupElement:
@@ -280,7 +294,15 @@ def generator_combination_from_dict(d: Mapping) -> GeneratorCombination:
 
 
 def generator_combination_dumps(c: GeneratorCombination) -> str:
-    return _dumps(generator_combination_to_dict(c))
+    n6, n8 = "\n      ", "\n        "  # a term's keys, its args
+    monomial, sep = _monomial_writer(n8), "," + n8
+    terms = [
+        f'{{{n6}"args": [{n8}{sep.join([monomial(a) for a in g.args])}{n6}],'
+        f'{n6}"coeff": {_fraction_text(*q.as_integer_ratio(), n6)},'
+        f'{n6}"depth": {g.depth},{n6}"weight": {g.weight}\n    }}'
+        for g, q in c.terms
+    ]
+    return _dumps(_envelope("generator_combination", {"terms": _Raw(_join(terms, "\n  "))}))
 
 
 def generator_combination_loads(text: str) -> GeneratorCombination:
@@ -288,20 +310,23 @@ def generator_combination_loads(text: str) -> GeneratorCombination:
     return generator_combination_from_dict(json.loads(text))
 
 
+def _tensor_element_tree(te: TensorElement, newline: str) -> dict:
+    """te's document, its terms rendered for a document that opens at `newline`:
+    a term's "{" and keys at n4 and n6, a symbol's at n8 and n10."""
+    n4, n6, n8, n10 = (newline + " " * i for i in (4, 6, 8, 10))
+    monomial = _monomial_writer(n10)
+
+    def term(word: tuple[PolylogSymbol, ...], coeff: Fraction) -> str:
+        symbols = [f'{{{n10}"arg": {monomial(s.arg)},{n10}"n": {s.n}{n8}}}' for s in word]
+        q = _fraction_text(*coeff.as_integer_ratio(), n6)
+        return f'{{{n6}"coeff": {q},{n6}"word": {_join(symbols, n6)}{n4}}}'
+
+    terms = _join([term(w, coeff) for w, coeff in te.terms], newline + "  ")
+    return _envelope("tensor_element", {"terms": _Raw(terms)})
+
+
 def tensor_element_to_dict(te: TensorElement) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "tensor_element",
-        "terms": [
-            {
-                "coeff": _fraction_dict(coeff),
-                "word": [
-                    {"n": s.n, "arg": _monomial_dict(s.arg)} for s in word
-                ],
-            }
-            for word, coeff in te.terms
-        ],
-    }
+    return json.loads(_dumps(_tensor_element_tree(te, "\n")))
 
 
 def _symbol_from(d: Mapping) -> PolylogSymbol:
@@ -319,18 +344,16 @@ def tensor_element_from_dict(d: Mapping) -> TensorElement:
 
 
 def preimage_report_to_dict(report: PreimageReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "preimage_report",
-        "matched": report.matched,
-        "target": tensor_element_to_dict(report.target),
-        "image": tensor_element_to_dict(report.image),
-        "residual": tensor_element_to_dict(report.residual),
-    }
+    return json.loads(preimage_report_dumps(report))
 
 
 def preimage_report_dumps(report: PreimageReport) -> str:
-    return _dumps(preimage_report_to_dict(report))
+    return _dumps(_envelope("preimage_report", {
+        "matched": report.matched,
+        "target": _tensor_element_tree(report.target, "\n  "),
+        "image": _tensor_element_tree(report.image, "\n  "),
+        "residual": _tensor_element_tree(report.residual, "\n  "),
+    }))
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +362,7 @@ def preimage_report_dumps(report: PreimageReport) -> str:
 
 def report_to_dict(report: VerificationReport) -> dict:
     plan = report.plan
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "verification_report",
+    return _envelope("verification_report", {
         "plan": {
             "seed": plan.seed,
             "point_count": plan.point_count,
@@ -351,9 +372,7 @@ def report_to_dict(report: VerificationReport) -> dict:
         },
         "points": [
             {
-                "assignment": {
-                    v: _complex_dict(z) for v, z in sorted(p.assignment.items())
-                },
+                "assignment": {v: _complex_dict(z) for v, z in sorted(p.assignment.items())},
                 "lhs": _complex_dict(p.lhs),
                 "rhs": _complex_dict(p.rhs),
                 "residual": format_float(p.residual),
@@ -364,7 +383,7 @@ def report_to_dict(report: VerificationReport) -> dict:
         ],
         "max_relative_residual": format_float(report.max_relative_residual),
         "pass": report.passed,
-    }
+    })
 
 
 def report_dumps(report: VerificationReport) -> str:
@@ -383,25 +402,12 @@ def _frac_latex(q: Fraction) -> str:
 
 
 def _monomial_latex(m: ArgMonomial) -> str:
-    bits = []
+    bits = [v if e == 1 else f"{v}^{{{e}}}" for v, e in m.exponents]  # e as n or n/d
     if m.phase == Fraction(1, 2):
-        bits.append("-")
-    elif m.phase != 0:
-        bits.append(rf"\zeta_{{{m.zeta_order}}}^{{{m.zeta_power}}}")
-    for v, e in m.exponents:
-        if e == 1:
-            bits.append(v)
-        elif e.denominator == 1:
-            bits.append(f"{v}^{{{e.numerator}}}")
-        else:
-            bits.append(f"{v}^{{{e.numerator}/{e.denominator}}}")
-    if not bits or bits == ["-"]:
-        bits.append("1")
-    head = bits[0]
-    rest = bits[1:]
-    if head == "-":
-        return "-" + " ".join(rest)
-    return " ".join(bits)
+        return "-" + (" ".join(bits) or "1")
+    if m.phase != 0:
+        bits.insert(0, rf"\zeta_{{{m.zeta_order}}}^{{{m.zeta_power}}}")
+    return " ".join(bits) or "1"
 
 
 def _factor_latex(f: MPLFactor) -> str:
@@ -411,25 +417,15 @@ def _factor_latex(f: MPLFactor) -> str:
 
 
 def _expr_latex(e: Expr) -> str:
-    if not e.terms:
-        return "0"
     chunks = []
     for t in e.terms:
         body = r" \cdot ".join(_factor_latex(f) for f in t.factors)
-        coeff = t.coeff
-        if not t.factors:
-            piece = _frac_latex(coeff)
-        elif coeff == 1:
-            piece = body
-        elif coeff == -1:
-            piece = "-" + body
+        if t.factors and abs(t.coeff) == 1:
+            piece = ("-" if t.coeff < 0 else "") + body
         else:
-            piece = _frac_latex(coeff) + r"\, " + body
-        chunks.append(piece)
-    out = chunks[0]
-    for piece in chunks[1:]:
-        out += piece if piece.startswith("-") else "+" + piece
-    return out
+            piece = _frac_latex(t.coeff) + (r"\, " + body if t.factors else "")
+        chunks.append(piece if not chunks or piece.startswith("-") else "+" + piece)
+    return "".join(chunks) or "0"
 
 
 def identity_to_latex(identity: Identity) -> str:

@@ -473,6 +473,39 @@ def test_surject_444(capsys):
 
 
 # ---------------------------------------------------------------------------
+# output files that cannot be written
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "--k", "2", "--l", "2", "--out", "{missing}"],
+        ["surject", "--weights", "2,2", "--out", "{missing}"],
+        ["surject", "--weights", "2,2", "--report", "{missing}"],
+        ["verify", "{fixture}", "--points", "2", "--report", "{missing}"],
+        ["reduce", "--k", "2", "--l", "1", "--out", "{directory}"],
+    ],
+    ids=["reduce-out", "surject-out", "surject-report", "verify-report", "out-is-a-directory"],
+)
+def test_unwritable_output_exit_2(tmp_path, capsys, argv):
+    from mplkit.reduction import weight4_fixture_identity
+    from mplkit.serialize import identity_dumps
+
+    fixture, directory = tmp_path / "fixture.json", tmp_path / "dir"
+    fixture.write_text(identity_dumps(weight4_fixture_identity()))
+    directory.mkdir()
+    missing = tmp_path / "missing" / "out.json"
+    paths = dict(missing=missing, fixture=fixture, directory=directory)
+    code, _, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert err.startswith("cannot write: [Errno ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    if "{missing}" in argv:
+        assert str(missing) in err and ".mplkit-" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "fixture.json"]
+
+
+# ---------------------------------------------------------------------------
 # environment defaults
 
 

@@ -3,7 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mplkit.coalgebra import (
     GeneratorCombination,
@@ -18,6 +18,7 @@ from mplkit.coalgebra import (
 from mplkit.reduction import reduce_li, weight4_fixture_identity
 from mplkit.serialize import (
     _dumps,
+    _tensor_element_tree,
     generator_combination_dumps,
     generator_combination_from_dict,
     generator_combination_loads,
@@ -32,6 +33,7 @@ from mplkit.serialize import (
     tensor_element_from_dict,
     tensor_element_to_dict,
 )
+from mplkit.symalg import ArgMonomial, Expr, Identity, Term, li_factor
 from mplkit.verify import VerificationPlan, verify_identity
 
 from _mutations import mutated, mutations
@@ -88,27 +90,30 @@ def test_tensor_element_round_trip():
 _rationals = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 4, 8]))
 
 
+_GENERATORS = ("a1", "a2", "b")
+
+
 @st.composite
-def _group_elements(draw):
+def _group_elements(draw, names=_GENERATORS):
     phase = Fraction(draw(st.integers(0, 11)), draw(st.sampled_from([1, 2, 3, 4, 8])))
-    exps = draw(st.dictionaries(st.sampled_from(["a1", "a2", "b"]), _rationals, max_size=3))
+    exps = draw(st.dictionaries(st.sampled_from(names), _rationals, max_size=3))
     return GroupElement(phase, tuple(exps.items()))
 
 
 @st.composite
-def _generator_combinations(draw):
+def _generator_combinations(draw, names=_GENERATORS, coeffs=_rationals):
     depth = draw(st.integers(1, 3))
     weight = draw(st.integers(depth, 10))
-    args = st.tuples(*[_group_elements()] * depth)
-    terms = draw(st.lists(st.tuples(args, _rationals), max_size=6))
+    args = st.tuples(*[_group_elements(names)] * depth)
+    terms = draw(st.lists(st.tuples(args, coeffs), max_size=6))
     return GeneratorCombination.from_terms((GeneratorTerm(weight, a), c) for a, c in terms)
 
 
 @st.composite
-def _tensor_elements(draw):
+def _tensor_elements(draw, names=_GENERATORS, coeffs=_rationals):
     weights = draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))
-    args = st.tuples(*[_group_elements()] * len(weights))
-    terms = draw(st.lists(st.tuples(st.permutations(weights), args, _rationals), max_size=6))
+    args = st.tuples(*[_group_elements(names)] * len(weights))
+    terms = draw(st.lists(st.tuples(st.permutations(weights), args, coeffs), max_size=6))
     return TensorElement.from_terms(
         (tuple(PolylogSymbol(n, a) for n, a in zip(ns, xs)), c) for ns, xs, c in terms
     )
@@ -289,6 +294,109 @@ _JSON_TREES = st.recursive(
 @given(_JSON_TREES)
 def test_dumps_is_json_dumps_indent2_sorted(tree):
     assert _dumps(tree) == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
+# Canonical text of the term-carrying documents.  Names need JSON escapes or
+# are non-ASCII, coefficients reach 30-45 digit numerators, monomials may carry
+# no exponents, terms may be products, and sides or combinations may be empty.
+_NAMES = ["x", "y", 'q"uote', "back\\slash", "tab\t", "été", "λ", " ", "\U0001f600"]
+_BIG = st.integers(10**29, 10**45)
+_COEFFS = st.builds(
+    Fraction, st.integers(-9, 9) | _BIG | _BIG.map(lambda n: -n), st.integers(1, 8) | _BIG
+)
+
+
+def _canonical(text: str) -> bool:
+    return text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def _split(draw, total: int, most: int) -> list[int]:
+    """A random composition of total into at most `most` positive parts."""
+    cuts = sorted(draw(st.sets(st.integers(1, total - 1), max_size=most - 1)) if total > 1 else [])
+    return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+
+
+@st.composite
+def _identities(draw):
+    weight = draw(st.integers(1, 6))
+    names = draw(st.lists(st.sampled_from(_NAMES), min_size=1, unique=True))
+    monomials = _group_elements(names).map(lambda g: ArgMonomial(g.phase, g.exponents))
+
+    def term():
+        factors = []
+        for w in _split(draw, weight, 3):  # a product of up to three factors
+            parts = _split(draw, w, 3)
+            factors.append(li_factor(parts, [draw(monomials) for _ in parts]))
+        return Term(draw(_COEFFS), tuple(factors))
+
+    lhs, rhs = (Expr.from_terms([term() for _ in range(draw(st.integers(0, 4)))]) for _ in "lr")
+    provenance = draw(st.sampled_from(["", "by hand", 'a "quoted" é \\ note']))
+    return Identity(lhs, rhs, weight, frozenset(names), provenance)
+
+
+_CORNER_IDENTITY = Identity(  # a product term, a monomial with no exponents, an empty side
+    Expr.from_terms([
+        Term(Fraction(-(10**31) - 7, 3), (
+            li_factor([1], [ArgMonomial(Fraction(1, 3))]),
+            li_factor([2, 1], [ArgMonomial.variable('q"uote'), ArgMonomial.make({"λ": -2})]),
+        )),
+    ]),
+    Expr.zero(),
+    4,
+    frozenset({'q"uote', "λ"}),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_identities())
+@example(_CORNER_IDENTITY)
+def test_identity_text_is_canonical_and_round_trips(ident):
+    text = identity_dumps(ident)
+    assert _canonical(text)
+    assert identity_loads(text) == ident
+    assert identity_to_dict(ident) == json.loads(text)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_generator_combinations(_NAMES, _COEFFS))
+@example(GeneratorCombination())
+@example(GeneratorCombination.from_terms(  # an argument with no exponents
+    [(GeneratorTerm(3, (GroupElement(Fraction(1, 8)),)), Fraction(10**35, 7))]
+))
+def test_generator_combination_text_is_canonical_and_round_trips(combo):
+    text = generator_combination_dumps(combo)
+    assert _canonical(text)
+    assert generator_combination_loads(text) == combo
+    assert generator_combination_to_dict(combo) == json.loads(text)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_tensor_elements(_NAMES, _COEFFS))
+@example(TensorElement())
+@example(TensorElement.from_terms(
+    [((PolylogSymbol(2, GroupElement(Fraction(1, 2))),), Fraction(-(10**33)))]
+))
+def test_tensor_element_text_is_canonical_and_round_trips(te):
+    text = _dumps(_tensor_element_tree(te, "\n"))
+    assert _canonical(text)
+    assert tensor_element_from_dict(json.loads(text)) == te
+    assert tensor_element_to_dict(te) == json.loads(text)
+
+
+def test_alternating_dumps_share_no_state():
+    # fresh objects each call, so a memo kept across calls would meet reused ids
+    texts = {(2, 2): set(), (3, 1): set()}
+    for _ in range(3):
+        for k, l in texts:
+            ident = reduce_li(k, l)
+            text = identity_dumps(ident)
+            assert identity_loads(text) == ident
+            texts[k, l].add(text)
+            gens = (GroupElement.generator("a1"), GroupElement.generator("b"))
+            combo = construct_preimage((k, l + 1), gens)
+            assert generator_combination_loads(generator_combination_dumps(combo)) == combo
+    assert all(len(v) == 1 for v in texts.values())
+    assert texts[2, 2] != texts[3, 1]
 
 
 def test_preimage_report_dict():
