@@ -60,26 +60,33 @@ FAILURES = {
 }
 
 
-def write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
+def write_atomic(*files: tuple[str, str]) -> None:
+    """Write each (path, text) to a temporary sibling, and rename them into
+    place only once all are written, so a failed write leaves none behind."""
+    temps = []
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mplkit-", suffix=".tmp")
-    except OSError as exc:  # name the file asked for, not the temporary one
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        for path, text in files:
+            directory = os.path.dirname(os.path.abspath(path))
+            try:
+                fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mplkit-", suffix=".tmp")
+            except OSError as exc:  # name the file asked for, not the temporary one
+                raise OSError(exc.errno, exc.strerror, path) from None
+            temps.append(tmp)
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+        for (path, _), tmp in zip(files, temps):
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        write_atomic(out, text)
-    else:
+def _emit(text: str, out: str | None, *files: tuple[str, str]) -> None:
+    """Write `files` and `text` to `out`, or `text` to stdout once `files` are written."""
+    write_atomic(*files, *([(out, text)] if out else []))
+    if not out:
         sys.stdout.write(text)
 
 
@@ -148,7 +155,7 @@ def cmd_verify(args) -> int:
         return EXIT_PRECONDITION
     report = verify_identity(identity, plan)
     if args.report:
-        write_atomic(args.report, report_dumps(report))
+        write_atomic((args.report, report_dumps(report)))
     _print_report_table(report)
     _print_report_summary(report)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
@@ -163,9 +170,9 @@ def cmd_surject(args) -> int:
     )
     combo = construct_preimage(weights, gens)
     report = verify_preimage(combo, weights, gens)
-    _emit(generator_combination_dumps(combo), args.out)
-    if args.report:
-        write_atomic(args.report, preimage_report_dumps(report))
+    # both texts are rendered before either file is written, so neither is left on a failure
+    report_file = [(args.report, preimage_report_dumps(report))] if args.report else []
+    _emit(generator_combination_dumps(combo), args.out, *report_file)
     print(f"terms:   {len(combo.terms)}")
     print(f"matched: {report.matched}")
     if not report.matched:

@@ -226,57 +226,45 @@ def compositions_min2(total: int, parts: int) -> list[tuple[int, ...]]:
     return out
 
 
-def cobracket_image(
-    g: GeneratorTerm | GeneratorCombination,
-) -> TensorElement:
+def _generator_pairs(g: GeneratorTerm | GeneratorCombination) -> tuple:
+    """Merged (generator, coeff) pairs, also of a hand-built combination."""
+    if isinstance(g, Combination):
+        return Combination.from_terms(g.terms).terms
+    return ((g, Fraction(1)),)
+
+
+def _image(pairs: Sequence[tuple[GeneratorTerm, object]], ids: "_Ids") -> dict:
+    """The image of merged (generator, c) pairs as {id word: c}, building no
+    symbol.  No two words coincide: distinct generators differ in some
+    argument, one generator's words in a slot weight.  Arguments take ids
+    in key order, so with a fresh `ids` id words order like word keys."""
+    if not pairs:
+        return {}
+    weight, depth = pairs[0][0].weight, pairs[0][0].depth  # homogeneous
+    rows = {}  # argument key -> n -> symbol id, one int object per symbol
+    for k, a in sorted({a._k: a for g, _ in pairs for a in g.args}.items()):
+        i = ids.arg(k, a)
+        rows[k] = {n: n * _ARGS + i for n in range(2, weight - 2 * (depth - 1) + 1)}
+    comps, words = compositions_min2(weight, depth), {}
+    for g, c in pairs:
+        by_n = [rows[a._k] for a in g.args]
+        for comp in comps:
+            words[tuple(map(dict.__getitem__, by_n, comp))] = c
+    return words
+
+
+def cobracket_image(g: GeneratorTerm | GeneratorCombination) -> TensorElement:
     """Iterated-image tensor sum of a generator (or combination, linearly).
 
     For a single depth-d generator of weight n the image is the sum over
     compositions n_1 + ... + n_d = n with all n_i >= 2 of the word
-    Li_{n_1}(a_1) x ... x Li_{n_d}(a_d); empty when n < 2d.
-
-    The words need no merge: once the generators are merged (a cheap step
-    that also covers a hand-built combination repeating one), distinct
-    generators of one weight and depth differ in some argument, and so in
-    every word they give, while one generator's words differ in their slot
-    weights.  Each word is emitted once and sorted on an integer key that
-    orders like its symbol key: the digits n_1, rank_1, ..., n_d, rank_d of
-    one mixed-radix number, rank_j being the place of the slot-j argument
-    among the sorted distinct slot-j arguments.  The n digits come from the
-    composition and the rank digits from the generator, so a word's key is
-    the sum of one integer of each.
+    Li_{n_1}(a_1) x ... x Li_{n_d}(a_d); empty when n < 2d.  The words come
+    from the enumeration `verify_preimage` contracts, each once, sorted on
+    their id words, and each symbol Li_n(a) is built once per call.
     """
-    if isinstance(g, Combination):
-        pairs = Combination.from_terms(g.terms).terms
-    else:
-        pairs = ((g, Fraction(1)),)
-    if not pairs:
-        return Combination()
-    weight, depth = pairs[0][0].weight, pairs[0][0].depth  # homogeneous
-    comps = compositions_min2(weight, depth)
-    if not comps:
-        return Combination()
-    slot_weights = range(2, weight - 2 * (depth - 1) + 1)  # the n_j of any slot
-    tables, radices = [], []  # per slot: argument key -> (rank, n -> symbol)
-    for j in range(depth):
-        args = {term.args[j]._k: term.args[j] for term, _ in pairs}
-        tables.append({
-            k: (rank, {n: PolylogSymbol(n, args[k]) for n in slot_weights})
-            for rank, k in enumerate(sorted(args))
-        })
-        radices += [slot_weights.stop, len(args)]
-    places = [math.prod(radices[i + 1 :]) for i in range(2 * depth)]
-    comp_keys = [sum(n * places[2 * j] for j, n in enumerate(comp)) for comp in comps]
-    words, keys = [], []
-    for term, coeff in pairs:
-        ranked = [tables[j][a._k] for j, a in enumerate(term.args)]
-        base = sum(rank * places[2 * j + 1] for j, (rank, _) in enumerate(ranked))
-        symbols = [by_weight for _, by_weight in ranked]
-        for comp, key in zip(comps, comp_keys):
-            words.append((tuple(map(dict.__getitem__, symbols, comp)), coeff))
-            keys.append(base + key)
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return Combination(tuple([words[i] for i in order]))
+    ids = _Ids()
+    words = sorted(_image(_generator_pairs(g), ids).items())
+    return Combination(tuple([(tuple(map(ids.symbol, w)), c) for w, c in words]))
 
 
 # ---------------------------------------------------------------------------
@@ -284,18 +272,56 @@ def cobracket_image(
 
 
 def _power_key(key: tuple, r: int) -> tuple:
-    """Key of Li_n(b^r) from the key (n, (p, q, ((v, num, den), ...))) of Li_n(b):
-    phase p*r/q mod 1 and exponents num*r/den, in lowest terms."""
-    n, (p, q, exps) = key
+    """Key of b^r from the key (p, q, ((v, num, den), ...)) of b: phase
+    p*r/q mod 1 and exponents num*r/den, in lowest terms."""
+    p, q, exps = key
     g = math.gcd(p * r, q)
     exps = tuple((v, num * r // (h := math.gcd(num * r, den)), den // h) for v, num, den in exps)
-    return n, (p * r // g % (q // g), q // g, exps)
+    return p * r // g % (q // g), q // g, exps
 
 
 def _symbol_from_key(key: tuple) -> PolylogSymbol:
     n, (p, q, exps) = key
     arg = GroupElement(Fraction(p, q), tuple((v, Fraction(a, b)) for v, a, b in exps))
     return PolylogSymbol(n, arg)
+
+
+_ARGS = 2**40  # the id of a symbol Li_n(b) is n * _ARGS + the id of b
+
+
+class _Ids:
+    """Arguments as int ids, given in the order first seen, and symbols as
+    ids of (n, argument id), which order like symbol keys when argument
+    ids order like argument keys.  An argument's r-th power is worked out
+    once, from its key; symbols are built for output only, each once."""
+
+    def __init__(self) -> None:
+        self.keys: list = []  # argument id -> key
+        self.ids: dict = {}  # argument key -> id
+        self.elements: list = []  # argument id -> its GroupElement, None for a power
+        self.powers: dict = {}  # argument id -> id of its r-th power
+        self.symbols: dict = {}  # symbol id -> PolylogSymbol
+
+    def arg(self, key: tuple, element: GroupElement | None = None) -> int:
+        a = self.ids.setdefault(key, len(self.keys))
+        if a == len(self.keys):
+            self.keys.append(key)
+            self.elements.append(element)
+        return a
+
+    def power(self, i: int, r: int) -> int:
+        """The id of the r-th power of symbol i."""
+        a = i % _ARGS
+        if a not in self.powers:
+            self.powers[a] = self.arg(_power_key(self.keys[a], r))
+        return i - a + self.powers[a]
+
+    def symbol(self, i: int) -> PolylogSymbol:
+        if i not in self.symbols:
+            n, a = divmod(i, _ARGS)
+            arg = self.elements[a] or _symbol_from_key((n, self.keys[a])).arg
+            self.symbols[i] = PolylogSymbol(n, arg)
+        return self.symbols[i]
 
 
 def _lowest(num: int, k: int, r: int) -> tuple[int, int]:
@@ -306,68 +332,47 @@ def _lowest(num: int, k: int, r: int) -> tuple[int, int]:
     return num, k
 
 
-def _contract(pairs: Iterable[tuple[Word, Fraction]], r: int) -> list[tuple[Word, Fraction]]:
-    """The fixpoint of `tensor_distribution_contract` as merged, unsorted
-    (word, coeff) pairs.
+def _add(words: dict, w: tuple, c: tuple[int, int], r: int) -> None:
+    if w in words:
+        (a, i), (b, j) = words[w], c
+        k = max(i, j)
+        c = _lowest(a * r ** (k - i) + b * r ** (k - j), k, r)
+    if c[0]:
+        words[w] = c
+    else:
+        words.pop(w, None)
 
-    Words are tuples of int symbol ids.  Two symbols share an orbit exactly
-    when their r-th powers agree, so a slot groups its words under the word
-    with that slot's id replaced by the id of its power, which is also the
-    collapsed word.  A coefficient is an int pair (num, k) standing for
-    num / (D * r**k), D the lcm of the input denominators, in the one form
-    `_lowest` gives: a collapse at weight n adds n - 1 to k, a sum aligns
-    the two k, and equal pairs are equal coefficients.  A slot pass groups
-    only the words whose slot symbol has all r orbit partners among the
-    slot's symbols, takes out the members of complete equal-coefficient
-    orbits and adds their collapsed words; the fixpoint is reached once a
-    pass over every slot, since the last collapse, found none.  Symbols and
-    coefficients are converted once per object, by `id`, which `pairs`
-    keeps valid by holding them.
+
+def _scaled(pairs: Sequence[tuple[object, Fraction]]) -> tuple[int, list]:
+    """D, the lcm of the denominators, and each (x, c) as (x, (c * D, 0))."""
+    den = math.lcm(*{c.denominator for _, c in pairs})
+    return den, [(x, (c.numerator * (den // c.denominator), 0)) for x, c in pairs]
+
+
+def _contract(words: dict, ids: _Ids, r: int) -> None:
+    """The fixpoint of `tensor_distribution_contract`, in place, for r >= 1.
+
+    Words are {id word: (num, k)}.  Two symbols share an orbit exactly when
+    their r-th powers agree, so a slot groups its words under the word with
+    that slot's id replaced by the id of its power, which is also the
+    collapsed word.  A coefficient (num, k) stands for num / (D * r**k), D
+    one common denominator, in the one form `_lowest` gives: a collapse at
+    weight n adds n - 1 to k, a sum aligns the two k, and equal pairs are
+    equal coefficients.  A slot pass groups the words whose slot symbol has
+    all r orbit partners in the slot (no scan if none has), takes out
+    complete equal-coefficient orbits and adds their collapsed words, until
+    a pass over every slot finds none.
     """
-    if r < 1:
-        raise ValueError("orbit order must be a positive integer")
-    pairs = list(pairs)
-    objects = {id(s): s for w, _ in pairs for s in w}  # each symbol object once
-    table = {s._k: s for s in objects.values()}  # symbol key -> symbol
-    keys = list(table)  # id -> symbol key
-    ids = {k: i for i, k in enumerate(keys)}
-    of_object = {o: ids[s._k] for o, s in objects.items()}
-    powers: dict[int, int] = {}  # id -> id of its r-th power
-
-    def power(i: int) -> int:  # the power's key is interned on first use
-        if i not in powers:
-            key = _power_key(keys[i], r)
-            powers[i] = ids.setdefault(key, len(keys))
-            if powers[i] == len(keys):
-                keys.append(key)
-        return powers[i]
-
-    coeffs = {id(c): c for _, c in pairs}.values()  # each coefficient object once
-    den = math.lcm(*{c.denominator for c in coeffs})
-    scaled = {id(c): (c.numerator * (den // c.denominator), 0) for c in coeffs}
-    words: dict[tuple[int, ...], tuple[int, int]] = {}
-
-    def add(w: tuple[int, ...], c: tuple[int, int]) -> None:
-        if w in words:
-            (a, i), (b, j) = words[w], c
-            k = max(i, j)
-            c = _lowest(a * r ** (k - i) + b * r ** (k - j), k, r)
-        if c[0]:
-            words[w] = c
-        else:
-            words.pop(w, None)
-
-    for w, c in pairs:
-        add(tuple(map(of_object.__getitem__, map(id, w))), scaled[id(c)])
     depth = len(next(iter(words), ()))
     slot, unchanged = 0, 0  # consecutive slot passes without a collapse
     while r > 1 and unchanged < depth:  # at r = 1 every collapse is the identity
+        powers = {i: ids.power(i, r) for i in {w[slot] for w in words}}
         orbits: dict = {}  # power id -> the slot ids present with that power
-        for i in {w[slot] for w in words}:
-            orbits.setdefault(power(i), []).append(i)
+        for i, up in powers.items():
+            orbits.setdefault(up, []).append(i)
         full = {i for members in orbits.values() if len(members) == r for i in members}
         groups: dict = {}  # word with its slot id replaced by the orbit -> members
-        for w in words:
+        for w in words if full else ():
             if w[slot] in full:  # only these can lie in a complete orbit
                 groups.setdefault(w[:slot] + (powers[w[slot]],) + w[slot + 1 :], []).append(w)
         collapsed = []
@@ -378,18 +383,29 @@ def _contract(pairs: Iterable[tuple[Word, Fraction]], r: int) -> list[tuple[Word
                     if words[w] != c:
                         break
                 else:
-                    collapsed.append((up, _lowest(c[0], c[1] + keys[up[slot]][0] - 1, r)))
+                    collapsed.append((up, _lowest(c[0], c[1] + up[slot] // _ARGS - 1, r)))
                     for w in members:
                         del words[w]
         for up, c in collapsed:
-            add(up, c)
+            _add(words, up, c, r)
         unchanged = 0 if collapsed else unchanged + 1
         slot = (slot + 1) % depth
 
-    def symbol(i: int) -> PolylogSymbol:  # a power made by a collapse is built here
-        return table.get(keys[i]) or table.setdefault(keys[i], _symbol_from_key(keys[i]))
 
-    return [(tuple(map(symbol, w)), Fraction(num, den * r**k)) for w, (num, k) in words.items()]
+def _contracted(words: dict, ids: _Ids, den: int, r: int) -> list[tuple[Word, Fraction]]:
+    """The merged, unsorted (word, coeff) pairs of the contracted words."""
+    _contract(words, ids, r)
+    return [(tuple(map(ids.symbol, w)), Fraction(num, den * r**k)) for w, (num, k) in words.items()]
+
+
+def _contract_terms(pairs: Iterable[tuple[Word, Fraction]], r: int) -> list[tuple[Word, Fraction]]:
+    if r < 1:
+        raise ValueError("orbit order must be a positive integer")
+    ids, words = _Ids(), {}
+    den, pairs = _scaled(list(pairs))
+    for w, c in pairs:
+        _add(words, tuple(s.n * _ARGS + ids.arg(s.arg._k, s.arg) for s in w), c, r)
+    return _contracted(words, ids, den, r)
 
 
 def distribution_contract(e: PolylogCombination, r: int) -> PolylogCombination:
@@ -401,7 +417,7 @@ def distribution_contract(e: PolylogCombination, r: int) -> PolylogCombination:
     `tensor_distribution_contract`, so a second call is a no-op.
     """
     return PolylogCombination.from_terms(
-        (w[0], c) for w, c in _contract((((s,), c) for s, c in e.terms), r)
+        (w[0], c) for w, c in _contract_terms((((s,), c) for s, c in e.terms), r)
     )
 
 
@@ -429,15 +445,11 @@ def tensor_distribution_contract(te: TensorElement, r: int) -> TensorElement:
     Slot by slot, words equal outside the slot whose slot symbols form a
     complete orbit with one coefficient collapse as in `distribution_contract`
     (its depth-1 case); equal words merge and zeros drop after every slot.
-    The fixpoint runs on integers only: words are tuples of int symbol ids,
-    each mapped once to the id of its r-th power, computed from the symbol
-    key; coefficients are int pairs (num, k) for num / (D * r**k) over one
-    denominator D, normalised so that equal pairs are equal values.  Only
-    the output words get `Fraction` coefficients, and only symbols new to
-    the output are built.  Which words collapse does not depend on term
-    order, so words are sorted only for output, by the merge.
+    The symbols are interned as int ids and the fixpoint, `_contract`, runs
+    on integers only; the output words get their symbols and `Fraction`s
+    back, and are sorted by the merge.
     """
-    return TensorElement.from_terms(_contract(te.terms, r))
+    return TensorElement.from_terms(_contract_terms(te.terms, r))
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +459,8 @@ def tensor_distribution_contract(te: TensorElement, r: int) -> TensorElement:
 def root_sum_generator(
     c: GeneratorCombination, slot: int, s: int
 ) -> GeneratorCombination:
-    """Replace each term's slot argument by the sum of its 2^s-th roots."""
+    """Replace each term's slot argument by the sum of its 2^s-th roots,
+    worked out once per distinct slot argument."""
     if not c.terms:
         return c
     depth = c.terms[0][0].depth
@@ -459,9 +472,10 @@ def root_sum_generator(
         raise RootCapExceeded(
             f"{len(c.terms)} * 2^{s} terms exceed the cap {DEFAULT_TERM_CAP}"
         )
-    out = []
+    out, roots = [], {}  # slot argument -> its roots
     for g, coeff in c.terms:
-        for root in g.args[slot - 1].roots(s):
+        a = g.args[slot - 1]
+        for root in roots.get(a) or roots.setdefault(a, a.roots(s)):
             args = g.args[: slot - 1] + (root,) + g.args[slot:]
             out.append((GeneratorTerm(g.weight, args), coeff))
     return GeneratorCombination.from_terms(out)
@@ -535,14 +549,14 @@ def verify_preimage(
 ) -> PreimageReport:
     """Exact check: image of p, contracted at 2-power orbits, equals the word
     Li_{w_1}(a_1) x ... x Li_{w_d}(a_d).  Failure shows up as a nonzero
-    residual in the report, never as an exception.
+    residual in the report, never as an exception.  The image goes into the
+    contraction as id words; only the contracted words get symbols.
     """
-    word = tuple(
-        PolylogSymbol(int(w), a) for w, a in zip(weights, args)
-    )
-    target = TensorElement.single(word)
+    target = TensorElement.single(tuple(PolylogSymbol(int(w), a) for w, a in zip(weights, args)))
     with _gc_paused():
-        image = tensor_distribution_contract(cobracket_image(p), 2)
+        ids = _Ids()
+        den, pairs = _scaled(_generator_pairs(p))
+        image = TensorElement.from_terms(_contracted(_image(pairs, ids), ids, den, 2))
     return PreimageReport(target, image, image - target)
 
 
@@ -550,10 +564,9 @@ def verify_preimage(
 def _gc_paused():
     """Pause the cyclic garbage collector, restoring its state on exit.
 
-    The image and its contraction build only acyclic objects, by the
-    hundred thousand at weight 12, and each collection the allocations
-    trigger walks all of them again: at weight 12 that is about half the
-    time of the check.  Reference counting still frees everything.
+    The check allocates acyclic tuples by the hundred thousand at weight 12,
+    and each collection they trigger walks all of them again.  Reference
+    counting still frees everything.
     """
     enabled = gc.isenabled()
     gc.disable()

@@ -484,8 +484,13 @@ def test_surject_444(capsys):
         ["surject", "--weights", "2,2", "--report", "{missing}"],
         ["verify", "{fixture}", "--points", "2", "--report", "{missing}"],
         ["reduce", "--k", "2", "--l", "1", "--out", "{directory}"],
+        ["surject", "--weights", "2,2", "--out", "{written}", "--report", "{missing}"],
+        ["surject", "--weights", "2,2", "--out", "{missing}", "--report", "{written}"],
     ],
-    ids=["reduce-out", "surject-out", "surject-report", "verify-report", "out-is-a-directory"],
+    ids=[
+        "reduce-out", "surject-out", "surject-report", "verify-report", "out-is-a-directory",
+        "surject-report-after-out", "surject-out-after-report",
+    ],
 )
 def test_unwritable_output_exit_2(tmp_path, capsys, argv):
     from mplkit.reduction import weight4_fixture_identity
@@ -495,7 +500,8 @@ def test_unwritable_output_exit_2(tmp_path, capsys, argv):
     fixture.write_text(identity_dumps(weight4_fixture_identity()))
     directory.mkdir()
     missing = tmp_path / "missing" / "out.json"
-    paths = dict(missing=missing, fixture=fixture, directory=directory)
+    # a writable path: a failed write of the other file must not leave it behind
+    paths = dict(missing=missing, fixture=fixture, directory=directory, written=tmp_path / "w.json")
     code, _, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == 2
     assert err.startswith("cannot write: [Errno ") and err.count("\n") == 1

@@ -462,17 +462,17 @@ def _key_symbols(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_key_symbols(), st.sampled_from((1, 2, 3, 4)))
 def test_power_key_is_the_key_of_the_power(sym, r):
-    up = _power_key(sym._k, r)
-    assert up == PolylogSymbol(sym.n, sym.arg.power(r))._k
-    assert up[1][:2] == ((sym.arg.phase * r) % 1).as_integer_ratio()  # the orbit's phase
+    up = _power_key(sym.arg._k, r)
+    assert (sym.n, up) == PolylogSymbol(sym.n, sym.arg.power(r))._k
+    assert up[:2] == ((sym.arg.phase * r) % 1).as_integer_ratio()  # the orbit's phase
     # the r symbols of one orbit share the power key, and only they do
     orbit = _orbit(sym, r)
-    assert {_power_key(s._k, r) for s in orbit} == {up}
+    assert {_power_key(s.arg._k, r) for s in orbit} == {up}
     other = GroupElement(sym.arg.phase + Fraction(1, 2 * r), sym.arg.exponents)
-    assert _power_key(PolylogSymbol(sym.n, other)._k, r) != up
+    assert _power_key(other._k, r) != up
     rebuilt = _symbol_from_key(sym._k)
     assert rebuilt == sym and rebuilt._k == sym._k and hash(rebuilt) == hash(sym)
-    assert _symbol_from_key(up) == PolylogSymbol(sym.n, sym.arg.power(r))
+    assert _symbol_from_key((sym.n, up)) == PolylogSymbol(sym.n, sym.arg.power(r))
 
 
 @st.composite
@@ -516,7 +516,7 @@ def test_verify_preimage_restores_the_collector(enabled, monkeypatch):
     p = construct_preimage((3, 2), (A, B))
     seen = []
 
-    def contract(te, r):
+    def contract(words, ids, r):
         seen.append(gc.isenabled())
         raise RuntimeError("contraction failed")
 
@@ -525,13 +525,48 @@ def test_verify_preimage_restores_the_collector(enabled, monkeypatch):
         (gc.enable if enabled else gc.disable)()
         assert verify_preimage(p, (3, 2), (A, B)).matched
         assert gc.isenabled() == enabled
-        monkeypatch.setattr(coalgebra, "tensor_distribution_contract", contract)
+        monkeypatch.setattr(coalgebra, "_contract", contract)  # the fixpoint the check runs
         with pytest.raises(RuntimeError, match="contraction failed"):
             verify_preimage(p, (3, 2), (A, B))
         assert gc.isenabled() == enabled
         assert seen == [False]  # paused during the check
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def _edge_cases():
+    """(combination, weights, args) at the edges of the check on integer words."""
+    g = GeneratorTerm(5, (A, B))
+    p32 = construct_preimage((3, 2), (A, B))
+    scales = [Fraction(1, 3), Fraction(-2, 5), Fraction(3, 8), Fraction(5, 6)]
+    roots_of_b = root_sum_generator(GeneratorCombination.single(g), 2, 1)
+    return {
+        "empty": (GeneratorCombination(), (2, 2), (A, B)),
+        "weight-below-twice-depth": (GeneratorCombination.single(GeneratorTerm(5, (A, B, C))), (2, 2, 2), (A, B, C)),
+        "repeated-generator": (Combination(p32.terms + p32.terms[:1] + ((g, Fraction(-1)),)), (3, 2), (A, B)),
+        "mixed-denominators": (
+            Combination(tuple((h, c * q) for (h, c), q in zip(p32.terms, scales))), (3, 2), (A, B)
+        ),
+        "argument-in-two-slots": (construct_preimage((3, 2), (A, A)), (3, 2), (A, A)),
+        "power-not-an-input": (roots_of_b, (2, 3), (A, B)),
+        "depth-1": (
+            root_sum_generator(GeneratorCombination.single(GeneratorTerm(3, (A,))), 1, 2), (3,), (A,)
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_edge_cases()))
+def test_verify_preimage_edge_cases_match_the_public_path(name):
+    p, weights, args = _edge_cases()[name]
+    report = verify_preimage(p, weights, args)
+    assert report.image == tensor_distribution_contract(cobracket_image(p), 2)
+    reference = tensor_contract_reference(image_reference(p.terms), 2)  # shares no code with the check
+    assert report.image == reference
+    expected = coalgebra.PreimageReport(report.target, reference, reference - report.target)
+    assert preimage_report_dumps(report) == preimage_report_dumps(expected)
+    if name == "power-not-an-input":  # Li_n(b) is built from its key
+        assert {w[1].arg for w, _ in report.image.terms} == {B}
+        assert all(B not in h.args for h, _ in p.terms)
 
 
 def test_expand_contract_round_trip_r2():
@@ -588,6 +623,25 @@ def test_root_sum_slots_commute():
     ab = root_sum_generator(root_sum_generator(c, 1, 1), 2, 1)
     ba = root_sum_generator(root_sum_generator(c, 2, 1), 1, 1)
     assert ab == ba
+
+
+def test_root_sum_builds_the_roots_of_each_slot_argument_once(monkeypatch):
+    p = construct_preimage((2, 3, 4), (A, B, C))
+    shared = {g.args[1] for g, _ in p.terms}
+    assert len(shared) < len(p.terms)  # the terms share their slot-2 arguments
+    per_term = GeneratorCombination()
+    for g, c in p.terms:
+        per_term = per_term + root_sum_generator(GeneratorCombination.single(g, c), 2, 2)
+    calls = []
+    roots = GroupElement.roots
+
+    def counting(self, s):
+        calls.append(self)
+        return roots(self, s)
+
+    monkeypatch.setattr(GroupElement, "roots", counting)
+    assert root_sum_generator(p, 2, 2) == per_term
+    assert sorted(calls, key=lambda a: a._k) == sorted(shared, key=lambda a: a._k)
 
 
 def test_root_sum_cap():
