@@ -22,15 +22,6 @@ from .coalgebra import (
     root_sum_generator,
     verify_preimage,
 )
-from .numeval import (
-    Composition,
-    EvalRequest,
-    EvalResult,
-    choose_cutoff,
-    eval_generating_series,
-    eval_li,
-    tail_bound,
-)
 from .reduction import (
     build_reduction_matrix,
     build_weighted_sum,
@@ -40,11 +31,11 @@ from .reduction import (
 )
 from .symalg import (
     ArgMonomial,
+    Composition,
     Expr,
     Identity,
     MPLFactor,
     Term,
-    eval_expr,
     normalize,
     root_expand,
     stuffle_product,
@@ -52,6 +43,20 @@ from .symalg import (
 from .verify import VerificationPlan, VerificationReport, sample_points, verify_identity
 
 __version__ = "0.1.0"
+
+# numeval's names, resolved on first use: importing numeval loads numpy
+_NUMERIC = {
+    "EvalRequest", "EvalResult", "choose_cutoff", "eval_expr",
+    "eval_generating_series", "eval_li", "tail_bound",
+}
+
+
+def __getattr__(name: str):
+    if name in _NUMERIC:
+        from . import numeval
+
+        return getattr(numeval, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ArgMonomial",

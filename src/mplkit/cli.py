@@ -20,15 +20,6 @@ from .coalgebra import (
     construct_preimage,
     verify_preimage,
 )
-from .numeval import (
-    DEPTH_CAP,
-    WEIGHT_CAP,
-    Composition,
-    CutoffOverflow,
-    DivergentRequest,
-    EvalRequest,
-    eval_li,
-)
 from .reduction import reduce_li
 from .serialize import (
     format_float,
@@ -39,6 +30,7 @@ from .serialize import (
     preimage_report_dumps,
     report_dumps,
 )
+from .symalg import DEPTH_CAP, WEIGHT_CAP, Composition, CutoffOverflow, DivergentRequest
 from .verify import ConvergenceViolation, VerificationPlan, verify_identity
 
 EXIT_OK = 0
@@ -116,6 +108,8 @@ def _print_report_table(report) -> None:
 
 
 def cmd_eval(args) -> int:
+    from .numeval import EvalRequest, eval_li  # the one command that always loads numpy
+
     parts = tuple(int(p) for p in args.indices.split(","))
     values = tuple(complex(a) for a in args.args.split(","))
     result = eval_li(EvalRequest(Composition(parts), values, args.prec))

@@ -35,7 +35,7 @@ which grows in place to the largest cutoff asked of it and is never
 rebuilt.  Every entry is 1.0 / float(m) ** n and every step keeps the
 operation order of the generic level loop, so the values are its bits.
 
-Every evaluation, eval_li's single point and symalg.eval_expr_batch's
+Every evaluation, eval_li's single point and eval_expr_batch's
 composition groups alike, goes through one entry, `_eval_columns`.  It
 applies the depth and weight caps and the suffix-product check
 rho <= DEFAULT_RHO_MAX, takes Li_1 from its closed form -log(1 - x), and
@@ -52,7 +52,12 @@ keep only the indices m1 = N1 q1 and m2 - m1 = N2 q2, so the orbit is
 N1 N2 times a double sum over q1, q2 >= 1 in W_k = w_k^N_k (Goncharov's
 distribution relation, at depth 2).  `_orbit_series` sums it as one matrix
 product per block of q1, with a closed-form tail geometric in q1 and in q2;
-symalg.eval_expr_batch applies the suffix-product check to the w_k first.
+eval_expr_batch applies the suffix-product check to the w_k first.
+
+The module owns every float path, eval_expr_batch and the monomial values
+behind ArgMonomial.instantiate included, and is the one that imports numpy.
+Composition, the caps, the constants and the evaluation errors are symalg's,
+re-exported here.
 """
 
 from __future__ import annotations
@@ -63,9 +68,15 @@ import math
 import threading
 from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
+
+from .symalg import (  # the shared vocabulary (re-exported), then the exact types
+    DEFAULT_MAX_CUTOFF, DEFAULT_RHO_MAX, DEPTH_CAP, WEIGHT_CAP, Composition, CutoffOverflow,
+    DivergentRequest, ArgMonomial, BudgetUnderflow, Expr, MPLFactor, Term, UnboundVariable,
+    ZeroBase, _exact_float, root_orbits,
+)
 
 __all__ = [
     "Composition",
@@ -77,60 +88,21 @@ __all__ = [
     "EvalResult",
     "PoleProximity",
     "choose_cutoff",
+    "eval_expr",
+    "eval_expr_batch",
     "eval_generating_series",
     "eval_li",
+    "monomial_values",
     "series_value_batch",
     "suffix_moduli",
     "tail_bound",
 ]
 
-DEFAULT_RHO_MAX = 0.99
-DEFAULT_MAX_CUTOFF = 10**6
-
-# Desk-scale caps; beyond these the double format and the cutoff ceiling
-# give no useful accuracy guarantees.
-DEPTH_CAP = 4
-WEIGHT_CAP = 12
-
 _TINY = math.ulp(0.0)  # smallest positive double
-
-
-class DivergentRequest(ValueError):
-    """Arguments violate the suffix-product convergence condition."""
-
-
-class CutoffOverflow(RuntimeError):
-    """No cutoff up to DEFAULT_MAX_CUTOFF meets the error target."""
 
 
 class PoleProximity(ValueError):
     """Shift parameters would let a series denominator approach zero."""
-
-
-@dataclass(frozen=True)
-class Composition:
-    """Index tuple (n_1, ..., n_d): weight is the sum, depth the length."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        parts = tuple(int(p) for p in self.parts)
-        object.__setattr__(self, "parts", parts)
-        if not parts:
-            raise ValueError("composition needs at least one part")
-        if any(p < 1 for p in parts):
-            raise ValueError(f"composition parts must be positive, got {parts}")
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def depth(self) -> int:
-        return len(self.parts)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
 @dataclass(frozen=True)
@@ -494,8 +466,8 @@ def _orbit_series(
 def eval_li(req: EvalRequest) -> EvalResult:
     """Evaluate a multiple polylogarithm with |truth - value| <= tail_bound.
 
-    The one-column call of the evaluation entry that symalg.eval_expr_batch
-    also uses: the same bits as a one-column group there, and within the
+    The one-column call of the evaluation entry that eval_expr_batch also
+    uses: the same bits as a one-column group there, and within the
     certified bound of a wider one.  The weight-1 depth-1 case is the closed
     form -log(1-x) (principal branch), exact up to rounding, which avoids the
     slow geometric series near the convergence boundary.
@@ -504,6 +476,172 @@ def eval_li(req: EvalRequest) -> EvalResult:
         req.indices, np.array(req.args)[:, None], req.target_error
     )
     return EvalResult(complex(values[0]), bound, cutoff)
+
+
+def monomial_values(
+    monomials: Sequence[ArgMonomial], assignments: Sequence[Mapping[str, complex]]
+) -> np.ndarray:
+    """(monomials, points) matrix of exp(2 pi i phase + sum_v e_v log v).
+
+    The principal branch of every fractional power, as exp turns the sum into
+    the product.  cmath.log of each variable at each point is taken once;
+    each variable's term is added, elementwise, only to the monomials that
+    use it.
+    """
+    names = sorted({v for m in monomials for v, _ in m.exponents})
+    column = {v: i for i, v in enumerate(names)}
+    exps = np.zeros((len(monomials), len(names)))
+    for row, m in enumerate(monomials):
+        for v, e in m.exponents:
+            exps[row, column[v]] = _exact_float(e, "exponent of {} in an argument monomial", v)
+    logs = np.empty((len(names), len(assignments)), dtype=np.complex128)
+    for i, v in enumerate(names):
+        for p, assignment in enumerate(assignments):
+            try:
+                base = complex(assignment[v])
+            except KeyError:
+                raise UnboundVariable(v) from None
+            if base == 0:
+                raise ZeroBase(f"variable {v} assigned zero")
+            logs[i, p] = cmath.log(base)
+    phases = np.array([float(m.phase) for m in monomials])
+    z = np.empty((len(monomials), len(assignments)), dtype=np.complex128)
+    z[...] = (2j * math.pi * phases)[:, None]
+    term = np.empty_like(z)
+    for i in range(len(names)):
+        np.multiply(exps[:, i, None], logs[i], out=term)
+        np.add(z, term, out=z, where=exps[:, i, None] != 0.0)
+    return np.exp(z, out=z)
+
+def eval_expr_batch(
+    e: Expr,
+    assignments: Sequence[Mapping[str, complex]],
+    target_error: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate an expression at several points; returns (values, masses).
+
+    The full root-of-unity orbits of `root_orbits` come first, each summed
+    as one series, so their roots of unity cancel before anything is
+    rounded: a depth-1 orbit is the one term c N^(1-n) Li_n(W) of the
+    distribution relation, a depth-2 orbit c N1 N2 times `_orbit_series`'s
+    filtered double sum over (W1, W2).  The suffix-product check applies to every
+    orbit at every point, at |w_k| = |W_k|^(1/N_k).
+
+    The absolute truncation budget is split evenly over the depth-2 orbits
+    and the factor evaluations of the other terms, the depth-1 orbits among
+    them; each factor evaluation targets its share / max |coeff| of those
+    terms.  Every distinct monomial is valued at every point by one helper
+    call.  The distinct factors are grouped by composition, and each group,
+    all its factors at all points, is one call of the evaluation entry that
+    eval_li also uses: the same caps, suffix-product check, Li_1 closed
+    form and cutoff rule, one cutoff for the group at its largest suffix
+    modulus, which certifies every column in it.  A divergent column is
+    reported with its term, factor and point.  The terms are then assembled
+    at once: each term's factor rows (padded with a row of ones) multiplied,
+    and the products summed with the coefficients.
+
+    The mass at a point, the scale of the rounding in the value, is the sum
+    of |coefficient x orbit value| over the orbits and of |coefficient| times
+    the product of the factors' moduli over the other terms.
+    """
+    npts = len(assignments)
+    orbits, leftover = root_orbits(e)
+    pairs = [o for o in orbits if o.indices.depth == 2]
+    terms = leftover + [  # the distribution relation
+        Term(o.coeff / o.orders[0] ** (o.indices.weight - 1), (MPLFactor(o.indices, o.powers),))
+        for o in orbits
+        if o.indices.depth == 1
+    ]
+    n_evals = sum(len(t.factors) for t in terms) + len(pairs)
+    values, masses = np.zeros(npts, dtype=np.complex128), np.zeros(npts)
+    if n_evals == 0:
+        return values, masses
+    monomials: dict[ArgMonomial, int] = {}  # monomial -> row of its values
+    for m in [m for t in terms for f in t.factors for m in f.args] + [
+        m for o in pairs for m in o.powers
+    ]:
+        monomials.setdefault(m, len(monomials))
+    monomial_matrix = monomial_values(list(monomials), assignments)
+
+    def located(exc: DivergentRequest, factor: MPLFactor, term: Term) -> DivergentRequest:
+        return DivergentRequest(f"term {term}: {factor}: {exc} at point {exc.column % npts}")
+
+    for o in orbits:  # |w_k| = |W_k|^(1/N_k)
+        moduli = np.abs(monomial_matrix[[monomials[m] for m in o.powers]])
+        try:
+            _check_moduli(moduli ** (1.0 / np.array(o.orders))[:, None])
+        except DivergentRequest as exc:
+            raise located(exc, o.terms[0].factors[0], o.terms[0]) from None
+    share = float(target_error) / n_evals
+    for o in pairs:
+        scale = _exact_float(o.coeff * math.prod(o.orders), "coefficient of term {}", o.terms[0])
+        target = share / abs(scale)
+        if not target > 0.0:
+            raise BudgetUnderflow(
+                f"error target {float(target_error):.3g} leaves a target of "
+                f"{target:.3g} for the orbit of {o.terms[0]}"
+            )
+        powers = monomial_matrix[[monomials[m] for m in o.powers]]
+        series, _ = _orbit_series(o.indices.parts, o.orders, powers, target)
+        values += scale * series
+        masses += np.abs(scale * series)
+    if not terms:
+        return values, masses
+
+    try:
+        coeffs = np.array([float(t.coeff) for t in terms])[:, None]
+    except OverflowError:  # name the term; no call per term when all convert
+        coeffs = np.array([_exact_float(t.coeff, "coefficient of term {}", t) for t in terms])
+    max_coeff = float(np.abs(coeffs).max())
+    per_factor = share / max(max_coeff, 1e-300)
+    if not per_factor > 0.0:
+        raise BudgetUnderflow(
+            f"error target {float(target_error):.3g} leaves a per-factor target of "
+            f"{per_factor:.3g} over {n_evals} factor evaluations"
+        )
+
+    groups: dict[Composition, dict[MPLFactor, None]] = {}
+    for term in terms:
+        for factor in term.factors:
+            groups.setdefault(factor.indices, {})[factor] = None
+    slots = {  # (depth, factors) matrix of monomial rows per group
+        indices: np.array([[monomials[m] for m in f.args] for f in factors]).T
+        for indices, factors in groups.items()
+    }
+    rows, row = [], {}  # factor values, a block per group; factor -> its row in them
+    for indices, factors in groups.items():
+        try:  # one (depth, n_factors * npts) argument matrix, factor-major, not kept
+            flat, _, _ = _eval_columns(
+                indices, monomial_matrix[slots[indices]].reshape(indices.depth, -1), per_factor
+            )
+        except DivergentRequest as exc:
+            factor = list(factors)[exc.column // npts]
+            raise located(exc, factor, next(t for t in terms if factor in t.factors)) from None
+        row.update(zip(factors, range(len(row), len(row) + len(factors))))
+        rows.append(flat.reshape(len(factors), npts))
+    rows.append(np.ones((1, npts), dtype=np.complex128))
+
+    factor_values = np.concatenate(rows)
+    width = max(len(t.factors) for t in terms)
+    index = np.full((len(terms), width), len(row))  # padded with the row of ones
+    for i, term in enumerate(terms):
+        index[i, : len(term.factors)] = [row[f] for f in term.factors]
+    products = factor_values[index].prod(axis=1)
+    factor_masses = np.abs(factor_values)[index].prod(axis=1)
+    return (
+        values + (coeffs * products).sum(axis=0),
+        masses + (np.abs(coeffs) * factor_masses).sum(axis=0),
+    )
+
+
+def eval_expr(
+    e: Expr,
+    assignment: Mapping[str, complex],
+    target_error: float,
+) -> tuple[complex, float]:
+    """Value and mass of an expression at one point, as eval_expr_batch."""
+    values, masses = eval_expr_batch(e, [assignment], target_error)
+    return complex(values[0]), float(masses[0])
 
 
 def eval_generating_series(

@@ -21,9 +21,9 @@ from fractions import Fraction
 
 from . import linalg
 from .linalg import SingularMatrix
-from .numeval import Composition
 from .symalg import (
     ArgMonomial,
+    Composition,
     Expr,
     Identity,
     MPLFactor,

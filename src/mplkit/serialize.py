@@ -29,8 +29,7 @@ from .coalgebra import (
     PreimageReport,
     TensorElement,
 )
-from .numeval import Composition
-from .symalg import ArgMonomial, Expr, Identity, MPLFactor, Term
+from .symalg import ArgMonomial, Composition, Expr, Identity, MPLFactor, Term
 from .verify import VerificationReport
 
 __all__ = [
@@ -162,6 +161,16 @@ def _ratio(num, den) -> Fraction:
     return Fraction(num, den)
 
 
+def _names(items) -> list[str]:
+    """A JSON list of strings; a fault of an item is located at it, as `[2]`."""
+    if not isinstance(items, list):
+        raise ValueError(f"expected a list of variable names, got {items!r}")
+    for i, item in enumerate(items):
+        if not isinstance(item, str):
+            raise _Fault(ValueError(f"expected a variable name string, got {item!r}"), [f"[{i}]"])
+    return items
+
+
 def _fraction_from(d: Mapping) -> Fraction:
     if not isinstance(d, Mapping):
         raise ValueError(f"expected a rational {{num, den}}, got {d!r}")
@@ -234,7 +243,7 @@ def identity_from_dict(d: Mapping) -> Identity:
             Expr.from_terms(_each("lhs", _term_from, d["lhs"])),
             Expr.from_terms(_each("rhs", _term_from, d["rhs"])),
             weight=_at("weight", int, d["weight"]),
-            variables=frozenset(d["variables"]),
+            variables=frozenset(_at("variables", _names, d["variables"])),
             provenance=str(d.get("provenance", "")),
         )
 

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .numeval import DEFAULT_RHO_MAX
-from .symalg import BudgetUnderflow, Identity, _exact_float, eval_expr_batch
+from .symalg import DEFAULT_RHO_MAX, BudgetUnderflow, Identity, _exact_float
 
 __all__ = [
     "ConvergenceViolation",
@@ -51,8 +50,8 @@ class VerificationPlan:
             raise ValueError(f"radius must lie in [{2 * MIN_MODULUS}, 1)")
         if self.point_count < 1:
             raise ValueError("point_count must be positive")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < float("inf"):  # an infinite one would pass any identity
+            raise ValueError("tolerance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -153,6 +152,8 @@ def verify_identity(identity: Identity, plan: VerificationPlan) -> VerificationR
     truncation error shows neither in the check nor in a residual compared
     with |lhs| down to 1e-3 of the mass scale.
     """
+    from .numeval import eval_expr_batch  # here, so that importing verify loads no numpy
+
     check_convergence(identity, plan.radius)
     points = sample_points(plan, identity.variables)
     eval_target = plan.tolerance / 1000.0

@@ -201,6 +201,9 @@ def _with_first_monomial(field, value):
         (_with_first_monomial("exponents", [1]), "malformed identity document: 'list'"),
         ({**_fixture_doc(), "variables": ["x"]}, "uses undeclared variables ['y']"),
         ({**_fixture_doc(), "weight": float("inf")}, "cannot convert float infinity"),
+        ({**_fixture_doc(), "variables": "xy"}, "list of variable names, got 'xy' at variables"),
+        ({**_fixture_doc(), "variables": {"x": 1, "y": 2}}, "list of variable names"),
+        ({**_fixture_doc(), "variables": ["x", "y", 1]}, "got 1 at variables[2]"),
     ],
     ids=[
         "top-level-list",
@@ -211,6 +214,9 @@ def _with_first_monomial(field, value):
         "list-exponents",
         "undeclared-variable",
         "infinite-weight",
+        "variables-string",
+        "variables-object",
+        "variables-non-string-item",
     ],
 )
 def test_verify_malformed_identity_exit_2(tmp_path, capsys, doc, message):
@@ -315,6 +321,24 @@ def test_tolerance_below_factor_budget_exit_2(tmp_path, capsys, argv):
     code, _, err = run(capsys, *(path if a == "LI21" else a for a in argv))
     assert code == 2
     assert err.startswith("error: tolerance ") and "too small" in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_verify_non_finite_tolerance_exit_2(tmp_path, capsys, tol):
+    # an infinite tolerance would pass an identity whose lhs is doubled
+    import dataclasses
+
+    from mplkit.reduction import reduce_li
+    from mplkit.serialize import identity_dumps
+
+    identity = reduce_li(2, 1)
+    path = tmp_path / "doubled.json"
+    path.write_text(identity_dumps(dataclasses.replace(identity, lhs=identity.lhs.scale(2))))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 4 and "result:       FAIL" in out
+    code, out, err = run(capsys, "verify", str(path), "--tol", tol)
+    assert code == 2 and out == ""
+    assert err == "error: tolerance must be positive and finite\n"
 
 
 def test_verify_weight13_identity_exit_2(tmp_path, capsys):

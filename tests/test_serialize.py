@@ -223,8 +223,12 @@ def test_from_dict_faults_are_value_errors():
         (("rhs", 0, "factors", 0, "args", 0, "exponents", "x"), {"num": "1"},
          r"^malformed identity document: 'den' at rhs\[0\]\.factors\[0\]\.args\[0\]\.exponents\.x$"),
         (("weight",), float("inf"), r"cannot convert float infinity to integer at weight$"),
+        (("variables",), "xy", r"^expected a list of variable names, got 'xy' at variables$"),
+        (("variables",), {"x": 1, "y": 2}, r"^expected a list of variable names, .* at variables$"),
+        (("variables",), ["x", "y", 1], r"^expected a variable name string, got 1 at variables\[2\]$"),
     ],
-    ids=["den-not-an-integer", "zero-index", "no-den", "infinite-weight"],
+    ids=["den-not-an-integer", "zero-index", "no-den", "infinite-weight",
+         "variables-string", "variables-object", "variables-non-string-item"],
 )
 def test_identity_loads_names_the_faulty_field(field, value, message):
     doc = mutated(_IDENTITY_DOC, ("replace", field, value))

@@ -280,15 +280,14 @@ def counting(monkeypatch, name):
 
 
 def test_eval_batch_one_kernel_call_and_one_cutoff_per_composition(monkeypatch):
-    from mplkit import symalg
     from mplkit.reduction import reduce_li
 
     cutoffs = counting(monkeypatch, "choose_cutoff")
     kernels = counting(monkeypatch, "series_value_batch")
     helper = []
-    monomial_values = symalg._monomial_values
+    monomial_values = numeval.monomial_values
     monkeypatch.setattr(
-        symalg, "_monomial_values", lambda ms, asg: helper.append(ms) or monomial_values(ms, asg)
+        numeval, "monomial_values", lambda ms, asg: helper.append(ms) or monomial_values(ms, asg)
     )
     instantiated = []
     monkeypatch.setattr(ArgMonomial, "instantiate", lambda m, a: instantiated.append(m))
@@ -568,7 +567,6 @@ def test_orbit_suffix_check_is_on_the_roots_and_names_the_point():
 @pytest.mark.parametrize("kl", [(2, 2), (3, 2)])
 def test_orbit_path_agrees_with_the_per_term_path(monkeypatch, kl):
     # below weight 6 the per-term sum still resolves the right side
-    from mplkit import symalg
     from mplkit.reduction import reduce_li
 
     rhs = reduce_li(*kl).rhs
@@ -576,7 +574,7 @@ def test_orbit_path_agrees_with_the_per_term_path(monkeypatch, kl):
     points = [{"x": random_point(rng, 0.7), "y": random_point(rng, 0.7)} for _ in range(8)]
     target = 1e-10
     orbit_values, orbit_masses = eval_expr_batch(rhs, points, target)
-    monkeypatch.setattr(symalg, "root_orbits", lambda e: ([], list(e.terms)))
+    monkeypatch.setattr(numeval, "root_orbits", lambda e: ([], list(e.terms)))
     term_values, term_masses = eval_expr_batch(rhs, points, target)
     eps = np.finfo(float).eps
     for a, b, mass in zip(orbit_values, term_values, term_masses):
