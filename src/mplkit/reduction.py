@@ -11,11 +11,12 @@ beta = n - i for i = 1..n-1 produces n-1 such probe combinations; the
 coefficient matrix ((-i)^{k-1} (n-i)^{n-k-1}) is of Vandermonde type and
 is inverted exactly, which isolates each individual Li_{k,l}.  reduce_li
 builds that combination in one pass, in the names it is emitted with (x
-and y swapped, so it reads Li_{k,l}(x, y)): each term once, merged once.
+and y swapped, so it reads Li_{k,l}(x, y)): each term built once, sorted once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +27,6 @@ from .symalg import (
     Composition,
     Expr,
     Identity,
-    MPLFactor,
     Term,
     li_expr,
     li_factor,
@@ -49,43 +49,48 @@ class WeightTooSmall(ValueError):
     """The reduction needs total weight at least 3."""
 
 
-def _mono(exps: dict[str, Fraction], phase: Fraction = Fraction(0)) -> ArgMonomial:
-    return ArgMonomial(phase, tuple(exps.items()))
+def _require_ints(**params) -> None:
+    for name, v in params.items():
+        if type(v) is not int:  # bool and float included
+            raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
-def _triple_root_sum(
-    n: int, alpha: int, beta: int, x: str = "x", y: str = "y", c: Fraction | int = 1
-) -> Expr:
-    """Weighted Li_{n-1,1} sum over all root triples (X, Y, Z), times c.
+def _root_terms(n: int, alpha: int, beta: int, x: str, y: str, c: Fraction | int) -> list[Term]:
+    """The weighted Li_{n-1,1} sum over all root triples (X, Y, Z), times c.
 
-    X runs over the alpha-th roots of x, Y over the beta-th roots of y and
-    Z over the gamma-th roots of xy, x and y being the variable names given.
-    Each summand is Li_{n-1,1}(U/V, V) for one root pair (U, V) = (X, Y),
-    (Z, Y) or (Z, X), so the sum runs over those pairs and the count gamma,
-    alpha or beta of the third root is folded into the pair's coefficient,
-    and so is c.  Each root monomial and each term is built once.
+    X, Y and Z run over the alpha-th roots of x, the beta-th roots of y and the gamma-th
+    roots of xy.  Each summand is Li_{n-1,1}(U/V, V) for a root pair (U, V) = (X, Y), (Z, Y)
+    or (Z, X), with the third root's count and c in its coefficient.  No two share a key:
+    each is built once, from keys already canonical, and none is merged; none for c = 0.
     """
+    _require_ints(n=n, alpha=alpha, beta=beta)
     if n < 3:
         raise WeightTooSmall(f"need weight >= 3, got {n}")
     if alpha < 1 or beta < 1:
         raise ValueError("alpha and beta must be positive integers")
-    gamma = alpha + beta
+    gamma, c = alpha + beta, Fraction(c)
     ea, eb, eg = Fraction(1, alpha), Fraction(1, beta), Fraction(1, gamma)
-    x_roots = {p: _mono({x: ea}, p) for p in (Fraction(i, alpha) for i in range(alpha))}
-    y_roots = {p: _mono({y: eb}, p) for p in (Fraction(j, beta) for j in range(beta))}
-    z_phases = [Fraction(k, gamma) for k in range(gamma)]  # Z is never a V: no monomial
-    pairs = (  # coefficient times multiplicity, exponents of U/V, phases of U, roots V by phase
-        (c * (alpha * beta) ** (n - 2), {x: ea, y: -eb}, x_roots, y_roots),
-        (-c * (gamma * beta) ** (n - 2), {x: eg, y: eg - eb}, z_phases, y_roots),
-        (c * (-gamma * alpha) ** (n - 2), {x: eg - ea, y: eg}, z_phases, x_roots),
+    x_roots = ArgMonomial.make({x: ea})._twists(alpha)
+    y_roots = ArgMonomial.make({y: eb})._twists(beta)
+    pairs = (  # coefficient times multiplicity, exponents of U/V, count of U, roots V
+        (c * (alpha * beta) ** (n - 2), {x: ea, y: -eb}, alpha, y_roots),
+        (-c * (gamma * beta) ** (n - 2), {x: eg, y: eg - eb}, gamma, y_roots),
+        (c * (-gamma * alpha) ** (n - 2), {x: eg - ea, y: eg}, gamma, x_roots),
     )
-    top = Composition((n - 1, 1))
-    return Expr.from_terms(
-        Term(coeff, (MPLFactor(top, (_mono(exps, pu - pv), v)),))
-        for coeff, exps, us, vs in pairs
-        for pu in us
-        for pv, v in vs.items()
-    )
+    top, terms = Composition((n - 1, 1)), []
+    for coeff, exps, nu, vs in pairs if c else ():
+        # U = zeta_nu^i u, V = zeta_nv^j v: U/V has phase s/lcm(nu, nv), s = i lcm/nu - j lcm/nv
+        lcm = math.lcm(nu, len(vs))
+        uvs, du, dv = ArgMonomial.make(exps)._twists(lcm), lcm // nu, lcm // len(vs)
+        for i in range(nu):
+            for j, v in enumerate(vs):
+                terms.append(Term._single(coeff, top, (uvs[(i * du - j * dv) % lcm], v)))
+    return terms
+
+
+def _triple_root_sum(n: int, alpha: int, beta: int, c: Fraction | int = 1) -> Expr:
+    """`_root_terms` in x and y as an expression, its terms sorted once."""
+    return Expr(tuple(sorted(_root_terms(n, alpha, beta, "x", "y", c), key=Term._key)))
 
 
 def _depth2_probe(n: int, alpha: int, beta: int) -> list[Term]:
@@ -100,7 +105,7 @@ def _depth2_probe(n: int, alpha: int, beta: int) -> list[Term]:
 
 def _classical_term(n: int, alpha: int, beta: int, c: Fraction | int = 1) -> Term:
     """c (beta^{n-1}/gamma) Li_n(xy)."""
-    xy = _mono({"x": Fraction(1), "y": Fraction(1)})
+    xy = ArgMonomial.make({"x": 1, "y": 1})
     return Term(c * Fraction(beta ** (n - 1), alpha + beta), (li_factor([n], [xy]),))
 
 
@@ -141,8 +146,8 @@ class WeightedDepthTwoSum:
 
 
 def build_weighted_sum(n: int, alpha: int, beta: int) -> WeightedDepthTwoSum:
-    triple = _triple_root_sum(n, alpha, beta)  # checks n, alpha and beta
-    reduced = Expr.from_terms([*triple.terms, _classical_term(n, alpha, beta, -1)])
+    triple = _root_terms(n, alpha, beta, "x", "y", 1)  # checks n, alpha and beta
+    reduced = Expr.from_terms([*triple, _classical_term(n, alpha, beta, -1)])
     depth2 = Expr.from_terms(_depth2_probe(n, alpha, beta))
     return WeightedDepthTwoSum(n, alpha, beta, depth2, reduced)
 
@@ -158,6 +163,7 @@ class ReductionMatrix:
 
 
 def build_reduction_matrix(n: int) -> ReductionMatrix:
+    _require_ints(n=n)
     if n < 3:
         raise WeightTooSmall(f"need weight >= 3, got {n}")
     entries = [
@@ -176,24 +182,26 @@ def reduce_li(k: int, l: int) -> Identity:
     """Identity expressing Li_{k,l}(x, y) through Li_{n-1,1} and Li_n only.
 
     The row of the inverse probe matrix belonging to index k recombines the
-    reduced forms of probes i = 1..n-1.  The probes carry arguments (y, x),
-    so each is built with x and y swapped: its triple root sum, already
-    scaled by its row entry, then its classical term.  All the terms are
-    merged once more, across probes.
+    reduced forms of probes i = 1..n-1, each built with x and y swapped, as
+    the probes carry arguments (y, x).  Their root orders differ, so no two
+    share a root term: only the classical terms Li_n(xy) are merged, and the
+    right side is sorted once.
     """
+    _require_ints(k=k, l=l)
     n = k + l
     if k < 1 or l < 1:
         raise ValueError("indices must be positive")
     mat = build_reduction_matrix(n)  # raises WeightTooSmall below weight 3
-    terms = []
-    for i, c in enumerate(mat.inverse[k - 1], 1):
-        if c != 0:
-            terms += _triple_root_sum(n, i, n - i, "y", "x", c).terms
-            terms.append(_classical_term(n, i, n - i, -c))
+    terms, classical = [], []
+    for i, c in enumerate(mat.inverse[k - 1], 1):  # a zero entry adds no term
+        terms += _root_terms(n, i, n - i, "y", "x", c)
+        classical.append(_classical_term(n, i, n - i, -c))
+    terms += Expr.from_terms(classical).terms
+    terms.sort(key=Term._key)
     lhs = li_expr([k, l], [ArgMonomial.variable("x"), ArgMonomial.variable("y")])
     return Identity(
         lhs,
-        Expr.from_terms(terms),
+        Expr(tuple(terms)),
         weight=n,
         variables=frozenset({"x", "y"}),
         provenance=(
@@ -212,15 +220,14 @@ def weight4_fixture_identity() -> Identity:
     numerically.
     """
     half = Fraction(1, 2)
-    one = Fraction(1)
     x = ArgMonomial.variable("x")
     y = ArgMonomial.variable("y")
-    sqrt_ratio_xy = _mono({"x": half, "y": -half})            # sqrt(x)/sqrt(y)
-    neg_sqrt_ratio_xy = _mono({"x": half, "y": -half}, half)  # -sqrt(x)/sqrt(y)
-    sqrt_ratio_yx = _mono({"y": half, "x": -half})
-    neg_sqrt_ratio_yx = _mono({"y": half, "x": -half}, half)
-    y_over_x = _mono({"y": one, "x": -one})
-    xy = _mono({"x": one, "y": one})
+    sqrt_ratio_xy = ArgMonomial.make({"x": half, "y": -half})           # sqrt(x)/sqrt(y)
+    neg_sqrt_ratio_xy = ArgMonomial.make({"x": half, "y": -half}, 2, 1)  # -sqrt(x)/sqrt(y)
+    sqrt_ratio_yx = ArgMonomial.make({"y": half, "x": -half})
+    neg_sqrt_ratio_yx = ArgMonomial.make({"y": half, "x": -half}, 2, 1)
+    y_over_x = ArgMonomial.make({"y": 1, "x": -1})
+    xy = ArgMonomial.make({"x": 1, "y": 1})
 
     rhs = (
         li_expr([3, 1], [neg_sqrt_ratio_xy, y], -4)

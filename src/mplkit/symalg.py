@@ -132,9 +132,9 @@ def _as_fraction(v) -> Fraction:
 
 
 class _Keyed:
-    """Compared, hashed and sorted by one key `_k`, which subclasses (frozen
-    dataclasses with eq=False) build once, in `__post_init__`.  Equal means
-    of the same type with equal keys."""
+    """Sorted by one key `_k`, which subclasses (frozen dataclasses) build once,
+    in `__post_init__`; with eq=False they are compared and hashed by it too:
+    equal means of the same type with equal keys."""
 
     def _key(self):
         return self._k
@@ -167,11 +167,18 @@ class ArgMonomial(_Keyed):
         names = [v for v, _ in exps]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable in exponent map: {names}")
-        object.__setattr__(self, "phase", phase)
-        object.__setattr__(self, "exponents", exps)
         # its hash is not stored, as str hashes vary by process
         key = tuple((v, e.numerator, e.denominator) for v, e in exps)
-        object.__setattr__(self, "_k", (phase.numerator, phase.denominator, key))
+        vars(self).update(phase=phase, exponents=exps, _k=(phase.numerator, phase.denominator, key))
+
+    def _twists(self, order: int) -> list["ArgMonomial"]:
+        """zeta_order^s * self for s = 0..order-1, self of phase 0: one exponent key for all."""
+        key, out = self._k[2], []
+        for s in range(order):
+            m, p = object.__new__(type(self)), Fraction(s, order)
+            vars(m).update(phase=p, exponents=self.exponents, _k=(p.numerator, p.denominator, key))
+            out.append(m)
+        return out
 
     @classmethod
     def make(
@@ -255,12 +262,11 @@ class MPLFactor(_Keyed):
 
     def __post_init__(self) -> None:
         args = tuple(self.args)
-        object.__setattr__(self, "args", args)
         if len(args) != self.indices.depth:
             raise ValueError(f"{len(args)} arguments for depth {self.indices.depth}")
         parts = self.indices.parts
         key = (sum(parts), len(parts), parts, tuple(a._k for a in args))
-        object.__setattr__(self, "_k", key)
+        vars(self).update(args=args, _k=key)
 
     @property
     def weight(self) -> int:
@@ -298,23 +304,30 @@ def li_factor(parts: Sequence[int], args: Sequence[ArgMonomial]) -> MPLFactor:
 
 
 @dataclass(frozen=True)
-class Term:
+class Term(_Keyed):
     """coeff * product of factors; the factor multiset is kept sorted.  The
-    merge key, of the factors alone, is built once; equality adds coeff."""
+    merge key, of the factors alone, is built once; dataclass equality adds coeff."""
 
     coeff: Fraction
     factors: tuple[MPLFactor, ...]
 
     def __post_init__(self) -> None:
         factors = tuple(sorted(self.factors, key=MPLFactor._key))
-        object.__setattr__(self, "coeff", _as_fraction(self.coeff))
-        object.__setattr__(self, "factors", factors)
         key = (sum(f.weight for f in factors), len(factors), tuple(f._k for f in factors))
-        object.__setattr__(self, "_k", key)
+        vars(self).update(coeff=_as_fraction(self.coeff), factors=factors, _k=key)
+
+    @classmethod
+    def _single(cls, coeff: Fraction, indices: Composition, args: tuple) -> "Term":
+        """coeff * Li_indices(args), coeff a nonzero Fraction, built as it is."""
+        f, t, parts = object.__new__(MPLFactor), object.__new__(cls), indices.parts
+        key = (sum(parts), len(parts), parts, tuple([a._k for a in args]))
+        vars(f).update(indices=indices, args=args, _k=key)
+        vars(t).update(coeff=coeff, factors=(f,), _k=(key[0], 1, (key,)))
+        return t
 
     @property
     def weight(self) -> int:
-        return sum(f.weight for f in self.factors)
+        return self._k[0]
 
     @property
     def variables(self) -> frozenset[str]:
@@ -322,9 +335,6 @@ class Term:
         for f in self.factors:
             out |= f.variables
         return out
-
-    def _key(self):
-        return self._k
 
     def __str__(self) -> str:
         body = " * ".join(str(f) for f in self.factors) if self.factors else "1"
@@ -452,8 +462,8 @@ def root_orbits(e: Expr) -> tuple[list[Orbit], list[Term]]:
     for t in e.terms:
         if len(t.factors) == 1:
             _, depth, parts, args = t.factors[0]._k
-            if depth <= 2:
-                key = (t.coeff.numerator, t.coeff.denominator, parts, *[a[2] for a in args])
+            if depth <= 2:  # one flat key; a depth-1 argument is both args[0] and args[-1]
+                key = (t.coeff.numerator, t.coeff.denominator, parts, args[0][2], args[-1][2])
                 groups.setdefault(key, []).append(t)
     orbits, taken = [], set()
     for members in groups.values():

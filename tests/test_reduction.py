@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from mplkit.reduction import (
     reduce_li,
     weight4_fixture_identity,
 )
-from mplkit.symalg import eval_expr, li_expr, ArgMonomial
+from mplkit.symalg import MPLFactor, Term, eval_expr, li_expr, root_orbits, ArgMonomial
 from mplkit.verify import VerificationPlan, check_convergence, verify_identity
 
 from _oracles import triple_root_sum_reference
@@ -63,11 +64,30 @@ def test_coefficient_identity_rejects_small_weight():
         coefficient_identity(2, 1, 1)
 
 
-@pytest.mark.parametrize("alpha,beta", [(0, 1), (-1, 2), (2, -1), (1, 0)])
+@pytest.mark.parametrize(
+    "alpha,beta", [(0, 1), (-1, 2), (2, -1), (1, 0), (2.0, 3), ("2", 3), (True, 2), (2, 1.5)]
+)
 @pytest.mark.parametrize("builder", [coefficient_identity, build_weighted_sum])
 def test_probe_builders_reject_nonpositive_parameters(builder, alpha, beta):
-    with pytest.raises(ValueError, match=r"^alpha and beta must be positive integers$"):
+    if type(alpha) is int and type(beta) is int:
+        message = r"^alpha and beta must be positive integers$"
+    else:  # a non-integer is named, whatever its value
+        name, value = ("alpha", alpha) if type(alpha) is not int else ("beta", beta)
+        message = "^" + re.escape(f"{name} must be an integer, got {value!r}") + "$"
+    with pytest.raises(ValueError, match=message):
         builder(4, alpha, beta)
+
+
+@pytest.mark.parametrize("n", [5.0, "5", True, Fraction(5)])
+def test_probe_builders_reject_a_non_integer_weight(n):
+    message = "^" + re.escape(f"n must be an integer, got {n!r}") + "$"
+    for build in (
+        lambda: coefficient_identity(n, 2, 3),
+        lambda: build_weighted_sum(n, 2, 3),
+        lambda: build_reduction_matrix(n),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 def test_weighted_sum_rejects_small_weight():
@@ -146,6 +166,12 @@ def test_reduce_li_rejects_bad_input():
         reduce_li(1, 1)
     with pytest.raises(ValueError):
         reduce_li(0, 3)
+    # a non-integer is named, not read as the integer it equals
+    for k, l in ((2.0, 2), ("2", 2), (True, 2), (2, Fraction(2)), (2, None)):
+        name, value = ("k", k) if type(k) is not int else ("l", l)
+        message = "^" + re.escape(f"{name} must be an integer, got {value!r}") + "$"
+        with pytest.raises(ValueError, match=message):
+            reduce_li(k, l)
 
 
 def test_reduce_li_22_verifies():
@@ -222,15 +248,83 @@ def test_weight9_to_weight12_reductions_are_pinned():
 
 
 def test_reduce_li_merges_once_per_probe_and_never_renames(monkeypatch):
-    # one merge per probe's triple root sum, one for the right side, one for
-    # the left; the probes are built in the emitted names, not renamed after
+    # no root term is merged: one merge of the classical terms Li_8(xy), one
+    # for the left side; the probes are built in the emitted names, not
+    # renamed after
     from mplkit import symalg
 
     merges = []
     merge = symalg._merge
     monkeypatch.setattr(symalg, "_merge", lambda pairs: merges.append(1) or merge(pairs))
     reduce_li(4, 4)
-    assert len(merges) <= 4 + 4 + 1
+    assert len(merges) <= 2
+
+
+@pytest.fixture(scope="module")
+def all_reductions():
+    return tuple(reduce_li(k, n - k) for n in range(3, 13) for k in range(1, n))
+
+
+def test_canonical_constructors_match_the_public_ones(all_reductions):
+    # every root term is built without normalizing; rebuilt through the
+    # public constructors it must come out the same, field by field
+    rebuilt = {}  # id -> (monomial, its public rebuild); root terms share monomials
+
+    def public_monomial(a):
+        if id(a) not in rebuilt:
+            b = ArgMonomial(a.phase, a.exponents)
+            assert vars(b) == vars(a) and hash(b) == hash(a) and type(a.phase) is Fraction
+            assert all(type(e) is Fraction for _, e in a.exponents)
+            rebuilt[id(a)] = (a, b)
+        return rebuilt[id(a)][1]
+
+    coefficient_identities = [
+        coefficient_identity(n, a, n - a) for n in range(3, 13) for a in range(1, n)
+    ]
+    for ident in all_reductions + tuple(coefficient_identities):
+        for side in (ident.lhs, ident.rhs):
+            keys = [t._key() for t in side.terms]
+            assert all(a < b for a, b in zip(keys, keys[1:])), ident.provenance
+            for t in side.terms:
+                factors = tuple(
+                    MPLFactor(f.indices, tuple(public_monomial(a) for a in f.args))
+                    for f in t.factors
+                )
+                r = Term(t.coeff, factors)
+                assert r == t and hash(r) == hash(t) and vars(r) == vars(t)
+                assert all(vars(f) == vars(g) for f, g in zip(r.factors, t.factors))
+                assert type(t.coeff) is Fraction and t.coeff != 0
+    for alpha, beta in ((1, 1), (2, 4), (3, 2)):
+        assert _triple_root_sum(5, alpha, beta, c=0).is_zero()
+        assert _triple_root_sum(5, alpha, beta, c=Fraction(0)).is_zero()
+
+
+def test_root_orbits_of_every_reduction_are_pinned(all_reductions):
+    # orbits (coefficient, composition, orders, powers, member positions)
+    # and leftover positions, for every reduction up to the weight cap and
+    # for the weight-4 fixture, both sides
+    h = hashlib.sha256()
+    for ident in all_reductions + (weight4_fixture_identity(),):
+        for side in (ident.lhs, ident.rhs):
+            pos = {id(t): i for i, t in enumerate(side.terms)}
+            orbits, leftover = root_orbits(side)
+            for o in orbits:
+                powers = [str(p) for p in o.powers]
+                members = [pos[id(t)] for t in o.terms]
+                h.update(f"{o.coeff}|{o.indices}|{o.orders}|{powers}|{members}\n".encode())
+            h.update(f"{[pos[id(t)] for t in leftover]}\n".encode())
+    assert h.hexdigest() == "9eaa6f524c31f55d1769d83cfc1d0f4f0f383c5748916f14c2e5e394834f28f3"
+
+
+def test_coefficient_identities_are_pinned():
+    # every (alpha, beta) split of every weight up to the cap
+    from mplkit.serialize import identity_dumps
+
+    h = hashlib.sha256()
+    for n in range(3, 13):
+        for a in range(1, n):
+            h.update(identity_dumps(coefficient_identity(n, a, n - a)).encode())
+    assert h.hexdigest() == "f41b5133afb6bf37feeef80d2a31b82d8000775393736566c480bafabd1417e2"
 
 
 def test_reduce_li_convergence_safety_at_harness_radius():

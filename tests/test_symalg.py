@@ -542,6 +542,17 @@ def test_root_orbits_refuse_a_partial_group():
         assert {t.factors[0].indices for t in leftover} == {expanded.terms[0].factors[0].indices}
 
 
+def test_root_orbits_group_on_every_argument():
+    # the two square roots of x take the first slot; with equal second
+    # arguments they are a full orbit, with different ones two groups of one
+    root = ArgMonomial.make({"x": Fraction(1, 2)})
+    neg_root = ArgMonomial.make({"x": Fraction(1, 2)}, 2, 1)
+    for second, orbit_count in ((Y, 1), (Y.power(2), 0)):
+        e = li_expr([2, 1], [root, Y]) + li_expr([2, 1], [neg_root, second])
+        orbits, leftover = root_orbits(e)
+        assert len(orbits) == orbit_count and len(leftover) == 2 - 2 * orbit_count
+
+
 def test_root_orbits_leave_products_and_depth_three():
     product = Expr.single(1, [li_factor([1], [X]), li_factor([3], [Y])])
     deep = li_expr([1, 1, 1], [X, Y, X])
