@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .symalg import ArgMonomial, _Keyed, _merge
+from .symalg import ArgMonomial, _Keyed, _merge, _require_ints
 
 __all__ = [
     "Combination",
@@ -91,6 +91,8 @@ class PolylogSymbol(_Keyed):
     arg: GroupElement
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ValueError(f"symbol weight must be >= 2, got {self.n}")
         object.__setattr__(self, "_k", (self.n, self.arg._k))
@@ -111,6 +113,8 @@ class GeneratorTerm(_Keyed):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "args", tuple(self.args))
+        if type(self.weight) is not int:
+            raise ValueError(f"weight must be an integer, got {self.weight!r}")
         if not self.args:
             raise ValueError("generator needs depth at least 1")
         if self.weight < len(self.args):
@@ -399,6 +403,7 @@ def _contracted(words: dict, ids: _Ids, den: int, r: int) -> list[tuple[Word, Fr
 
 
 def _contract_terms(pairs: Iterable[tuple[Word, Fraction]], r: int) -> list[tuple[Word, Fraction]]:
+    _require_ints(r=r)
     if r < 1:
         raise ValueError("orbit order must be a positive integer")
     ids, words = _Ids(), {}
@@ -427,16 +432,14 @@ def distribution_expand(e: PolylogCombination, r: int) -> PolylogCombination:
     Inverse of contraction on complete orbits.  Raises ValueError when a
     root would need an exponent denominator that is not a power of 2.
     """
+    _require_ints(r=r)
     if r < 1:
         raise ValueError("orbit order must be a positive integer")
-    out: list[tuple[PolylogSymbol, Fraction]] = []
-    for sym, coeff in e.terms:
-        scale = coeff * Fraction(r ** (sym.n - 1))
-        exps = tuple((v, x / r) for v, x in sym.arg.exponents)
-        for j in range(r):
-            root = GroupElement((sym.arg.phase + j) / r, exps)
-            out.append((PolylogSymbol(sym.n, root), scale))
-    return PolylogCombination.from_terms(out)
+    return PolylogCombination.from_terms(
+        (PolylogSymbol(sym.n, root), coeff * r ** (sym.n - 1))
+        for sym, coeff in e.terms
+        for root in sym.arg._roots(r)
+    )
 
 
 def tensor_distribution_contract(te: TensorElement, r: int) -> TensorElement:
@@ -461,6 +464,7 @@ def root_sum_generator(
 ) -> GeneratorCombination:
     """Replace each term's slot argument by the sum of its 2^s-th roots,
     worked out once per distinct slot argument."""
+    _require_ints(slot=slot, s=s)
     if not c.terms:
         return c
     depth = c.terms[0][0].depth
@@ -501,7 +505,8 @@ def construct_preimage(
     levels s = 0..len-1 realize the powers of those nodes, and the exact
     solve isolates m = weights[j-1].
     """
-    weights = tuple(int(w) for w in weights)
+    weights = tuple(weights)
+    _require_ints(**{f"weights[{i}]": w for i, w in enumerate(weights)})
     if not weights:
         raise InfeasibleWeights("need at least one slot weight")
     if any(w < 2 for w in weights):
@@ -552,7 +557,8 @@ def verify_preimage(
     residual in the report, never as an exception.  The image goes into the
     contraction as id words; only the contracted words get symbols.
     """
-    target = TensorElement.single(tuple(PolylogSymbol(int(w), a) for w, a in zip(weights, args)))
+    _require_ints(**{f"weights[{i}]": w for i, w in enumerate(weights)})
+    target = TensorElement.single(tuple(PolylogSymbol(w, a) for w, a in zip(weights, args)))
     with _gc_paused():
         ids = _Ids()
         den, pairs = _scaled(_generator_pairs(p))

@@ -28,6 +28,7 @@ from .symalg import (
     Expr,
     Identity,
     Term,
+    _require_ints,
     li_expr,
     li_factor,
 )
@@ -49,12 +50,6 @@ class WeightTooSmall(ValueError):
     """The reduction needs total weight at least 3."""
 
 
-def _require_ints(**params) -> None:
-    for name, v in params.items():
-        if type(v) is not int:  # bool and float included
-            raise ValueError(f"{name} must be an integer, got {v!r}")
-
-
 def _root_terms(n: int, alpha: int, beta: int, x: str, y: str, c: Fraction | int) -> list[Term]:
     """The weighted Li_{n-1,1} sum over all root triples (X, Y, Z), times c.
 
@@ -70,8 +65,8 @@ def _root_terms(n: int, alpha: int, beta: int, x: str, y: str, c: Fraction | int
         raise ValueError("alpha and beta must be positive integers")
     gamma, c = alpha + beta, Fraction(c)
     ea, eb, eg = Fraction(1, alpha), Fraction(1, beta), Fraction(1, gamma)
-    x_roots = ArgMonomial.make({x: ea})._twists(alpha)
-    y_roots = ArgMonomial.make({y: eb})._twists(beta)
+    x_roots = ArgMonomial.variable(x)._roots(alpha)
+    y_roots = ArgMonomial.variable(y)._roots(beta)
     pairs = (  # coefficient times multiplicity, exponents of U/V, count of U, roots V
         (c * (alpha * beta) ** (n - 2), {x: ea, y: -eb}, alpha, y_roots),
         (-c * (gamma * beta) ** (n - 2), {x: eg, y: eg - eb}, gamma, y_roots),

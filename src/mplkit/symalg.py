@@ -123,6 +123,13 @@ def _merge(pairs: Iterable[tuple[object, Fraction]]) -> list[tuple[object, Fract
     return [(obj, c) for _, (obj, c) in sorted(acc.items()) if c != 0]
 
 
+def _require_ints(**params) -> None:
+    """A ValueError naming the first parameter that is not an int."""
+    for name, v in params.items():
+        if type(v) is not int:  # bool and float included
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 def _as_fraction(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
@@ -172,13 +179,17 @@ class ArgMonomial(_Keyed):
         vars(self).update(phase=phase, exponents=exps, _k=(phase.numerator, phase.denominator, key))
 
     def _twists(self, order: int) -> list["ArgMonomial"]:
-        """zeta_order^s * self for s = 0..order-1, self of phase 0: one exponent key for all."""
-        key, out = self._k[2], []
+        """zeta_order^s * self for s < order, self of phase below 1/order: one exponent key."""
+        (num, den, key), out = self._k, []
         for s in range(order):
-            m, p = object.__new__(type(self)), Fraction(s, order)
+            m, p = object.__new__(type(self)), Fraction(num * order + s * den, den * order)
             vars(m).update(phase=p, exponents=self.exponents, _k=(p.numerator, p.denominator, key))
             out.append(m)
         return out
+
+    def _roots(self, r: int) -> list["ArgMonomial"]:
+        """The r-th roots of self: the principal one, built and checked once, twisted."""
+        return type(self)(self.phase / r, tuple((v, e / r) for v, e in self.exponents))._twists(r)
 
     @classmethod
     def make(
@@ -228,12 +239,11 @@ class ArgMonomial(_Keyed):
         return type(self)(self.phase * r, tuple((v, e * r) for v, e in self.exponents))
 
     def roots(self, s: int) -> list["ArgMonomial"]:
-        """All 2^s monomials whose 2^s-th power is this one."""
+        """All 2^s monomials whose 2^s-th power is this one, from one principal root."""
+        _require_ints(s=s)
         if s < 0:
             raise ValueError("root level must be nonnegative")
-        scale = 2**s
-        exps = tuple((v, e / scale) for v, e in self.exponents)
-        return [type(self)((self.phase + j) / scale, exps) for j in range(scale)]
+        return self._roots(2**s)
 
     def instantiate(self, assignment: Mapping[str, complex]) -> complex:
         """Numeric value with principal-branch fractional powers; the bits of

@@ -187,3 +187,9 @@ def orbit_series_direct(parts, orders, w1, w2, cutoff):
         for q2 in range(1, cutoff + 1):
             total += w1**q1 * w2**q2 / ((n1 * q1) ** a * (n1 * q1 + n2 * q2) ** b)
     return total
+
+
+def roots_reference(m, r):
+    """The r-th roots of a monomial, each built on its own through the
+    constructor from the per-root formula phase (phase + j) / r, j = 0..r-1."""
+    return [type(m)((m.phase + j) / r, tuple((v, e / r) for v, e in m.exponents)) for j in range(r)]

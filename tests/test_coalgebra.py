@@ -6,6 +6,7 @@ import math
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -40,7 +41,7 @@ from mplkit.numeval import Composition, EvalRequest, eval_li
 from mplkit.serialize import generator_combination_dumps, preimage_report_dumps
 from mplkit.symalg import ArgMonomial, MPLFactor, Term, li_factor
 
-from _oracles import compositions_brute, image_reference, tensor_contract_reference
+from _oracles import compositions_brute, image_reference, roots_reference, tensor_contract_reference
 
 A = GroupElement.generator("a1")
 B = GroupElement.generator("a2")
@@ -584,6 +585,99 @@ def test_expand_rejects_non_2power_denominators():
     e = PolylogCombination.from_terms([(PolylogSymbol(3, B), Fraction(1))])
     with pytest.raises(ValueError):
         distribution_expand(e, 3)
+
+
+# ---------------------------------------------------------------------------
+# the root rule: every root set from one principal root
+
+
+def _assert_same_monomials(got, want):
+    """Equal in order, with equal types, fields, keys and hashes."""
+    assert [type(m) for m in got] == [type(m) for m in want]
+    assert [vars(m) for m in got] == [vars(m) for m in want]
+    assert [hash(m) for m in got] == [hash(m) for m in want]
+
+
+def _seeded_monomials(cls, count, seed):
+    """Monomials with phases of denominator up to 16 and exponents in a and b,
+    of 2-power denominators for a GroupElement and any up to 16 otherwise."""
+    rng = random.Random(seed)
+    dens = (1, 2, 4, 8, 16) if cls is GroupElement else range(1, 17)
+    out = [cls(), cls(Fraction(1, 2))]
+    while len(out) < count:
+        q = rng.randint(1, 16)
+        exps = [(v, Fraction(rng.randint(-5, 5), rng.choice(dens))) for v in "ab"]
+        out.append(cls(Fraction(rng.randrange(q), q), tuple(e for e in exps if rng.random() < 0.7)))
+    return out
+
+
+@pytest.mark.parametrize("cls", [ArgMonomial, GroupElement])
+def test_roots_match_the_per_root_formula(cls):
+    orders = range(1, 9) if cls is ArgMonomial else (1, 2, 4, 8)
+    for m in _seeded_monomials(cls, 40, 23):
+        for r in orders:
+            _assert_same_monomials(m._roots(r), roots_reference(m, r))
+        for s in range(5):
+            _assert_same_monomials(m.roots(s), roots_reference(m, 2**s))
+    for m in _seeded_monomials(cls, 20, 5):  # third roots of a root of unity stay legal
+        phase_only = cls(m.phase)
+        _assert_same_monomials(phase_only._roots(3), roots_reference(phase_only, 3))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_distribution_expand_matches_the_per_root_formula(r):
+    args = [g if r != 3 else GroupElement(g.phase) for g in _seeded_monomials(GroupElement, 12, r)]
+    args.append(B.power(3))  # a variable whose cube roots are legal
+    weights = (2, 3, 4) * 5
+    e = PolylogCombination.from_terms(
+        (PolylogSymbol(n, a), Fraction(k, 7)) for k, (n, a) in enumerate(zip(weights, args), 1)
+    )
+    want = PolylogCombination.from_terms(
+        (PolylogSymbol(sym.n, root), c * r ** (sym.n - 1))
+        for sym, c in e.terms
+        for root in roots_reference(sym.arg, r)
+    )
+    got = distribution_expand(e, r)
+    assert [c for _, c in got.terms] == [c for _, c in want.terms]
+    assert [s.n for s, _ in got.terms] == [s.n for s, _ in want.terms]
+    _assert_same_monomials([s.arg for s, _ in got.terms], [s.arg for s, _ in want.terms])
+
+
+def test_third_root_of_a_variable_is_refused_with_the_same_message():
+    message = "^exponent 1/3 of a2 has a non-2-power denominator$"
+    with pytest.raises(ValueError, match=message):
+        B._roots(3)
+    with pytest.raises(ValueError, match=message):
+        distribution_expand(PolylogCombination.single(PolylogSymbol(3, B)), 3)
+
+
+# ---------------------------------------------------------------------------
+# integer parameters
+
+_E = PolylogCombination.single(PolylogSymbol(3, A))
+
+
+@pytest.mark.parametrize(
+    "call, name, value",
+    [  # one entry point each, bool and non-int exact numbers included
+        (lambda: construct_preimage((2.5, 2), (A, B)), "weights[0]", 2.5),
+        (lambda: verify_preimage(GeneratorCombination(), (2, 2.5), (A, B)), "weights[1]", 2.5),
+        (lambda: construct_preimage((True, 2), (A, B)), "weights[0]", True),
+        (lambda: PolylogSymbol(2.0, A), "n", 2.0),
+        (lambda: GeneratorTerm(5.0, (A, B)), "weight", 5.0),
+        (lambda: GeneratorTerm(True, (A,)), "weight", True),
+        (lambda: distribution_expand(_E, True), "r", True),
+        (lambda: distribution_contract(_E, 2.0), "r", 2.0),
+        (lambda: tensor_distribution_contract(TensorElement.single(word((3, A))), 2.0), "r", 2.0),
+        (lambda: root_sum_generator(GeneratorCombination(), 1.0, 1), "slot", 1.0),
+        (lambda: root_sum_generator(GeneratorCombination(), 1, Fraction(1)), "s", Fraction(1)),
+        (lambda: A.roots(1.5), "s", 1.5),
+    ],
+)
+def test_integer_parameters_refuse_other_types(call, name, value):
+    message = "^" + re.escape(f"{name} must be an integer, got {value!r}") + "$"
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,26 @@ def test_pivoting_handles_zero_leading_entry():
     assert invert_exact(m) == [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
 
 
+def test_rhs_rows_of_unequal_width_are_refused():
+    for rhs in ([[1], [3, 4]], [[1, 2], [3]]):  # a long row, a short row
+        with pytest.raises(ValueError, match="^rhs rows must all have the same width$"):
+            solve_exact([[1, 0], [0, 1]], rhs)
+
+
+def test_float_entries_are_refused():
+    with pytest.raises(TypeError, match="exact rational required, got float 0.1"):
+        solve_exact([[0.1]], [[1]])
+    with pytest.raises(TypeError, match="exact rational required, got float 0.5"):
+        solve_exact([[1]], [[0.5]])
+    with pytest.raises(TypeError, match="exact rational required, got float 2.0"):
+        invert_exact([[2.0]])
+
+
+def test_zero_by_zero_and_zero_width():
+    assert solve_exact([], []) == []
+    assert solve_exact([[2, 1], [1, 1]], [[], []]) == [[], []]
+
+
 # ---------------------------------------------------------------------------
 # properties on small rational matrices
 
