@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .symalg import ArgMonomial, _Keyed, _merge, _require_ints
+from .symalg import ArgMonomial, _Keyed, _as_fraction, _merge, _require_ints
 
 __all__ = [
     "Combination",
@@ -91,8 +91,8 @@ class PolylogSymbol(_Keyed):
     arg: GroupElement
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int:
-            raise ValueError(f"n must be an integer, got {self.n!r}")
+        if type(self.n) is not int:  # checked inline: the preimage path builds many
+            _require_ints(n=self.n)
         if self.n < 2:
             raise ValueError(f"symbol weight must be >= 2, got {self.n}")
         object.__setattr__(self, "_k", (self.n, self.arg._k))
@@ -114,7 +114,7 @@ class GeneratorTerm(_Keyed):
     def __post_init__(self) -> None:
         object.__setattr__(self, "args", tuple(self.args))
         if type(self.weight) is not int:
-            raise ValueError(f"weight must be an integer, got {self.weight!r}")
+            _require_ints(weight=self.weight)
         if not self.args:
             raise ValueError("generator needs depth at least 1")
         if self.weight < len(self.args):
@@ -184,10 +184,8 @@ class Combination:
         return Combination(tuple(merged))
 
     @staticmethod
-    def single(
-        x: PolylogSymbol | Word | GeneratorTerm, coeff: Fraction | int = 1
-    ) -> "Combination":
-        return Combination.from_terms([(x, Fraction(coeff))])
+    def single(x: PolylogSymbol | Word | GeneratorTerm, coeff: Fraction | int = 1) -> "Combination":
+        return Combination.from_terms([(x, _as_fraction(coeff))])
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -199,7 +197,7 @@ class Combination:
         return self + other.scale(-1)
 
     def scale(self, c: Fraction | int) -> "Combination":
-        c = Fraction(c)
+        c = _as_fraction(c)
         return Combination.from_terms((x, c * q) for x, q in self.terms)
 
     def __str__(self) -> str:
@@ -490,7 +488,7 @@ def _isolation_coefficients(domain: Sequence[int], target: int) -> dict[int, Fra
     nodes = [Fraction(1, 2 ** (m - 1)) for m in domain]
     c = len(nodes)
     matrix = [[nodes[row] ** s for s in range(c)] for row in range(c)]
-    rhs = [[Fraction(int(domain[row] == target))] for row in range(c)]
+    rhs = [[int(domain[row] == target)] for row in range(c)]
     solution = linalg.solve_exact(matrix, rhs)
     return {s: solution[s][0] for s in range(c) if solution[s][0] != 0}
 

@@ -28,6 +28,7 @@ from .symalg import (
     Expr,
     Identity,
     Term,
+    _as_fraction,
     _require_ints,
     li_expr,
     li_factor,
@@ -63,7 +64,7 @@ def _root_terms(n: int, alpha: int, beta: int, x: str, y: str, c: Fraction | int
         raise WeightTooSmall(f"need weight >= 3, got {n}")
     if alpha < 1 or beta < 1:
         raise ValueError("alpha and beta must be positive integers")
-    gamma, c = alpha + beta, Fraction(c)
+    gamma, c = alpha + beta, _as_fraction(c)
     ea, eb, eg = Fraction(1, alpha), Fraction(1, beta), Fraction(1, gamma)
     x_roots = ArgMonomial.variable(x)._roots(alpha)
     y_roots = ArgMonomial.variable(y)._roots(beta)
@@ -162,7 +163,7 @@ def build_reduction_matrix(n: int) -> ReductionMatrix:
     if n < 3:
         raise WeightTooSmall(f"need weight >= 3, got {n}")
     entries = [
-        [Fraction((-i) ** (k - 1) * (n - i) ** (n - k - 1)) for k in range(1, n)]
+        [Fraction((-i) ** (k - 1) * (n - i) ** (n - k - 1), 1) for k in range(1, n)]
         for i in range(1, n)
     ]
     inverse = linalg.invert_exact(entries)

@@ -29,7 +29,7 @@ from .coalgebra import (
     PreimageReport,
     TensorElement,
 )
-from .symalg import ArgMonomial, Composition, Expr, Identity, MPLFactor, Term
+from .symalg import ArgMonomial, Composition, Expr, Identity, MPLFactor, Term, _require_ints
 from .verify import VerificationReport
 
 __all__ = [
@@ -155,6 +155,21 @@ def _each(name: str, parse, items) -> list:
     return [_at(f"{name}[{i}]", parse, item) for i, item in enumerate(items)]
 
 
+def _int(v) -> int:
+    """A JSON integer.  A float or string that int() cannot read, as inf, raises int()'s fault."""
+    if isinstance(v, (float, str)):
+        int(v)  # for its fault alone: _require_ints refuses what it reads
+    _require_ints(value=v)
+    return v
+
+
+def _decimal(v) -> int:
+    """A num or den: a JSON integer, or a string of an optional "-" and ASCII digits."""
+    if isinstance(v, str) and v.isascii() and v.removeprefix("-").isdigit():
+        v = int(v)
+    return _int(v)
+
+
 def _ratio(num, den) -> Fraction:
     if den == 0:
         raise ValueError("zero denominator")
@@ -174,7 +189,7 @@ def _names(items) -> list[str]:
 def _fraction_from(d: Mapping) -> Fraction:
     if not isinstance(d, Mapping):
         raise ValueError(f"expected a rational {{num, den}}, got {d!r}")
-    return _ratio(_at("num", int, d["num"]), _at("den", int, d["den"]))
+    return _ratio(_at("num", _decimal, d["num"]), _at("den", _decimal, d["den"]))
 
 
 def _message(exc: Exception, kind: str) -> str:
@@ -209,14 +224,14 @@ def _document(d, kind: str):
 
 def _monomial_from(d: Mapping, cls: type[ArgMonomial] = ArgMonomial) -> ArgMonomial:
     return cls(
-        _ratio(_at("zeta_pow", int, d["zeta_pow"]), _at("zeta_order", int, d["zeta_order"])),
+        _ratio(_at("zeta_pow", _int, d["zeta_pow"]), _at("zeta_order", _int, d["zeta_order"])),
         tuple((v, _at(f"exponents.{v}", _fraction_from, e)) for v, e in d["exponents"].items()),
     )
 
 
 def _factor_from(d: Mapping) -> MPLFactor:
     return MPLFactor(
-        Composition(tuple(_each("indices", int, d["indices"]))),
+        Composition(tuple(_each("indices", _int, d["indices"]))),
         tuple(_each("args", _monomial_from, d["args"])),
     )
 
@@ -242,7 +257,7 @@ def identity_from_dict(d: Mapping) -> Identity:
         return Identity(
             Expr.from_terms(_each("lhs", _term_from, d["lhs"])),
             Expr.from_terms(_each("rhs", _term_from, d["rhs"])),
-            weight=_at("weight", int, d["weight"]),
+            weight=_at("weight", _int, d["weight"]),
             variables=frozenset(_at("variables", _names, d["variables"])),
             provenance=str(d.get("provenance", "")),
         )
@@ -291,7 +306,7 @@ def _group_element_from(d: Mapping) -> GroupElement:
 def _generator_term_from(d: Mapping) -> tuple[GeneratorTerm, Fraction]:
     args = _each("args", _group_element_from, d["args"])
     return (
-        GeneratorTerm(_at("weight", int, d["weight"]), tuple(args)),
+        GeneratorTerm(_at("weight", _int, d["weight"]), tuple(args)),
         _at("coeff", _fraction_from, d["coeff"]),
     )
 
@@ -339,7 +354,7 @@ def tensor_element_to_dict(te: TensorElement) -> dict:
 
 
 def _symbol_from(d: Mapping) -> PolylogSymbol:
-    return PolylogSymbol(_at("n", int, d["n"]), _at("arg", _group_element_from, d["arg"]))
+    return PolylogSymbol(_at("n", _int, d["n"]), _at("arg", _group_element_from, d["arg"]))
 
 
 def _tensor_term_from(d: Mapping) -> tuple[tuple[PolylogSymbol, ...], Fraction]:

@@ -72,7 +72,8 @@ class Composition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(self.parts)
+        _require_ints(**{f"parts[{i}]": p for i, p in enumerate(parts)})
         object.__setattr__(self, "parts", parts)
         if not parts:
             raise ValueError("composition needs at least one part")
@@ -198,12 +199,10 @@ class ArgMonomial(_Keyed):
         zeta_order: int = 1,
         zeta_power: int = 0,
     ) -> "ArgMonomial":
+        _require_ints(zeta_order=zeta_order, zeta_power=zeta_power)
         if zeta_order < 1:
             raise ValueError("zeta_order must be a positive integer")
-        return cls(
-            Fraction(zeta_power, zeta_order),
-            tuple((exponents or {}).items()),
-        )
+        return cls(Fraction(zeta_power, zeta_order), tuple((exponents or {}).items()))
 
     @classmethod
     def variable(cls, name: str) -> "ArgMonomial":
@@ -367,10 +366,8 @@ class Expr:
         return Expr(tuple(t if c == t.coeff else Term(c, t.factors) for t, c in merged))
 
     @staticmethod
-    def single(
-        coeff: Fraction | int, factors: Sequence[MPLFactor]
-    ) -> "Expr":
-        return Expr.from_terms([Term(Fraction(coeff), tuple(factors))])
+    def single(coeff: Fraction | int, factors: Sequence[MPLFactor]) -> "Expr":
+        return Expr.from_terms([Term(coeff, tuple(factors))])
 
     @property
     def variables(self) -> frozenset[str]:
@@ -392,7 +389,7 @@ class Expr:
         return self.scale(-1)
 
     def scale(self, c: Fraction | int) -> "Expr":
-        c = Fraction(c)
+        c = _as_fraction(c)
         if c == 0:
             return Expr.zero()
         return Expr(tuple(Term(c * t.coeff, t.factors) for t in self.terms))
@@ -404,12 +401,8 @@ class Expr:
         return " + ".join(str(t) for t in self.terms) if self.terms else "0"
 
 
-def li_expr(
-    parts: Sequence[int],
-    args: Sequence[ArgMonomial],
-    coeff: Fraction | int = 1,
-) -> Expr:
-    return Expr.single(Fraction(coeff), [li_factor(parts, args)])
+def li_expr(parts: Sequence[int], args: Sequence[ArgMonomial], coeff: Fraction | int = 1) -> Expr:
+    return Expr.single(coeff, [li_factor(parts, args)])
 
 
 def normalize(e: Expr) -> Expr:
@@ -550,6 +543,7 @@ def root_expand(e: Expr, variable: str, order: int) -> Expr:
     convention used by instantiate.  Terms free of the variable are summed
     `order` times and so acquire multiplicity `order`.
     """
+    _require_ints(order=order)
     if order < 1:
         raise ValueError("order must be a positive integer")
     if order == 1:
@@ -595,6 +589,7 @@ class Identity:
     provenance: str = ""
 
     def __post_init__(self) -> None:
+        _require_ints(weight=self.weight)
         object.__setattr__(self, "variables", frozenset(self.variables))
         for side, name in ((self.lhs, "lhs"), (self.rhs, "rhs")):
             for t in side.terms:

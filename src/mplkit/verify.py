@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .symalg import DEFAULT_RHO_MAX, BudgetUnderflow, Identity, _exact_float
+from .symalg import DEFAULT_RHO_MAX, BudgetUnderflow, Identity, _exact_float, _require_ints
 
 __all__ = [
     "ConvergenceViolation",
@@ -45,6 +45,7 @@ class VerificationPlan:
     allow_complex: bool = True
 
     def __post_init__(self) -> None:
+        _require_ints(seed=self.seed, point_count=self.point_count)
         # sample_points rejects moduli below MIN_MODULUS, so it needs room above it
         if not 2 * MIN_MODULUS <= self.radius < 1.0:
             raise ValueError(f"radius must lie in [{2 * MIN_MODULUS}, 1)")

@@ -228,6 +228,14 @@ def test_verify_malformed_identity_exit_2(tmp_path, capsys, doc, message):
     assert message in err
 
 
+def test_verify_non_integer_weight_exit_2(tmp_path, capsys):
+    path = tmp_path / "weight.json"
+    path.write_text(json.dumps({**_fixture_doc(), "weight": 4.9}))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err == "parse error: value must be an integer, got 4.9 at weight\n"
+
+
 def test_verify_huge_exponent_exit_2(tmp_path, capsys):
     # an exponent beyond the double range is an input fault, not a traceback
     doc = _fixture_doc()

@@ -672,6 +672,9 @@ _E = PolylogCombination.single(PolylogSymbol(3, A))
         (lambda: root_sum_generator(GeneratorCombination(), 1.0, 1), "slot", 1.0),
         (lambda: root_sum_generator(GeneratorCombination(), 1, Fraction(1)), "s", Fraction(1)),
         (lambda: A.roots(1.5), "s", 1.5),
+        (lambda: PolylogSymbol(True, A), "n", True),
+        (lambda: PolylogSymbol("2", A), "n", "2"),
+        (lambda: GeneratorTerm("5", (A, B)), "weight", "5"),
     ],
 )
 def test_integer_parameters_refuse_other_types(call, name, value):
@@ -852,3 +855,13 @@ def test_bench_size_preimages_are_pinned():
 def test_weight12_preimages_are_pinned():
     digest = _preimage_digest(((4, 4, 4), (6, 6)))
     assert digest == "51e370df11cc06e51366f540c82f950925ca695dc484f1e63302b9cd6e286acb"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: Combination.single(PolylogSymbol(2, A), 0.1), lambda: _E.scale(0.1)],
+    ids=["single", "scale"],
+)
+def test_combination_float_coefficients_are_refused(call):
+    with pytest.raises(TypeError, match=r"^exact rational required, got float 0\.1$"):
+        call()

@@ -133,3 +133,61 @@ def test_numpy_and_numeval_privates_stay_in_numeval():
                     assert not any(a.name.startswith("_") for a in node.names), filename
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 assert not (node.value.id == "numeval" and node.attr.startswith("_")), filename
+
+
+# The one integer rule is symalg._require_ints and the one rational rule
+# symalg._as_fraction: a value a caller or a document hands in is read by
+# them, by the serialize readers built on them, or by a constructor that
+# calls them.  These are the only functions of the exact modules that may
+# convert a value with int() or Fraction() alone.
+CONVERSION_OWNERS = {("symalg", "_as_fraction"), ("serialize", "_int"), ("serialize", "_decimal")}
+
+
+def _ad_hoc_conversions(node, function="<module>"):
+    """(function, source) of each one-argument int() or Fraction() call below
+    node, and of each call that is passed int or Fraction as a parse function.
+    int(<comparison>), a literal int argument and Fraction(a, b) are no
+    conversions of an outside value, and isinstance names types, not parsers."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _ad_hoc_conversions(child, child.name)
+            continue
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+            args = [*child.args, *(k.value for k in child.keywords)]
+            if child.func.id in ("int", "Fraction") and len(args) == 1:
+                (arg,) = args
+                literal = isinstance(arg, ast.Constant) and type(arg.value) is int
+                if not literal and not (child.func.id == "int" and isinstance(arg, ast.Compare)):
+                    yield function, ast.unparse(child)
+            if child.func.id not in ("isinstance", "issubclass") and any(
+                isinstance(a, ast.Name) and a.id in ("int", "Fraction") for a in args
+            ):
+                yield function, ast.unparse(child)
+        yield from _ad_hoc_conversions(child, function)
+
+
+@pytest.mark.parametrize("module", ["symalg", "coalgebra", "reduction", "verify", "linalg", "serialize"])
+def test_exact_inputs_are_converted_by_their_owners_only(module):
+    path = os.path.join(os.path.dirname(os.path.abspath(mplkit.__file__)), f"{module}.py")
+    with open(path) as handle:
+        tree = ast.parse(handle.read())
+    found = [
+        (function, source) for function, source in _ad_hoc_conversions(tree)
+        if (module, function) not in CONVERSION_OWNERS
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("def f(p):\n    return int(p)", ["int(p)"]),
+        ("def f(c):\n    return Fraction(c)", ["Fraction(c)"]),
+        ("def f(d):\n    return _at('n', int, d['n'])", ["_at('n', int, d['n'])"]),
+        ("def f(ps):\n    return list(map(Fraction, ps))", ["map(Fraction, ps)"]),
+        ("def f(a, b, i, j):\n    return Fraction(a, b) + int(i == j) + Fraction(1)", []),
+        ("def f(v):\n    return isinstance(v, int)", []),
+    ],
+)
+def test_the_conversion_guard_sees_each_kind(source, flagged):
+    assert [s for _, s in _ad_hoc_conversions(ast.parse(source))] == flagged

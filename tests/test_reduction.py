@@ -357,3 +357,8 @@ def test_fixture_verifies_at_complex_points():
         fix, VerificationPlan(seed=2, point_count=10, radius=0.7, tolerance=1e-9)
     )
     assert report.passed
+
+
+def test_root_terms_refuse_a_float_coefficient():
+    with pytest.raises(TypeError, match=r"^exact rational required, got float 0\.1$"):
+        _triple_root_sum(4, 1, 2, c=0.1)

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -441,3 +443,60 @@ def test_latex_monomial_forms():
     tex = identity_to_latex(ident)
     assert "x^{1/2}" in tex and "y^{-1/2}" in tex
     assert tex.count("-x^{1/2}") >= 1  # zeta_2 rendered as a sign
+
+
+# ---------------------------------------------------------------------------
+# exact fields: a float, bool or stray string is refused, never truncated
+
+
+def _path(field) -> str:
+    return ".".join(f"[{k}]" if isinstance(k, int) else k for k in field).replace(".[", "[")
+
+
+# values that int() truncates (4.9) or reads (true as 1, "-1_0" as -10)
+_EXACT_FIELD_PROBES = [
+    (identity_from_dict, _IDENTITY_DOC, ("lhs", 0, "factors", 0, "indices", 0), 4.9),
+    (identity_from_dict, _IDENTITY_DOC, ("weight",), 4.9),
+    (identity_from_dict, _IDENTITY_DOC, ("rhs", 0, "factors", 0, "args", 0, "zeta_pow"), 1.9),
+    (identity_from_dict, _IDENTITY_DOC, ("rhs", 0, "coeff", "den"), True),
+    (identity_from_dict, _IDENTITY_DOC, ("rhs", 0, "coeff", "num"), -1.5),
+    (identity_from_dict, _IDENTITY_DOC, ("rhs", 0, "coeff", "num"), "-1_0"),
+    (generator_combination_from_dict, _COMBO_DOC, ("terms", 0, "weight"), 4.9),
+    (generator_combination_from_dict, _COMBO_DOC, ("terms", 0, "args", 1, "zeta_pow"), 1.9),
+    (generator_combination_from_dict, _COMBO_DOC, ("terms", 0, "coeff", "den"), True),
+    (generator_combination_from_dict, _COMBO_DOC, ("terms", 0, "coeff", "num"), -1.5),
+    (generator_combination_from_dict, _COMBO_DOC, ("terms", 0, "coeff", "num"), "-1_0"),
+    (tensor_element_from_dict, _TENSOR_DOC, ("terms", 1, "word", 0, "n"), 2.7),
+    (tensor_element_from_dict, _TENSOR_DOC, ("terms", 1, "word", 0, "arg", "zeta_pow"), 1.9),
+    (tensor_element_from_dict, _TENSOR_DOC, ("terms", 1, "coeff", "den"), True),
+    (tensor_element_from_dict, _TENSOR_DOC, ("terms", 1, "coeff", "num"), -1.5),
+    (tensor_element_from_dict, _TENSOR_DOC, ("terms", 1, "coeff", "num"), "-1_0"),
+    (tensor_element_from_dict, _TENSOR_DOC,
+     ("terms", 1, "word", 0, "arg", "exponents", "a1", "den"), " 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "load, doc, field, value",
+    _EXACT_FIELD_PROBES,
+    ids=[f"{load.__name__}-{_path(field)}={value!r}" for load, _, field, value in _EXACT_FIELD_PROBES],
+)
+def test_loaders_refuse_inexact_fields(load, doc, field, value):
+    message = "^" + re.escape(f"value must be an integer, got {value!r} at {_path(field)}") + "$"
+    with pytest.raises(ValueError, match=message):
+        load(json.loads(json.dumps(mutated(doc, ("replace", field, value)))))
+
+
+def test_loaders_read_a_decimal_num_or_den_as_text_or_json_integer():
+    for num, den in (("-006", "4"), (-6, 4), ("-3", 2)):
+        doc = mutated(_COMBO_DOC, ("replace", ("terms", 0, "coeff"), {"num": num, "den": den}))
+        assert generator_combination_from_dict(doc).terms[0][1] == Fraction(-3, 2)
+
+
+def test_identity_weight_is_an_integer_and_the_fixture_bytes_stay():
+    fixture = weight4_fixture_identity()
+    with pytest.raises(ValueError, match=r"^weight must be an integer, got 4\.0$"):
+        Identity(fixture.lhs, fixture.rhs, 4.0, fixture.variables)
+    pinned = json.loads((Path(__file__).parent / "artifact_digests.json").read_text())
+    digest = hashlib.sha256(identity_dumps(fixture).encode()).hexdigest()
+    assert digest == pinned["fixture.json"]

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mplkit import numeval
 from mplkit.symalg import (
     ArgMonomial,
+    Composition,
     DepthCapExceeded,
     Expr,
     Identity,
@@ -640,3 +642,40 @@ def test_identity_refuses_undeclared_variables():
             variables=frozenset({"x"}),
         )
 
+
+
+# ---------------------------------------------------------------------------
+# exact inputs
+
+
+@pytest.mark.parametrize("value", [2.0, True, "2"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("parts[1]", lambda v: Composition((1, v))),
+        ("zeta_order", lambda v: ArgMonomial.make({"x": 1}, zeta_order=v)),
+        ("zeta_power", lambda v: ArgMonomial.make({"x": 1}, 2, v)),
+        ("order", lambda v: root_expand(li_expr([2], [X]), "x", v)),
+        ("weight", lambda v: Identity(li_expr([2], [X]), li_expr([2], [X]), v, {"x"})),
+    ],
+    ids=["composition", "zeta-order", "zeta-power", "root-expand", "identity"],
+)
+def test_integer_entry_points_refuse_a_float_bool_or_string(name, call, value):
+    # int() would truncate 2.0 and read True and "2"; each is refused
+    message = "^" + re.escape(f"{name} must be an integer, got {value!r}") + "$"
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: li_expr([2], [X], coeff=0.1),
+        lambda: Expr.single(0.1, [li_factor([2], [X])]),
+        lambda: li_expr([2], [X]).scale(0.1),
+    ],
+    ids=["li-expr", "expr-single", "expr-scale"],
+)
+def test_float_coefficients_are_refused_not_binary_expanded(call):
+    with pytest.raises(TypeError, match=r"^exact rational required, got float 0\.1$"):
+        call()

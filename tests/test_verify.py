@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from mplkit.reduction import weight4_fixture_identity
@@ -183,3 +185,11 @@ def test_reduction_check_fails_on_a_wrong_identity(kl):
     }
     for name, mutant in wrong.items():
         assert not verify_identity(mutant, plan).passed, name
+
+
+@pytest.mark.parametrize("value", [2.5, True, "2"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("name", ["seed", "point_count"])
+def test_plan_integers_refuse_a_float_bool_or_string(name, value):
+    message = "^" + re.escape(f"{name} must be an integer, got {value!r}") + "$"
+    with pytest.raises(ValueError, match=message):
+        VerificationPlan(**{name: value})
