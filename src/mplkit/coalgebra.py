@@ -24,6 +24,7 @@ import gc
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -236,23 +237,24 @@ def _generator_pairs(g: GeneratorTerm | GeneratorCombination) -> tuple:
 
 
 def _image(pairs: Sequence[tuple[GeneratorTerm, object]], ids: "_Ids") -> dict:
-    """The image of merged (generator, c) pairs as {id word: c}, building no
-    symbol.  No two words coincide: distinct generators differ in some
-    argument, one generator's words in a slot weight.  Arguments take ids
-    in key order, so with a fresh `ids` id words order like word keys."""
-    if not pairs:
-        return {}
-    weight, depth = pairs[0][0].weight, pairs[0][0].depth  # homogeneous
-    rows = {}  # argument key -> n -> symbol id, one int object per symbol
-    for k, a in sorted({a._k: a for g, _ in pairs for a in g.args}.items()):
-        i = ids.arg(k, a)
-        rows[k] = {n: n * _ARGS + i for n in range(2, weight - 2 * (depth - 1) + 1)}
-    comps, words = compositions_min2(weight, depth), {}
-    for g, c in pairs:
-        by_n = [rows[a._k] for a in g.args]
-        for comp in comps:
-            words[tuple(map(dict.__getitem__, by_n, comp))] = c
-    return words
+    """The image of merged (generator, c) pairs as {argument-id tuple:
+    {composition: c}}, building no symbol or word: each generator holds c at
+    every composition of its weight.  No two tuples coincide, as distinct
+    generators differ in some argument.  Arguments take ids in key order,
+    so with a fresh `ids` id words order like word keys."""
+    if not (comps := pairs and compositions_min2(pairs[0][0].weight, pairs[0][0].depth)):
+        return {}  # no generator, or weight below twice the depth (pairs are homogeneous)
+    arg = {k: ids.arg(k, a) for k, a in sorted({a._k: a for g, _ in pairs for a in g.args}.items())}
+    return {tuple([arg[a._k] for a in g.args]): dict.fromkeys(comps, c) for g, c in pairs}
+
+
+def _words(terms: dict) -> list:
+    """The (id word, c) pairs of {argument-id tuple: {composition: c}}; the
+    symbol Li_n(b) has the id n * _ARGS + the id of b, one int per symbol."""
+    top = max(map(max, chain.from_iterable(terms.values())), default=0)
+    rows = {a: [n * _ARGS + a for n in range(top + 1)] for a in set(chain.from_iterable(terms))}
+    return [(tuple(map(list.__getitem__, by_n, ns)), c) for t, m in terms.items()
+            for by_n in ([rows[a] for a in t],) for ns, c in m.items()]
 
 
 def cobracket_image(g: GeneratorTerm | GeneratorCombination) -> TensorElement:
@@ -265,8 +267,9 @@ def cobracket_image(g: GeneratorTerm | GeneratorCombination) -> TensorElement:
     their id words, and each symbol Li_n(a) is built once per call.
     """
     ids = _Ids()
-    words = sorted(_image(_generator_pairs(g), ids).items())
-    return Combination(tuple([(tuple(map(ids.symbol, w)), c) for w, c in words]))
+    with _gc_paused():  # as in verify_preimage: many acyclic tuples, no cycles
+        words = sorted(_words(_image(_generator_pairs(g), ids)))
+        return Combination(tuple([(tuple(map(ids.symbol, w)), c) for w, c in words]))
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +295,10 @@ _ARGS = 2**40  # the id of a symbol Li_n(b) is n * _ARGS + the id of b
 
 
 class _Ids:
-    """Arguments as int ids, given in the order first seen, and symbols as
-    ids of (n, argument id), which order like symbol keys when argument
-    ids order like argument keys.  An argument's r-th power is worked out
-    once, from its key; symbols are built for output only, each once."""
+    """Arguments as int ids, given in the order first seen; symbol ids (see
+    `_words`) order like symbol keys when argument ids order like argument
+    keys.  An argument's r-th power is worked out once, from its key;
+    symbols are built for output only, each once."""
 
     def __init__(self) -> None:
         self.keys: list = []  # argument id -> key
@@ -311,12 +314,11 @@ class _Ids:
             self.elements.append(element)
         return a
 
-    def power(self, i: int, r: int) -> int:
-        """The id of the r-th power of symbol i."""
-        a = i % _ARGS
+    def power(self, a: int, r: int) -> int:
+        """The id of the r-th power of argument a."""
         if a not in self.powers:
             self.powers[a] = self.arg(_power_key(self.keys[a], r))
-        return i - a + self.powers[a]
+        return self.powers[a]
 
     def symbol(self, i: int) -> PolylogSymbol:
         if i not in self.symbols:
@@ -334,15 +336,21 @@ def _lowest(num: int, k: int, r: int) -> tuple[int, int]:
     return num, k
 
 
-def _add(words: dict, w: tuple, c: tuple[int, int], r: int) -> None:
-    if w in words:
-        (a, i), (b, j) = words[w], c
-        k = max(i, j)
-        c = _lowest(a * r ** (k - i) + b * r ** (k - j), k, r)
-    if c[0]:
-        words[w] = c
-    else:
-        words.pop(w, None)
+def _add(terms: dict, t: tuple, by_ns: dict, r: int) -> None:
+    """terms[t] += by_ns per composition; zeros drop, and t once its map is empty."""
+    old = terms.setdefault(t, by_ns)
+    if old is not by_ns:
+        for ns, c in by_ns.items():
+            if ns in old:
+                (a, i), (b, j) = old[ns], c
+                k = max(i, j)
+                c = _lowest(a * r ** (k - i) + b * r ** (k - j), k, r)
+            if c[0]:
+                old[ns] = c
+            else:
+                del old[ns]
+        if not old:
+            del terms[t]
 
 
 def _scaled(pairs: Sequence[tuple[object, Fraction]]) -> tuple[int, list]:
@@ -351,64 +359,74 @@ def _scaled(pairs: Sequence[tuple[object, Fraction]]) -> tuple[int, list]:
     return den, [(x, (c.numerator * (den // c.denominator), 0)) for x, c in pairs]
 
 
-def _contract(words: dict, ids: _Ids, r: int) -> None:
+def _contract(terms: dict, ids: _Ids, r: int) -> None:
     """The fixpoint of `tensor_distribution_contract`, in place, for r >= 1.
 
-    Words are {id word: (num, k)}.  Two symbols share an orbit exactly when
-    their r-th powers agree, so a slot groups its words under the word with
-    that slot's id replaced by the id of its power, which is also the
-    collapsed word.  A coefficient (num, k) stands for num / (D * r**k), D
-    one common denominator, in the one form `_lowest` gives: a collapse at
-    weight n adds n - 1 to k, a sum aligns the two k, and equal pairs are
-    equal coefficients.  A slot pass groups the words whose slot symbol has
-    all r orbit partners in the slot (no scan if none has), takes out
-    complete equal-coefficient orbits and adds their collapsed words, until
-    a pass over every slot finds none.
+    Terms are {argument-id tuple t: {composition ns: (num, k)}}, the word
+    Li_{ns_1}(t_1) x ... x Li_{ns_d}(t_d) at each (t, ns).  A collapse keeps
+    every n_j and `_add` merges only equal words, so each composition sees
+    the slot passes it would see alone, and a pass with no collapse in it
+    leaves it unchanged: one grouping of the tuples serves them all.  Two
+    arguments share an orbit exactly when their r-th powers agree, so a
+    slot groups its tuples under the tuple with that slot's id replaced by
+    the id of its power, the collapsed tuple; a group of r collapses each
+    composition that all r hold with one coefficient.  A coefficient
+    (num, k) stands for num / (D * r**k), D one common denominator, in the
+    one form `_lowest` gives: a collapse at weight n adds n - 1 to k, a sum
+    aligns the two k, and equal pairs are equal coefficients.  A pass scans
+    only if some slot argument has all r orbit partners in the slot and
+    adds its collapsed maps after the scan; a round of passes without a
+    collapse ends the fixpoint.
     """
-    depth = len(next(iter(words), ()))
+    depth = len(next(iter(terms), ()))
     slot, unchanged = 0, 0  # consecutive slot passes without a collapse
     while r > 1 and unchanged < depth:  # at r = 1 every collapse is the identity
-        powers = {i: ids.power(i, r) for i in {w[slot] for w in words}}
+        powers = {a: ids.power(a, r) for a in {t[slot] for t in terms}}
         orbits: dict = {}  # power id -> the slot ids present with that power
-        for i, up in powers.items():
-            orbits.setdefault(up, []).append(i)
-        full = {i for members in orbits.values() if len(members) == r for i in members}
-        groups: dict = {}  # word with its slot id replaced by the orbit -> members
-        for w in words if full else ():
-            if w[slot] in full:  # only these can lie in a complete orbit
-                groups.setdefault(w[:slot] + (powers[w[slot]],) + w[slot + 1 :], []).append(w)
+        for a, up in powers.items():
+            orbits.setdefault(up, []).append(a)
+        full = {a for members in orbits.values() if len(members) == r for a in members}
+        groups: dict = {}  # tuple with its slot id replaced by the orbit -> members
+        for t in terms if full else ():
+            if t[slot] in full:  # only these can lie in a complete orbit
+                groups.setdefault(t[:slot] + (powers[t[slot]],) + t[slot + 1 :], []).append(t)
         collapsed = []
         for up, members in groups.items():
-            if len(members) == r:
-                c = words[members[0]]
-                for w in members[1:]:
-                    if words[w] != c:
-                        break
+            if len(members) < r:
+                continue
+            maps = [terms[t] for t in members]  # equal maps: every composition collapses
+            hit = maps[0] if maps.count(maps[0]) == r else {
+                ns: c for ns, c in maps[0].items() if all(m.get(ns) == c for m in maps)}
+            for t, m in zip(members, maps):
+                if len(m) == len(hit):  # all of t collapses
+                    del terms[t]
                 else:
-                    collapsed.append((up, _lowest(c[0], c[1] + up[slot] // _ARGS - 1, r)))
-                    for w in members:
-                        del words[w]
-        for up, c in collapsed:
-            _add(words, up, c, r)
+                    for ns in hit:
+                        del m[ns]
+            if hit:
+                collapsed.append((up, {ns: _lowest(num, k + ns[slot] - 1, r)
+                                       for ns, (num, k) in hit.items()}))
+        for up, by_ns in collapsed:
+            _add(terms, up, by_ns, r)
         unchanged = 0 if collapsed else unchanged + 1
         slot = (slot + 1) % depth
 
 
-def _contracted(words: dict, ids: _Ids, den: int, r: int) -> list[tuple[Word, Fraction]]:
-    """The merged, unsorted (word, coeff) pairs of the contracted words."""
-    _contract(words, ids, r)
-    return [(tuple(map(ids.symbol, w)), Fraction(num, den * r**k)) for w, (num, k) in words.items()]
+def _contracted(terms: dict, ids: _Ids, den: int, r: int) -> list[tuple[Word, Fraction]]:
+    """The merged, unsorted (word, coeff) pairs of the contracted terms."""
+    _contract(terms, ids, r)
+    return [(tuple(map(ids.symbol, w)), Fraction(num, den * r**k)) for w, (num, k) in _words(terms)]
 
 
 def _contract_terms(pairs: Iterable[tuple[Word, Fraction]], r: int) -> list[tuple[Word, Fraction]]:
     _require_ints(r=r)
     if r < 1:
         raise ValueError("orbit order must be a positive integer")
-    ids, words = _Ids(), {}
-    den, pairs = _scaled(list(pairs))
+    ids, terms = _Ids(), {}
+    den, pairs = _scaled([(w, c) for w, c in pairs if c])
     for w, c in pairs:
-        _add(words, tuple(s.n * _ARGS + ids.arg(s.arg._k, s.arg) for s in w), c, r)
-    return _contracted(words, ids, den, r)
+        _add(terms, tuple([ids.arg(s.arg._k, s.arg) for s in w]), {tuple([s.n for s in w]): c}, r)
+    return _contracted(terms, ids, den, r)
 
 
 def distribution_contract(e: PolylogCombination, r: int) -> PolylogCombination:
@@ -553,7 +571,7 @@ def verify_preimage(
     """Exact check: image of p, contracted at 2-power orbits, equals the word
     Li_{w_1}(a_1) x ... x Li_{w_d}(a_d).  Failure shows up as a nonzero
     residual in the report, never as an exception.  The image goes into the
-    contraction as id words; only the contracted words get symbols.
+    contraction as argument-id tuples; only the contracted words get symbols.
     """
     _require_ints(**{f"weights[{i}]": w for i, w in enumerate(weights)})
     target = TensorElement.single(tuple(PolylogSymbol(w, a) for w, a in zip(weights, args)))

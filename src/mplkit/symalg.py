@@ -134,8 +134,8 @@ def _require_ints(**params) -> None:
 def _as_fraction(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, float):
-        raise TypeError(f"exact rational required, got float {v!r}")
+    if isinstance(v, (float, bool, str)):  # Fraction would read True as 1 and "0.1" as 1/10
+        raise TypeError(f"exact rational required, got {type(v).__name__} {v!r}")
     return Fraction(v)
 
 

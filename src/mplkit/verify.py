@@ -46,6 +46,9 @@ class VerificationPlan:
 
     def __post_init__(self) -> None:
         _require_ints(seed=self.seed, point_count=self.point_count)
+        for name in ("radius", "tolerance"):
+            if type(v := getattr(self, name)) is bool or not isinstance(v, (int, float)):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
         # sample_points rejects moduli below MIN_MODULUS, so it needs room above it
         if not 2 * MIN_MODULUS <= self.radius < 1.0:
             raise ValueError(f"radius must lie in [{2 * MIN_MODULUS}, 1)")

@@ -39,7 +39,7 @@ from mplkit.coalgebra import (
 )
 from mplkit.numeval import Composition, EvalRequest, eval_li
 from mplkit.serialize import generator_combination_dumps, preimage_report_dumps
-from mplkit.symalg import ArgMonomial, MPLFactor, Term, li_factor
+from mplkit.symalg import ArgMonomial, Expr, MPLFactor, Term, li_expr, li_factor
 
 from _oracles import compositions_brute, image_reference, roots_reference, tensor_contract_reference
 
@@ -444,6 +444,70 @@ def test_tensor_contract_matches_reference(case):
     if te.terms and len(te.terms[0][0]) == 1:
         e = PolylogCombination.from_terms((w[0], c) for w, c in te.terms)
         assert distribution_contract(e, r).terms == tuple((w[0], c) for w, c in got.terms)
+
+
+@st.composite
+def _grouped_contraction_cases(draw):
+    """(tensor element, r) built one argument tuple at a time, each tuple
+    held at several compositions of one weight: complete orbits in one slot
+    with one coefficient per composition, complete orbits whose members
+    agree at some compositions only, partial orbits, arguments repeated
+    across slots and tuples, and orbits whose collapse cancels a word
+    already present."""
+    r = draw(st.sampled_from((2, 3, 4)))
+    depth = draw(st.integers(1, 3))
+    comps = compositions_min2(draw(st.integers(2 * depth, 2 * depth + 3)), depth)
+    variables, exponents = st.sampled_from(("a1", "a2")), st.sampled_from((Fraction(1), Fraction(-1, 2)))
+    pool = [  # three arguments, so slots and tuples repeat them
+        GroupElement(Fraction(draw(st.integers(0, r * r - 1)), r * r), ((draw(variables), draw(exponents)),))
+        for _ in range(3)
+    ]
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        args = tuple(draw(st.sampled_from(pool)) for _ in range(depth))
+        at = draw(st.lists(st.sampled_from(comps), min_size=1, unique=True))
+        coeffs = {ns: draw(_COEFFS) for ns in at}
+        kind = draw(st.sampled_from(("tuple", "orbit", "partial", "some-agree", "cancel")))
+        k = draw(st.integers(0, depth - 1))
+        orbit = [GroupElement(args[k].phase + Fraction(j, r), args[k].exponents) for j in range(r)]
+        members = [args[:k] + (b,) + args[k + 1 :] for b in orbit]
+        if kind == "tuple":
+            members = [args]
+        if kind == "partial":
+            members = members[: draw(st.integers(1, r - 1))]
+        for j, t in enumerate(members):
+            for ns in at:
+                differs = kind == "some-agree" and j == 0 and draw(st.booleans())  # ns stays
+                pairs.append((tuple(map(PolylogSymbol, ns, t)), coeffs[ns] + 1 if differs else coeffs[ns]))
+        if kind == "cancel":
+            up = args[:k] + (args[k].power(r),) + args[k + 1 :]
+            pairs += [(tuple(map(PolylogSymbol, ns, up)), -coeffs[ns] / r ** (ns[k] - 1))
+                      for ns in at]
+    return TensorElement.from_terms(pairs), r
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_grouped_contraction_cases())
+def test_grouped_contraction_matches_reference(case):
+    te, r = case
+    assert tensor_distribution_contract(te, r) == tensor_contract_reference(te, r)
+
+
+@pytest.mark.parametrize("mutation", ["coefficient-changed", "term-dropped", "off-grid-term-added"])
+def test_mutated_preimage_matches_the_reference_contraction(mutation):
+    weights, args = (3, 2, 2), (A, B, C)
+    terms = construct_preimage(weights, args).terms
+    if mutation == "coefficient-changed":
+        terms = ((terms[0][0], terms[0][1] + Fraction(1, 7)),) + terms[1:]
+    elif mutation == "term-dropped":
+        terms = terms[:-1]
+    else:  # a third root of unity lies on no 2-power orbit
+        terms += ((GeneratorTerm(7, (A, GroupElement(Fraction(1, 3), B.exponents), C)), Fraction(1)),)
+    report = verify_preimage(Combination.from_terms(terms), weights, args)
+    reference = tensor_contract_reference(image_reference(terms), 2)  # shares no code with the check
+    assert not report.matched
+    assert report.image == reference
+    assert report.residual == reference - report.target
 
 
 _KEY_EXPONENTS = st.sampled_from(
@@ -865,3 +929,21 @@ def test_weight12_preimages_are_pinned():
 def test_combination_float_coefficients_are_refused(call):
     with pytest.raises(TypeError, match=r"^exact rational required, got float 0\.1$"):
         call()
+
+
+@pytest.mark.parametrize("value", [True, False, "0.1", "1"], ids=["true", "false", "decimal-str", "int-str"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: li_expr([2], [A], v),
+        lambda v: Expr.single(v, [li_factor([2], [A])]),
+        lambda v: Combination.single(PolylogSymbol(2, A), v),
+        lambda v: _E.scale(v),
+    ],
+    ids=["li-expr", "expr-single", "combination-single", "scale"],
+)
+def test_coefficients_refuse_a_bool_or_a_string(call, value):
+    # Fraction(True) is 1 and Fraction("0.1") is 1/10; the one owner refuses both, like a float
+    message = "^" + re.escape(f"exact rational required, got {type(value).__name__} {value!r}") + "$"
+    with pytest.raises(TypeError, match=message):
+        call(value)

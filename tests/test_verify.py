@@ -57,6 +57,23 @@ def test_plan_validation():
         VerificationPlan(tolerance=0.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("tolerance", True), ("radius", True), ("radius", "0.7"), ("tolerance", "1e-9"), ("tolerance", None),
+     ("radius", 0.7j)],
+)
+def test_plan_refuses_a_bool_or_non_real_radius_and_tolerance(field, value):
+    # True would pass as tolerance 1; a string used to fail in a comparison naming no field
+    message = "^" + re.escape(f"{field} must be a real number, got {value!r}") + "$"
+    with pytest.raises(ValueError, match=message):
+        VerificationPlan(**{field: value})
+
+
+def test_plan_accepts_int_and_float_radius_and_tolerance():
+    plan = VerificationPlan(radius=0.5, tolerance=1)
+    assert (plan.radius, plan.tolerance) == (0.5, 1)
+
+
 def test_trivial_identity_zero_residual():
     report = verify_identity(trivial_identity(), VerificationPlan(point_count=5))
     assert report.passed
