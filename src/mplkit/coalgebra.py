@@ -3,10 +3,10 @@ and the root-sum preimage construction.
 
 A depth-d generator Li_{n-d;1,...,1}(a_1,...,a_d) maps to the sum over all
 compositions n_1 + ... + n_d = n with every part >= 2 of the tensor word
-Li_{n_1}(a_1) x ... x Li_{n_d}(a_d).  Replacing one slot argument by the sum
-of its 2^s-th roots rescales each word by 2^{-s(m-1)} in that slot's weight
-m, so an exact Vandermonde solve in the nodes 2^{-(m-1)} isolates any single
-target word, slot by slot from the last one down.
+Li_{n_1}(a_1) x ... x Li_{n_d}(a_d).  Summing one slot argument over its
+2^s-th roots rescales each word by 2^{-s(m-1)} in that slot's weight m, so the
+closed-form inverse of the Vandermonde matrix in the nodes 2^{-(m-1)} weighs
+the levels s to keep one weight; slot by slot, a preimage is a product grid.
 
 Symbols span a free module; distribution relations are applied only through
 explicit rewriting, never as an implicit quotient, so equality stays
@@ -24,10 +24,9 @@ import gc
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from typing import Iterable, Sequence
 
-from . import linalg
 from .symalg import ArgMonomial, _Keyed, _as_fraction, _merge, _require_ints
 
 __all__ = [
@@ -62,10 +61,6 @@ class InfeasibleWeights(ValueError):
     """A requested tensor word needs every slot weight to be at least 2."""
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
 class GroupElement(ArgMonomial):
     """Formal argument zeta * prod a_i^{e_i} over abstract generators.
 
@@ -78,10 +73,8 @@ class GroupElement(ArgMonomial):
     def __post_init__(self) -> None:
         super().__post_init__()
         for v, e in self.exponents:
-            if not _is_power_of_two(e.denominator):
-                raise ValueError(
-                    f"exponent {e} of {v} has a non-2-power denominator"
-                )
+            if e.denominator & (e.denominator - 1):  # a Fraction's denominator is positive
+                raise ValueError(f"exponent {e} of {v} has a non-2-power denominator")
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,9 +112,7 @@ class GeneratorTerm(_Keyed):
         if not self.args:
             raise ValueError("generator needs depth at least 1")
         if self.weight < len(self.args):
-            raise ValueError(
-                f"weight {self.weight} below depth {len(self.args)}"
-            )
+            raise ValueError(f"weight {self.weight} below depth {len(self.args)}")
         key = tuple(a._k for a in self.args)
         object.__setattr__(self, "_k", (self.weight, len(self.args), key))
 
@@ -202,13 +193,8 @@ class Combination:
         return Combination.from_terms((x, c * q) for x, q in self.terms)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"({c}) "
-            + (" (x) ".join(map(str, x)) if isinstance(x, tuple) else str(x))
-            for x, c in self.terms
-        )
+        return " + ".join(f"({c}) " + (" (x) ".join(map(str, x)) if isinstance(x, tuple) else str(x))
+                          for x, c in self.terms) or "0"
 
 
 PolylogCombination = TensorElement = GeneratorCombination = Combination
@@ -222,18 +208,19 @@ def compositions_min2(total: int, parts: int) -> list[tuple[int, ...]]:
     """All ordered splittings of `total` into `parts` parts, each >= 2."""
     if parts == 0:
         return [()] if total == 0 else []
-    out = []
-    for first in range(2, total - 2 * (parts - 1) + 1):
-        for rest in compositions_min2(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
+    return [(first,) + rest for first in range(2, total - 2 * (parts - 1) + 1)
+            for rest in compositions_min2(total - first, parts - 1)]
 
 
 def _generator_pairs(g: GeneratorTerm | GeneratorCombination) -> tuple:
-    """Merged (generator, coeff) pairs, also of a hand-built combination."""
-    if isinstance(g, Combination):
-        return Combination.from_terms(g.terms).terms
-    return ((g, Fraction(1)),)
+    """Merged (generator, coeff) pairs, also of a hand-built combination; terms of
+    generators with nonzero coefficients and increasing keys are merged already."""
+    if not isinstance(g, Combination):
+        return ((g, Fraction(1)),)
+    t = g.terms
+    merged = all(type(x) is GeneratorTerm and c for x, c in t) and all(
+        a[0]._k < b[0]._k for a, b in zip(t, t[1:]))
+    return t if merged else Combination.from_terms(t).terms
 
 
 def _image(pairs: Sequence[tuple[GeneratorTerm, object]], ids: "_Ids") -> dict:
@@ -336,6 +323,16 @@ def _lowest(num: int, k: int, r: int) -> tuple[int, int]:
     return num, k
 
 
+def _collapse(hit: dict, slot: int, r: int) -> dict:
+    """{ns: (num, k)} times r^{1-n}, n = ns[slot], in `_lowest` form; at r = 2 the
+    power of 2 in num is its lowest set bit z (-1 at num = 0), with no call per item."""
+    if r != 2:
+        return {ns: _lowest(num, k + ns[slot] - 1, r) for ns, (num, k) in hit.items()}
+    return {ns: (num >> z, k - z) if 0 <= z <= k else (num >> k, 0)
+            for ns, (num, k) in hit.items()
+            for k in [k + ns[slot] - 1] for z in [(num & -num).bit_length() - 1]}
+
+
 def _add(terms: dict, t: tuple, by_ns: dict, r: int) -> None:
     """terms[t] += by_ns per composition; zeros drop, and t once its map is empty."""
     old = terms.setdefault(t, by_ns)
@@ -404,8 +401,7 @@ def _contract(terms: dict, ids: _Ids, r: int) -> None:
                     for ns in hit:
                         del m[ns]
             if hit:
-                collapsed.append((up, {ns: _lowest(num, k + ns[slot] - 1, r)
-                                       for ns, (num, k) in hit.items()}))
+                collapsed.append((up, _collapse(hit, slot, r)))
         for up, by_ns in collapsed:
             _add(terms, up, by_ns, r)
         unchanged = 0 if collapsed else unchanged + 1
@@ -451,11 +447,8 @@ def distribution_expand(e: PolylogCombination, r: int) -> PolylogCombination:
     _require_ints(r=r)
     if r < 1:
         raise ValueError("orbit order must be a positive integer")
-    return PolylogCombination.from_terms(
-        (PolylogSymbol(sym.n, root), coeff * r ** (sym.n - 1))
-        for sym, coeff in e.terms
-        for root in sym.arg._roots(r)
-    )
+    return PolylogCombination.from_terms((PolylogSymbol(sym.n, root), coeff * r ** (sym.n - 1))
+                                         for sym, coeff in e.terms for root in sym.arg._roots(r))
 
 
 def tensor_distribution_contract(te: TensorElement, r: int) -> TensorElement:
@@ -475,9 +468,7 @@ def tensor_distribution_contract(te: TensorElement, r: int) -> TensorElement:
 # root sums and the preimage construction
 
 
-def root_sum_generator(
-    c: GeneratorCombination, slot: int, s: int
-) -> GeneratorCombination:
+def root_sum_generator(c: GeneratorCombination, slot: int, s: int) -> GeneratorCombination:
     """Replace each term's slot argument by the sum of its 2^s-th roots,
     worked out once per distinct slot argument."""
     _require_ints(slot=slot, s=s)
@@ -489,9 +480,7 @@ def root_sum_generator(
     if s < 0:
         raise ValueError("root level must be nonnegative")
     if len(c.terms) * 2**s > DEFAULT_TERM_CAP:
-        raise RootCapExceeded(
-            f"{len(c.terms)} * 2^{s} terms exceed the cap {DEFAULT_TERM_CAP}"
-        )
+        raise RootCapExceeded(f"{len(c.terms)} * 2^{s} terms exceed the cap {DEFAULT_TERM_CAP}")
     out, roots = [], {}  # slot argument -> its roots
     for g, coeff in c.terms:
         a = g.args[slot - 1]
@@ -501,25 +490,28 @@ def root_sum_generator(
     return GeneratorCombination.from_terms(out)
 
 
-def _isolation_coefficients(domain: Sequence[int], target: int) -> dict[int, Fraction]:
-    """Exact q_s with sum_s q_s * (2^{1-m})^s = [m == target] on the domain."""
-    nodes = [Fraction(1, 2 ** (m - 1)) for m in domain]
-    c = len(nodes)
-    matrix = [[nodes[row] ** s for s in range(c)] for row in range(c)]
-    rhs = [[int(domain[row] == target)] for row in range(c)]
-    solution = linalg.solve_exact(matrix, rhs)
-    return {s: solution[s][0] for s in range(c) if solution[s][0] != 0}
+def _isolation_coefficients(top: int, target: int) -> dict[int, Fraction]:
+    """Exact q_s with sum_s q_s * (2^{1-m})^s = [m == target] for m = 2..top, c nodes:
+    the target's Lagrange basis polynomial prod_{m != target} (2^{m-1} x - 1)
+    times 2^{(target-1)(c-1)} / prod_{m != target} (2^{m-1} - 2^{target-1})."""
+    poly, den = [1], 1  # ascending powers of x
+    for m in range(2, top + 1):
+        if m != target:
+            poly = [2 ** (m - 1) * b - a for a, b in zip(poly + [0], [0] + poly)]
+            den *= 2 ** (m - 1) - 2 ** (target - 1)
+    num = 2 ** ((target - 1) * (top - 2))
+    return {s: Fraction(a * num, den) for s, a in enumerate(poly) if a}
 
 
-def construct_preimage(
-    weights: Sequence[int], args: Sequence[GroupElement]
-) -> GeneratorCombination:
+def construct_preimage(weights: Sequence[int], args: Sequence[GroupElement]) -> GeneratorCombination:
     """Generator combination whose contracted image is one tensor word.
 
-    Slots are peeled from the last to the first: at slot j, the admissible
-    slot weights m form the Vandermonde node set {2^{-(m-1)}}, root sums at
-    levels s = 0..len-1 realize the powers of those nodes, and the exact
-    solve isolates m = weights[j-1].
+    The product grid of the slots: slot 1 holds a_1, slot j >= 2 each root b
+    of a_j with c_j(b), the sum of q_s over the levels s whose 2^s-th roots
+    include b, where the q_s isolate weights[j-1] among the slot weights m
+    (nodes 2^{-(m-1)}).  A generator's coefficient is the product of its
+    slots' c_j, and with every column sorted by key so is the grid.  The cap
+    is checked from the last slot down, before each level and per column.
     """
     weights = tuple(weights)
     _require_ints(**{f"weights[{i}]": w for i, w in enumerate(weights)})
@@ -529,25 +521,29 @@ def construct_preimage(
         raise InfeasibleWeights(f"every slot weight must be >= 2, got {weights}")
     if len(args) != len(weights):
         raise ValueError("one argument per slot weight required")
-    remaining = sum(weights)
-    combo = GeneratorCombination.single(GeneratorTerm(remaining, tuple(args)))
-    for slot in range(len(weights), 1, -1):  # slot 1 keeps the weight that remains
-        domain = list(range(2, remaining - 2 * (slot - 1) + 1))
-        target = weights[slot - 1]
-        remaining -= target
-        if len(domain) == 1:
-            continue
-        coeffs = _isolation_coefficients(domain, target)
-        combo = GeneratorCombination.from_terms(
-            (g, q * c)
-            for s, q in sorted(coeffs.items())
-            for g, c in root_sum_generator(combo, slot, s).terms
-        )
-        if len(combo.terms) > DEFAULT_TERM_CAP:
-            raise RootCapExceeded(
-                f"{len(combo.terms)} terms exceed the cap {DEFAULT_TERM_CAP}"
-            )
-    return combo
+    weight, depth, size = sum(weights), len(weights), 1
+    keys, roots, coeffs = [(args[0]._k,)], [(args[0],)], []  # slot 1, then slots d..2
+    for slot in range(depth, 1, -1):  # slot 1 keeps the weight the others leave
+        levels = _isolation_coefficients(sum(weights[:slot]) - 2 * (slot - 1), weights[slot - 1])
+        if over := [s for s in levels if size * 2**s > DEFAULT_TERM_CAP]:  # the first level over
+            raise RootCapExceeded(f"{size} * 2^{over[0]} terms exceed the cap {DEFAULT_TERM_CAP}")
+        column: dict = {}  # root key -> [root, c_j(root)]
+        for s, q in levels.items():
+            for b in args[slot - 1].roots(s):
+                column[b._k] = [b, column[b._k][1] + q] if b._k in column else [b, q]
+        # never empty: the top level's q is nonzero, and some top root is in no lower level
+        k, b, c = zip(*sorted((k, b, c) for k, (b, c) in column.items() if c))
+        keys[1:1], roots[1:1], coeffs[:0] = [k], [b], [c]
+        if (size := size * len(k)) > DEFAULT_TERM_CAP:
+            raise RootCapExceeded(f"{size} terms exceed the cap {DEFAULT_TERM_CAP}")
+    terms, coeffs = [], coeffs or [(Fraction(1),)]  # depth 1: slot 1's coefficient
+    for key, parts, cs in zip(product(*keys), product(*roots), product(*coeffs)):
+        g = object.__new__(GeneratorTerm)  # fields set as __init__ sets them, unchecked
+        object.__setattr__(g, "weight", weight)  # not through vars(g), which would
+        object.__setattr__(g, "args", parts)  # give each generator a dict of its own
+        object.__setattr__(g, "_k", (weight, depth, key))
+        terms.append((g, math.prod(cs[1:], start=cs[0])))
+    return GeneratorCombination(tuple(terms))
 
 
 @dataclass(frozen=True)
@@ -564,20 +560,24 @@ class PreimageReport:
 
 
 def verify_preimage(
-    p: GeneratorCombination,
-    weights: Sequence[int],
-    args: Sequence[GroupElement],
+    p: GeneratorCombination, weights: Sequence[int], args: Sequence[GroupElement]
 ) -> PreimageReport:
     """Exact check: image of p, contracted at 2-power orbits, equals the word
-    Li_{w_1}(a_1) x ... x Li_{w_d}(a_d).  Failure shows up as a nonzero
-    residual in the report, never as an exception.  The image goes into the
-    contraction as argument-id tuples; only the contracted words get symbols.
+    Li_{w_1}(a_1) x ... x Li_{w_d}(a_d).  Only a failed check is a nonzero
+    residual; ValueError marks inputs that describe no check: weights not ints
+    >= 2, not one argument per weight, p of another depth, or a nonzero image
+    of another weight.  Only the contracted words get symbols.
     """
     _require_ints(**{f"weights[{i}]": w for i, w in enumerate(weights)})
+    if len(args) != len(weights):
+        raise ValueError("one argument per slot weight required")
     target = TensorElement.single(tuple(PolylogSymbol(w, a) for w, a in zip(weights, args)))
+    pairs = _generator_pairs(p)
+    if pairs and pairs[0][0].depth != len(weights):
+        raise ValueError(f"preimage of depth {pairs[0][0].depth} for {len(weights)} slot weights")
     with _gc_paused():
         ids = _Ids()
-        den, pairs = _scaled(_generator_pairs(p))
+        den, pairs = _scaled(pairs)
         image = TensorElement.from_terms(_contracted(_image(pairs, ids), ids, den, 2))
     return PreimageReport(target, image, image - target)
 

@@ -193,3 +193,47 @@ def roots_reference(m, r):
     """The r-th roots of a monomial, each built on its own through the
     constructor from the per-root formula phase (phase + j) / r, j = 0..r-1."""
     return [type(m)((m.phase + j) / r, tuple((v, e / r) for v, e in m.exponents)) for j in range(r)]
+
+
+def isolation_reference(domain, target):
+    """The q_s of `construct_preimage`'s slot step by a generic exact solve of
+    the Vandermonde system sum_s q_s * (2^{1-m})^s = [m == target]."""
+    from fractions import Fraction
+
+    from mplkit import linalg
+
+    nodes = [Fraction(1, 2 ** (m - 1)) for m in domain]
+    matrix = [[x**s for s in range(len(nodes))] for x in nodes]
+    solution = linalg.solve_exact(matrix, [[int(m == target)] for m in domain])
+    return {s: row[0] for s, row in enumerate(solution) if row[0] != 0}
+
+
+def preimage_reference(weights, args):
+    """The preimage built level by level: slots from the last down, each
+    level's `root_sum_generator` scaled by its solved q_s, all levels merged
+    by one `from_terms` per slot, with the term cap checked as it grows."""
+    from mplkit.coalgebra import (
+        DEFAULT_TERM_CAP,
+        GeneratorCombination,
+        GeneratorTerm,
+        RootCapExceeded,
+        root_sum_generator,
+    )
+
+    remaining = sum(weights)
+    combo = GeneratorCombination.single(GeneratorTerm(remaining, tuple(args)))
+    for slot in range(len(weights), 1, -1):
+        domain = list(range(2, remaining - 2 * (slot - 1) + 1))
+        target = weights[slot - 1]
+        remaining -= target
+        if len(domain) == 1:
+            continue
+        coeffs = isolation_reference(domain, target)
+        combo = GeneratorCombination.from_terms(
+            (g, q * c)
+            for s, q in sorted(coeffs.items())
+            for g, c in root_sum_generator(combo, slot, s).terms
+        )
+        if len(combo.terms) > DEFAULT_TERM_CAP:
+            raise RootCapExceeded(f"{len(combo.terms)} terms exceed the cap {DEFAULT_TERM_CAP}")
+    return combo

@@ -34,6 +34,10 @@ from mplkit.coalgebra import (
     root_sum_generator,
     tensor_distribution_contract,
     verify_preimage,
+    _collapse,
+    _generator_pairs,
+    _isolation_coefficients,
+    _lowest,
     _power_key,
     _symbol_from_key,
 )
@@ -41,7 +45,16 @@ from mplkit.numeval import Composition, EvalRequest, eval_li
 from mplkit.serialize import generator_combination_dumps, preimage_report_dumps
 from mplkit.symalg import ArgMonomial, Expr, MPLFactor, Term, li_expr, li_factor
 
-from _oracles import compositions_brute, image_reference, roots_reference, tensor_contract_reference
+from _oracles import (
+    compositions_brute,
+    image_reference,
+    isolation_reference,
+    preimage_reference,
+    roots_reference,
+    tensor_contract_reference,
+)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 A = GroupElement.generator("a1")
 B = GroupElement.generator("a2")
@@ -919,6 +932,122 @@ def test_bench_size_preimages_are_pinned():
 def test_weight12_preimages_are_pinned():
     digest = _preimage_digest(((4, 4, 4), (6, 6)))
     assert digest == "51e370df11cc06e51366f540c82f950925ca695dc484f1e63302b9cd6e286acb"
+
+
+def _same_as_level_by_level(weights, args):
+    """construct_preimage gives the bytes of the level-by-level oracle, or
+    raises RootCapExceeded with its message; returns the preimage or None."""
+    try:
+        want = preimage_reference(weights, args)
+    except RootCapExceeded as exc:
+        with pytest.raises(RootCapExceeded) as got:
+            construct_preimage(weights, args)
+        assert str(got.value) == str(exc), weights
+        return None
+    p = construct_preimage(weights, args)
+    assert generator_combination_dumps(p) == generator_combination_dumps(want), weights
+    return p
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_preimage_grid_matches_the_level_by_level_oracle(depth):
+    gens = (A, B, C, GroupElement.generator("a4"))[:depth]
+    for total in range(2 * depth, 13):
+        for weights in compositions_brute(total, depth, 2):
+            _same_as_level_by_level(weights, gens)
+
+
+def test_preimage_grid_matches_the_oracle_on_the_workload_inputs(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+
+    for seed in range(1, 21):
+        for weights, args in workloads.Preimage(seed).inputs(0):
+            _same_as_level_by_level(weights, args)
+
+
+@pytest.mark.parametrize("phase", [Fraction(0), Fraction(1, 2)], ids=["one", "minus-one"])
+def test_preimage_grid_sums_roots_shared_by_levels(phase):
+    const = GroupElement(phase, ())  # the 2^s-th roots of 1 include 1 at every level
+    for weights in ((2, 5), (3, 4), (5, 2), (2, 3, 4), (4, 3, 2), (3, 3, 3), (2, 2, 2, 4)):
+        _same_as_level_by_level(weights, (A,) + (const,) * (len(weights) - 1))
+    if phase == 0:
+        p = construct_preimage((2, 5), (A, const))
+        q = _isolation_coefficients(5, 5)
+        assert dict((g.args[1], c) for g, c in p.terms)[const] == sum(q.values())
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [((2, 15), "1 * 2^13 terms exceed the cap 4096"), ((2, 14), "8191 terms exceed the cap 4096"),
+     ((2, 8, 2), "127 * 2^6 terms exceed the cap 4096")],
+)
+def test_preimage_cap_messages_match_the_oracle(weights, message):
+    args = (A, B, C)[: len(weights)]
+    assert _same_as_level_by_level(weights, args) is None
+    with pytest.raises(RootCapExceeded, match=re.escape(message)):
+        construct_preimage(weights, args)
+
+
+def test_closed_form_isolation_equals_the_exact_solve():
+    for n in range(2, 17):
+        for target in range(2, n + 1):
+            want = isolation_reference(range(2, n + 1), target)
+            assert _isolation_coefficients(n, target) == want, (n, target)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(-(2**40), 2**40), st.integers(0, 45), st.integers(0, 30),
+    st.lists(st.tuples(st.integers(2, 9), st.integers(2, 9)), min_size=1, max_size=4, unique=True),
+)
+def test_collapse_at_two_matches_lowest(base, shift, k, compositions):
+    num = base << shift  # zero, either sign, and a power of 2 up to 2^45 or more
+    hit = {ns: (num * (i + 1), k + i) for i, ns in enumerate(compositions)}
+    for slot in (0, 1):
+        assert _collapse(hit, slot, 2) == {ns: _lowest(a, b + ns[slot] - 1, 2) for ns, (a, b) in hit.items()}
+    assert _collapse({(3, 2): (0, k)}, 0, 2) == {(3, 2): (0, 0)}
+
+
+def test_merged_combination_reaches_the_check_as_it_is():
+    p = construct_preimage((4, 3, 2), (A, B, C))
+    assert _generator_pairs(p) is p.terms
+
+
+@pytest.mark.parametrize("fault", ["unsorted", "duplicate", "zero-coefficient"])
+def test_hand_built_combination_is_merged_before_the_check(fault):
+    p = construct_preimage((3, 2), (A, B))
+    terms = list(p.terms)
+    if fault == "unsorted":
+        terms.reverse()
+    elif fault == "duplicate":
+        terms.append((terms[0][0], Fraction(1, 3)))
+    else:
+        terms.insert(1, (GeneratorTerm(5, (A, C)), Fraction(0)))
+    hand = Combination(tuple(terms))
+    assert _generator_pairs(hand) == Combination.from_terms(terms).terms
+    report = verify_preimage(hand, (3, 2), (A, B))
+    reference = tensor_contract_reference(image_reference(terms), 2)  # shares no code with the check
+    expected = coalgebra.PreimageReport(report.target, reference, reference - report.target)
+    assert preimage_report_dumps(report) == preimage_report_dumps(expected)
+    assert report.matched == (fault != "duplicate")
+
+
+def test_verify_preimage_refuses_an_argument_count_unlike_the_weights():
+    p = construct_preimage((3, 2), (A, B))
+    for args in ((A,), (A, B, C)):
+        with pytest.raises(ValueError, match="one argument per slot weight required"):
+            verify_preimage(p, (3, 2), args)
+
+
+def test_verify_preimage_refuses_a_preimage_of_another_depth():
+    p = construct_preimage((3, 2), (A, B))
+    with pytest.raises(ValueError, match="preimage of depth 2 for 3 slot weights"):
+        verify_preimage(p, (2, 2, 2), (A, B, C))
+    with pytest.raises(ValueError, match="preimage of depth 3 for 2 slot weights"):
+        verify_preimage(GeneratorTerm(5, (A, B, C)), (3, 2), (A, B))  # an empty image too
+    report = verify_preimage(GeneratorCombination(), (3, 2), (A, B))  # no depth: a failed check
+    assert report.residual == report.target.scale(-1)
 
 
 @pytest.mark.parametrize(
