@@ -565,8 +565,9 @@ def verify_preimage(
     """Exact check: image of p, contracted at 2-power orbits, equals the word
     Li_{w_1}(a_1) x ... x Li_{w_d}(a_d).  Only a failed check is a nonzero
     residual; ValueError marks inputs that describe no check: weights not ints
-    >= 2, not one argument per weight, p of another depth, or a nonzero image
-    of another weight.  Only the contracted words get symbols.
+    >= 2, not one argument per weight, or p of another depth, or of another
+    weight at or above twice its depth (below it, p's image is empty).  Only
+    the contracted words get symbols.
     """
     _require_ints(**{f"weights[{i}]": w for i, w in enumerate(weights)})
     if len(args) != len(weights):
@@ -575,6 +576,9 @@ def verify_preimage(
     pairs = _generator_pairs(p)
     if pairs and pairs[0][0].depth != len(weights):
         raise ValueError(f"preimage of depth {pairs[0][0].depth} for {len(weights)} slot weights")
+    weight = pairs[0][0].weight if pairs else sum(weights)
+    if weight != sum(weights) and weight >= 2 * len(weights):  # below it, the image is empty
+        raise ValueError(f"preimage of weight {weight} for slot weights summing to {sum(weights)}")
     with _gc_paused():
         ids = _Ids()
         den, pairs = _scaled(pairs)

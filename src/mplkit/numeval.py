@@ -25,26 +25,25 @@ n/(n-1)).  The term ratio is at most r(m) = rho * (L(m+1)/L(m))^j, which
 decreases in m, so the tail past M is at most t(M+1) / (1 - r(M+1)).  The
 bound is evaluated in the log domain and is infinite while r(M+1) >= 1.
 
-The recurrence runs on numpy arrays, one row per depth level and one column
-per point, when there are two or more points.  A single point runs it on
-Python complex scalars instead, because at one column the cost of each
-numpy ufunc call is almost all dispatch overhead.  There it is one
-straight-line loop per depth 1-4 with the levels in local variables, and
-1/m^n comes from a per-index array("d") of inverse powers, _INV_POWERS[n],
-which grows in place to the largest cutoff asked of it and is never
-rebuilt.  Every entry is 1.0 / float(m) ** n and every step keeps the
-operation order of the generic level loop, so the values are its bits.
+The recurrence runs on Python complex scalars, one column (one point) at a
+time, whatever the number of columns: a column's value has the same bits
+alone as in any group.  At depth 1-4 it is one straight-line loop per depth
+with the levels in local variables; a deeper column runs the generic level
+loop.  1/m^n comes from a per-index array("d") of inverse powers,
+_INV_POWERS[n], which grows in place to the largest cutoff asked of it and
+is never rebuilt.  Every entry is 1.0 / float(m) ** n and every step keeps
+the operation order of the generic level loop, so the values are its bits.
 
 Every evaluation, eval_li's single point and eval_expr_batch's
 composition groups alike, goes through one entry, `_eval_columns`.  It
 applies the depth and weight caps and the suffix-product check
-rho <= DEFAULT_RHO_MAX, takes Li_1 from its closed form -log(1 - x), and
-sums every other series below DEFAULT_MAX_CUTOFF to one cutoff per call:
-the cutoff of the largest suffix modulus over all its columns.  The tail
-bound grows with rho, so that cutoff certifies every column on its own,
-as the per-sum error analysis of Vollinga and Weinzierl (CPC 167 (2005)
-177) allows.  eval_li and a one-column group give a factor the same bits;
-a wider group runs numpy and agrees within the certified bound.
+rho <= DEFAULT_RHO_MAX, takes Li_1 from its closed form -log(1 - x), one
+cmath.log per column, and sums every other series below DEFAULT_MAX_CUTOFF
+to one cutoff per call: the cutoff of the largest suffix modulus over all
+its columns.  The tail bound grows with rho, so that cutoff certifies every
+column on its own, as the per-sum error analysis of Vollinga and Weinzierl
+(CPC 167 (2005) 177) allows.  At one cutoff a factor has the same bits
+from eval_li as from a group of any width.
 
 A full root-of-unity orbit of Li_{a,b} terms, whose suffix values run over
 mu_N1 x mu_N2 times (w1, w2), is summed as one series instead: the roots
@@ -245,13 +244,14 @@ def _inv_powers(n: int, cutoff: int) -> array:
 
 
 def _scalar_series(parts: tuple[int, ...], col: list[complex], cutoff: int) -> complex:
-    """The recurrence of series_value_batch at one column, depth 1-4, on
-    Python complex scalars: one straight-line loop per depth, the levels in
-    local variables and 1/m^n read from the inverse-power tables.  Each step
-    runs C_k = C_k b_{k+1} + (b_k / m^{n_k}) C_{k-1} from the top level down,
+    """The recurrence of series_value_batch at one column, on Python complex
+    scalars, 1/m^n read from the inverse-power tables.  Each step runs
+    C_k = C_k b_{k+1} + (b_k / m^{n_k}) C_{k-1} from the top level down,
     b_{d+1} = 1 + 0j multiplied in as well, then C_0 *= b_1: the operation
     order of the generic level loop (tests/_oracles.py keeps it as the
-    reference), so the bits are its bits."""
+    reference), so the bits are its bits.  Depth 1-4 runs one straight-line
+    loop per depth with the levels in local variables; a deeper column runs
+    the generic loop itself."""
     one = 1.0 + 0.0j
     inv = [_inv_powers(n, cutoff) for n in parts]
     d = len(parts)
@@ -282,64 +282,48 @@ def _scalar_series(parts: tuple[int, ...], col: list[complex], cutoff: int) -> c
             c1 = c1 * b2 + b1 * s1 * c0
             c0 *= b1
         return c3
-    b4 = col[3] * one
-    b3 = col[2] * b4
-    b2 = col[1] * b3
-    b1 = col[0] * b2
-    c0, c1, c2, c3, c4 = one, 0.0j, 0.0j, 0.0j, 0.0j
-    for s1, s2, s3, s4 in zip(*inv):
-        c4 = c4 * one + b4 * s4 * c3
-        c3 = c3 * b4 + b3 * s3 * c2
-        c2 = c2 * b3 + b2 * s2 * c1
-        c1 = c1 * b2 + b1 * s1 * c0
-        c0 *= b1
-    return c4
+    if d == 4:
+        b4 = col[3] * one
+        b3 = col[2] * b4
+        b2 = col[1] * b3
+        b1 = col[0] * b2
+        c0, c1, c2, c3, c4 = one, 0.0j, 0.0j, 0.0j, 0.0j
+        for s1, s2, s3, s4 in zip(*inv):
+            c4 = c4 * one + b4 * s4 * c3
+            c3 = c3 * b4 + b3 * s3 * c2
+            c2 = c2 * b3 + b2 * s2 * c1
+            c1 = c1 * b2 + b1 * s1 * c0
+            c0 *= b1
+        return c4
+    b = [0.0j] * d + [one]  # b[k] = a_{k+1} ... a_d; b[d] = 1
+    for k in range(d - 1, -1, -1):
+        b[k] = col[k] * b[k + 1]
+    c = [one] + [0.0j] * d
+    for s in zip(*inv):
+        for k in range(d, 0, -1):
+            c[k] = c[k] * b[k] + b[k - 1] * s[k - 1] * c[k - 1]
+        c[0] *= b[0]
+    return c[d]
 
 
 def series_value_batch(indices: Composition, args: np.ndarray, cutoff: int) -> np.ndarray:
     """Truncated nested sum for a (depth, npoints) argument matrix.
 
-    Returns the length-npoints vector of partial sums to the cutoff, running
-    the suffix-scaled prefix-sum recurrence at every point at once.  The
+    Returns the length-npoints vector of partial sums to the cutoff: the
+    suffix-scaled prefix-sum recurrence, run by _scalar_series on each
+    column in turn, so a column's value does not depend on the others.  The
     cutoff must lie in [1, DEFAULT_MAX_CUTOFF], the ceiling of every
-    evaluation, which also bounds the inverse-power tables.  A single column
-    of depth 1-4 runs the same recurrence, in the same operation order, on
-    Python complex scalars: at one point each numpy ufunc call costs its
-    dispatch overhead and almost no arithmetic.  It runs one unrolled loop
-    per depth over the cached inverse powers 1/m^{n_k} (see the module
-    docstring).  Two or more columns, and a column deeper than DEPTH_CAP,
-    run on numpy.
+    evaluation, which also bounds the inverse-power tables.
     """
     parts = indices.parts
     d = len(parts)
     a = np.asarray(args, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != d:
         raise ValueError(f"argument matrix must have shape ({d}, npoints)")
-    npts = a.shape[1]
     if not 1 <= cutoff <= DEFAULT_MAX_CUTOFF:
         raise ValueError(f"cutoff must be an integer in [1, {DEFAULT_MAX_CUTOFF}], got {cutoff}")
-
-    if npts == 1 and d <= DEPTH_CAP:
-        return np.array([_scalar_series(parts, a[:, 0].tolist(), cutoff)], dtype=np.complex128)
-
-    # b[k] = a_k * ... * a_d per point; b[d+1] = 1
-    b = np.ones((d + 2, npts), dtype=np.complex128)
-    for k in range(d, 0, -1):
-        b[k] = a[k - 1] * b[k + 1]
-
-    c = np.zeros((d + 1, npts), dtype=np.complex128)
-    c[0] = 1.0  # C_0(0)
-    scratch = np.empty(npts, dtype=np.complex128)
-    for m in range(1, cutoff + 1):
-        fm = float(m)
-        for k in range(d, 0, -1):
-            # C_k(m) = b_{k+1} C_k(m-1) + (b_k / m^{n_k}) C_{k-1}(m-1)
-            np.multiply(b[k], 1.0 / fm ** parts[k - 1], out=scratch)
-            scratch *= c[k - 1]
-            np.multiply(c[k], b[k + 1], out=c[k])
-            c[k] += scratch
-        c[0] *= b[1]
-    return c[d].copy()
+    columns = a.T.tolist()
+    return np.array([_scalar_series(parts, col, cutoff) for col in columns], dtype=np.complex128)
 
 
 def _check_moduli(moduli: np.ndarray) -> float:
@@ -367,10 +351,10 @@ def _eval_columns(
     Returns (values, tail bound, cutoff).  Every column must pass the caps
     and the suffix-product check; a DivergentRequest carries the index of
     the first failing column as `column`.  Li_1 is the closed form -log(1-x)
-    (principal branch, bound 0, cutoff 1), on scalars at one column.  Any
-    other composition is summed to one cutoff, that of the largest suffix
-    modulus over all columns, at every width: the tail bound grows with rho,
-    so it certifies each column on its own.
+    (principal branch, bound 0, cutoff 1), one cmath.log per column; a single
+    column skips the numpy moduli check.  Any other composition is summed to
+    one cutoff, that of the largest suffix modulus over all columns: the tail
+    bound grows with rho, so it certifies each column on its own.
     """
     if indices.depth > DEPTH_CAP:
         raise ValueError(f"depth {indices.depth} above cap {DEPTH_CAP}")
@@ -382,7 +366,7 @@ def _eval_columns(
             return np.array([-cmath.log(1.0 - x)]), 0.0, 1
     top = _check_moduli(suffix_moduli(argmat))
     if indices.parts == (1,):
-        return -np.log(1.0 - argmat[0]), 0.0, 1
+        return np.array([-cmath.log(1.0 - x) for x in argmat[0].tolist()]), 0.0, 1
     cutoff = choose_cutoff(indices, top, target_error)
     # the bound choose_cutoff's confirming probe computed, not a new probe
     bound = _cutoff_and_bound(indices, top, target_error, DEFAULT_MAX_CUTOFF)[1]
@@ -467,10 +451,10 @@ def eval_li(req: EvalRequest) -> EvalResult:
     """Evaluate a multiple polylogarithm with |truth - value| <= tail_bound.
 
     The one-column call of the evaluation entry that eval_expr_batch also
-    uses: the same bits as a one-column group there, and within the
-    certified bound of a wider one.  The weight-1 depth-1 case is the closed
-    form -log(1-x) (principal branch), exact up to rounding, which avoids the
-    slow geometric series near the convergence boundary.
+    uses: the same bits as the factor in a group there summed to the same
+    cutoff, whatever the group's width.  The weight-1 depth-1 case is the
+    closed form -log(1-x) (principal branch), exact up to rounding, which
+    avoids the slow geometric series near the convergence boundary.
     """
     values, bound, cutoff = _eval_columns(
         req.indices, np.array(req.args)[:, None], req.target_error

@@ -3,7 +3,7 @@
 Everything here is deliberately naive (literal nested loops, no prefix
 sums, no closed forms) so it shares no code path with the library.  The
 one exception is `series_scalar_reference`, the generic level loop of the
-library's recurrence, which pins the bits of its unrolled one-column kernel.
+library's recurrence, which pins the bits of its kernel at every column.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ def li_direct(parts, args, cutoff):
 def series_scalar_reference(parts, col, cutoff):
     """The suffix-scaled prefix-sum recurrence at one point as a generic
     level loop on Python complex scalars, 1/m^n recomputed at every step:
-    the bits the one-column kernel of `series_value_batch` must reproduce."""
+    the bits `series_value_batch` must reproduce at each column."""
     d = len(parts)
     bs = [0j] * (d + 1) + [1.0 + 0.0j]  # bs[k] = a_k * ... * a_d; bs[d+1] = 1
     for k in range(d, 0, -1):

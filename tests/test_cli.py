@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -125,8 +126,6 @@ def test_reduce_rejects_small_weight(capsys):
 def test_reduce_latex_heads(capsys):
     code, out, _ = run(capsys, "reduce", "--k", "1", "--l", "2", "--emit", "latex")
     assert code == 0
-    import re
-
     rhs = out.split("=", 1)[1]
     heads = set(re.findall(r"\\Li_\{([0-9,]+)\}", rhs))
     assert heads == {"2,1", "3"}
@@ -495,6 +494,22 @@ def test_surject_over_desk_scale(capsys):
         code, _, err = run(capsys, "surject", "--weights", weights)
         assert code == 2
         assert "need depth <= 4 and total weight <= 12" in err
+
+
+def test_surject_mismatch_prints_the_residual_exit_4(capsys, monkeypatch):
+    construct, dropped = cli.construct_preimage, []
+
+    def one_term_short(weights, args):
+        p = construct(weights, args)
+        dropped.append(p.terms[0][0])
+        return type(p)(p.terms[1:])
+
+    monkeypatch.setattr(cli, "construct_preimage", one_term_short)
+    code, out, err = run(capsys, "surject", "--weights", "3,2")
+    assert code == cli.EXIT_VERIFY_FAILED == 4
+    assert "terms:   2" in out and "matched: False" in out
+    assert re.search(r"^residual: .*\bLi_3\(a\d\) \(x\) Li_2\(a\d\)", err, re.M), err
+    assert str(dropped[0]) == "Li_{3;1,1}(a1, a2)"
 
 
 def test_surject_444(capsys):

@@ -43,7 +43,7 @@ from mplkit.coalgebra import (
 )
 from mplkit.numeval import Composition, EvalRequest, eval_li
 from mplkit.serialize import generator_combination_dumps, preimage_report_dumps
-from mplkit.symalg import ArgMonomial, Expr, MPLFactor, Term, li_expr, li_factor
+from mplkit.symalg import ArgMonomial, Expr, MPLFactor, Term, li_expr, li_factor, root_expand
 
 from _oracles import (
     compositions_brute,
@@ -760,6 +760,39 @@ def test_integer_parameters_refuse_other_types(call, name, value):
         call()
 
 
+_G = GeneratorCombination.single(GeneratorTerm(5, (A, B)))
+_ORDER = "orbit order must be a positive integer"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [  # integers of the right type out of range, one entry point each
+        (lambda: PolylogSymbol(1, A), ValueError, "symbol weight must be >= 2, got 1"),
+        (lambda: GeneratorTerm(3, ()), ValueError, "generator needs depth at least 1"),
+        (lambda: GeneratorTerm(1, (A, B)), ValueError, "weight 1 below depth 2"),
+        (lambda: distribution_contract(_E, 0), ValueError, _ORDER),
+        (lambda: tensor_distribution_contract(TensorElement.single(word((3, A))), 0), ValueError,
+         _ORDER),
+        (lambda: distribution_expand(_E, -1), ValueError, _ORDER),
+        (lambda: root_sum_generator(_G, 0, 1), ValueError, "slot must lie in 1..2"),
+        (lambda: root_sum_generator(_G, 3, 1), ValueError, "slot must lie in 1..2"),
+        (lambda: root_sum_generator(_G, 2, -1), ValueError, "root level must be nonnegative"),
+        (lambda: construct_preimage((), ()), InfeasibleWeights, "need at least one slot weight"),
+        (lambda: construct_preimage((3, 2), (A,)), ValueError,
+         "one argument per slot weight required"),
+        (lambda: ArgMonomial.make({"x": 1}, zeta_order=0), ValueError,
+         "zeta_order must be a positive integer"),
+        (lambda: ArgMonomial.variable("x").roots(-1), ValueError, "root level must be nonnegative"),
+        (lambda: root_expand(li_expr([2], [ArgMonomial.variable("x")]), "x", 0), ValueError,
+         "order must be a positive integer"),
+    ],
+)
+def test_range_checks_raise_their_error_and_message(call, error, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.type is error and str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # root sums over generators
 
@@ -1047,6 +1080,20 @@ def test_verify_preimage_refuses_a_preimage_of_another_depth():
     with pytest.raises(ValueError, match="preimage of depth 3 for 2 slot weights"):
         verify_preimage(GeneratorTerm(5, (A, B, C)), (3, 2), (A, B))  # an empty image too
     report = verify_preimage(GeneratorCombination(), (3, 2), (A, B))  # no depth: a failed check
+    assert report.residual == report.target.scale(-1)
+
+
+def test_verify_preimage_refuses_a_preimage_of_another_weight():
+    with pytest.raises(ValueError, match="preimage of weight 6 for slot weights summing to 5"):
+        verify_preimage(GeneratorTerm(6, (A, B)), (3, 2), (A, B))
+    with pytest.raises(ValueError, match="preimage of weight 4 for slot weights summing to 5"):
+        verify_preimage(construct_preimage((2, 2), (A, B)), (3, 2), (A, B))
+
+
+def test_verify_preimage_of_another_weight_below_twice_its_depth_is_a_failed_check():
+    # weight 5 < 2 * 3: the image is empty, and the report's residual is -target
+    report = verify_preimage(GeneratorTerm(5, (A, B, C)), (2, 2, 2), (A, B, C))
+    assert report.image.is_zero()
     assert report.residual == report.target.scale(-1)
 
 

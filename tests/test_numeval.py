@@ -78,7 +78,7 @@ def test_prefix_sum_matches_nested_loops():
         assert abs(v - w) < 1e-13 * max(1, abs(w))
 
 
-def test_one_column_deeper_than_the_cap_runs_on_numpy():
+def test_one_column_deeper_than_the_cap_runs_the_generic_loop():
     parts, args = (1, 2, 1, 1, 3), (0.5, 0.6j, 1.1, 0.4, 0.7)
     column = np.array(args, dtype=np.complex128)[:, None]
     v = complex(series_value_batch(Composition(parts), column, 20)[0])
@@ -87,16 +87,17 @@ def test_one_column_deeper_than_the_cap_runs_on_numpy():
 
 
 def _one_column_cases():
-    """Seeded (parts, args, cutoff) at depth 1-4: generic arguments, a zero
+    """Seeded (parts, args, cutoff) at depth 1-5: generic arguments, a zero
     argument, one |a_k| > 1 with every suffix product below 1, cutoff 1,
-    and a cutoff of 2048 at largest suffix modulus 0.98."""
+    and a cutoff of 2048 at largest suffix modulus 0.98.  Depth 5, above
+    DEPTH_CAP, reaches the kernel only through series_value_batch."""
     rng = random.Random(20261018)
 
     def point(modulus):
         return modulus * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
 
     cases = []
-    for d in range(1, 5):
+    for d in range(1, 6):
         parts = tuple(rng.randint(1, 3) for _ in range(d))
         generic = [point(rng.uniform(0.2, 0.8)) for _ in range(d)]
         cases.append((parts, generic, rng.randint(2, 30)))
@@ -120,11 +121,10 @@ def test_one_column_kernel_matches_numpy_columns():
         comp = Composition(parts)
         column = np.array(args, dtype=np.complex128)[:, None]
         other = np.full_like(column, 0.3 - 0.2j)
-        v = series_value_batch(comp, column, cutoff)  # one column: scalar loop
-        w = series_value_batch(comp, np.hstack([other, column]), cutoff)[1]  # numpy
+        v = series_value_batch(comp, column, cutoff)
+        w = series_value_batch(comp, np.hstack([other, column]), cutoff)[1]  # a wider group
         assert v.shape == (1,) and v.dtype == np.complex128
-        allowance = 64 * EPS * math.sqrt(cutoff * len(parts)) * max(1.0, abs(w))
-        assert abs(v[0] - w) <= allowance, (parts, args, cutoff)
+        assert repr(complex(v[0])) == repr(complex(w)), (parts, args, cutoff)
         if cutoff <= 30:
             ref = li_direct(parts, args, cutoff)
             assert abs(v[0] - ref) <= 1e-13 * max(1.0, abs(ref)), (parts, args, cutoff)
@@ -138,6 +138,21 @@ def test_one_column_kernel_matches_generic_loop_bit_for_bit():
         got = complex(series_value_batch(Composition(parts), column, cutoff)[0])
         ref = series_scalar_reference(parts, column[:, 0].tolist(), cutoff)
         assert repr(got) == repr(ref), (parts, args, cutoff)
+
+
+@pytest.mark.parametrize("width", [2, 20, 40])
+def test_kernel_matches_generic_loop_bit_for_bit_at_every_width(width):
+    # each case's column among width - 1 others: every column has the bits
+    # of the generic loop at that column alone
+    rng = random.Random(width)
+    for parts, args, cutoff in _one_column_cases():
+        a = _wide_group(rng, parts, width)
+        a[:, rng.randrange(width)] = args
+        got = series_value_batch(Composition(parts), a, cutoff)
+        assert got.shape == (width,)
+        for j, col in enumerate(a.T.tolist()):
+            ref = series_scalar_reference(parts, col, cutoff)
+            assert repr(complex(got[j])) == repr(ref), (parts, col, cutoff)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

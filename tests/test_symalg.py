@@ -261,6 +261,26 @@ def test_eval_li_and_batch_agree_bit_for_bit():
         assert batch == single.value, (parts, args, target)
 
 
+def test_eval_batch_value_does_not_depend_on_the_other_points():
+    # a factor at a point has the same bits alone as beside a second point
+    # whose suffix moduli are smaller, so that the group's cutoff is the same
+    rng = random.Random(8)
+    for i in range(300):
+        d = 1 + i % 3
+        parts = [rng.randint(1, 3) for _ in range(d)]
+        names = [f"v{k}" for k in range(d)]
+        suffix = [rng.uniform(0.05, 0.98) for _ in range(d)] + [1.0]
+        point = {
+            v: suffix[k] / suffix[k + 1] * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+            for k, v in enumerate(names)
+        }
+        other = {v: 0.5 * z * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for v, z in point.items()}
+        e = li_expr(parts, [ArgMonomial.variable(v) for v in names])
+        alone, _ = eval_expr_batch(e, [point], 1e-12)
+        beside, _ = eval_expr_batch(e, [point, other], 1e-12)
+        assert repr(complex(alone[0])) == repr(complex(beside[0])), (parts, point)
+
+
 @pytest.mark.parametrize("parts", [(13,), (1, 1, 1, 1, 1)], ids=["weight-13", "depth-5"])
 def test_eval_batch_applies_caps(parts):
     e = li_expr(parts, [X] * len(parts))
