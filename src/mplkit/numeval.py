@@ -25,14 +25,18 @@ n/(n-1)).  The term ratio is at most r(m) = rho * (L(m+1)/L(m))^j, which
 decreases in m, so the tail past M is at most t(M+1) / (1 - r(M+1)).  The
 bound is evaluated in the log domain and is infinite while r(M+1) >= 1.
 
-The recurrence runs on Python complex scalars, one column (one point) at a
-time, whatever the number of columns: a column's value has the same bits
-alone as in any group.  At depth 1-4 it is one straight-line loop per depth
-with the levels in local variables; a deeper column runs the generic level
-loop.  1/m^n comes from a per-index array("d") of inverse powers,
+The recurrence rounds one way at every width: as the generic level loop
+does on Python complex scalars (tests/_oracles.py keeps it as the
+reference), so a column's value has the same bits alone as in any group.  A narrow group
+runs it one column at a time, on scalars: one straight-line loop per depth
+1-4 with the levels in local variables.  A group of at least 64 columns x
+depth, or deeper than DEPTH_CAP, runs every column at once on float64 rows
+of real and imaginary parts, each complex product spelled out as its float
+products and sums in the order Python rounds them; numpy's own complex
+product fuses a multiply and an add on SIMD lanes and would round
+otherwise.  1/m^n comes from a per-index array("d") of inverse powers,
 _INV_POWERS[n], which grows in place to the largest cutoff asked of it and
-is never rebuilt.  Every entry is 1.0 / float(m) ** n and every step keeps
-the operation order of the generic level loop, so the values are its bits.
+is never rebuilt; every entry is 1.0 / float(m) ** n.
 
 Every evaluation, eval_li's single point and eval_expr_batch's
 composition groups alike, goes through one entry, `_eval_columns`.  It
@@ -64,6 +68,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 import threading
 from array import array
 from dataclasses import dataclass
@@ -227,6 +232,8 @@ def _cutoff_and_bound(indices: Composition, rho: float, target_error: float, cei
     return cutoff, bound
 
 
+_PAIR_LEVELS = 64  # columns x depth from which _pair_series outruns the scalar loop
+_FLOAT_AS_COMPLEX = sys.version_info < (3, 14)  # complex * float, see _pair_series
 _INV_POWERS: dict[int, array] = {}  # n -> 1/m^n at position m - 1, m = 1, 2, ...
 _INV_POWERS_GROWING = threading.Lock()
 
@@ -244,14 +251,13 @@ def _inv_powers(n: int, cutoff: int) -> array:
 
 
 def _scalar_series(parts: tuple[int, ...], col: list[complex], cutoff: int) -> complex:
-    """The recurrence of series_value_batch at one column, on Python complex
-    scalars, 1/m^n read from the inverse-power tables.  Each step runs
-    C_k = C_k b_{k+1} + (b_k / m^{n_k}) C_{k-1} from the top level down,
+    """The recurrence of series_value_batch at one column, depth 1-4, on
+    Python complex scalars: one straight-line loop per depth, the levels in
+    local variables and 1/m^n read from the inverse-power tables.  Each step
+    runs C_k = C_k b_{k+1} + (b_k / m^{n_k}) C_{k-1} from the top level down,
     b_{d+1} = 1 + 0j multiplied in as well, then C_0 *= b_1: the operation
     order of the generic level loop (tests/_oracles.py keeps it as the
-    reference), so the bits are its bits.  Depth 1-4 runs one straight-line
-    loop per depth with the levels in local variables; a deeper column runs
-    the generic loop itself."""
+    reference), so the bits are its bits."""
     one = 1.0 + 0.0j
     inv = [_inv_powers(n, cutoff) for n in parts]
     d = len(parts)
@@ -282,36 +288,84 @@ def _scalar_series(parts: tuple[int, ...], col: list[complex], cutoff: int) -> c
             c1 = c1 * b2 + b1 * s1 * c0
             c0 *= b1
         return c3
-    if d == 4:
-        b4 = col[3] * one
-        b3 = col[2] * b4
-        b2 = col[1] * b3
-        b1 = col[0] * b2
-        c0, c1, c2, c3, c4 = one, 0.0j, 0.0j, 0.0j, 0.0j
-        for s1, s2, s3, s4 in zip(*inv):
-            c4 = c4 * one + b4 * s4 * c3
-            c3 = c3 * b4 + b3 * s3 * c2
-            c2 = c2 * b3 + b2 * s2 * c1
-            c1 = c1 * b2 + b1 * s1 * c0
-            c0 *= b1
-        return c4
-    b = [0.0j] * d + [one]  # b[k] = a_{k+1} ... a_d; b[d] = 1
+    b4 = col[3] * one
+    b3 = col[2] * b4
+    b2 = col[1] * b3
+    b1 = col[0] * b2
+    c0, c1, c2, c3, c4 = one, 0.0j, 0.0j, 0.0j, 0.0j
+    for s1, s2, s3, s4 in zip(*inv):
+        c4 = c4 * one + b4 * s4 * c3
+        c3 = c3 * b4 + b3 * s3 * c2
+        c2 = c2 * b3 + b2 * s2 * c1
+        c1 = c1 * b2 + b1 * s1 * c0
+        c0 *= b1
+    return c4
+
+
+def _pair_series(parts: tuple[int, ...], a: np.ndarray, cutoff: int) -> np.ndarray:
+    """The recurrence of _scalar_series on every column of a (depth, ncols)
+    matrix at once, on flat float64 rows of real and imaginary parts, one
+    block of ncols per level.  Each complex operation is written out as
+    Python's complex arithmetic computes it, every float product and sum
+    rounded on its own, so each column has the bits of _scalar_series at
+    that column (numpy's complex product fuses a multiply and an add on
+    SIMD lanes, and its bits differ).  Every level reads the previous
+    step's values, as the top-down scalar loop does, so one step is the
+    same nineteen ufunc calls whatever the depth."""
+    d, n = a.shape
+    br, bi = np.ones((d + 1, n)), np.zeros((d + 1, n))  # b_{k+1} at row k, b_{d+1} = 1
     for k in range(d - 1, -1, -1):
-        b[k] = col[k] * b[k + 1]
-    c = [one] + [0.0j] * d
-    for s in zip(*inv):
-        for k in range(d, 0, -1):
-            c[k] = c[k] * b[k] + b[k - 1] * s[k - 1] * c[k - 1]
-        c[0] *= b[0]
-    return c[d]
+        xr, xi = a[k].real, a[k].imag
+        br[k] = xr * br[k + 1] - xi * bi[k + 1]
+        bi[k] = xr * bi[k + 1] + xi * br[k + 1]
+    br, bi = br.ravel(), bi.ravel()
+    lr, li = br[: d * n], bi[: d * n]  # b_k in block k - 1
+    # b_k * (1/m^n): before Python 3.14 the float joins as 1/m^n + 0j, which
+    # adds -(b_im * 0.0) to the real and b_re * 0.0 to the imaginary product;
+    # from 3.14 it multiplies each part alone, and x + (-0.0) is x
+    zr, zi = (-(li * 0.0), lr * 0.0) if _FLOAT_AS_COMPLEX else (-0.0, -0.0)
+    inv = np.stack([np.frombuffer(_inv_powers(p, cutoff)) for p in parts], axis=1)[:, :, None]
+    cr, ci = np.zeros((d + 1) * n), np.zeros((d + 1) * n)  # C_0..C_d
+    cr[:n] = 1.0
+    pr, pi, t1, t2 = (np.empty((d + 1) * n) for _ in range(4))
+    sf, sr, si, q1, q2 = (np.empty(d * n) for _ in range(5))
+    mul, add, sub = np.multiply, np.add, np.subtract
+    for s in inv:
+        mul(cr, br, out=t1)  # C_k b_{k+1}, every level
+        mul(ci, bi, out=t2)
+        sub(t1, t2, out=pr)
+        mul(cr, bi, out=t1)
+        mul(ci, br, out=t2)
+        add(t1, t2, out=pi)
+        sf.reshape(d, n)[:] = s
+        mul(lr, sf, out=sr)  # b_k / m^{n_k}
+        add(sr, zr, out=sr)
+        mul(li, sf, out=si)
+        add(zi, si, out=si)
+        lower_r, lower_i = cr[: d * n], ci[: d * n]  # C_{k-1}
+        mul(sr, lower_r, out=q1)
+        mul(si, lower_i, out=q2)
+        sub(q1, q2, out=q1)
+        add(pr[n:], q1, out=pr[n:])
+        mul(sr, lower_i, out=q1)
+        mul(si, lower_r, out=q2)
+        add(q1, q2, out=q1)
+        add(pi[n:], q1, out=pi[n:])
+        cr, pr, ci, pi = pr, cr, pi, ci
+    out = np.empty(n, dtype=np.complex128)
+    out.real, out.imag = cr[d * n :], ci[d * n :]
+    return out
 
 
 def series_value_batch(indices: Composition, args: np.ndarray, cutoff: int) -> np.ndarray:
     """Truncated nested sum for a (depth, npoints) argument matrix.
 
     Returns the length-npoints vector of partial sums to the cutoff: the
-    suffix-scaled prefix-sum recurrence, run by _scalar_series on each
-    column in turn, so a column's value does not depend on the others.  The
+    suffix-scaled prefix-sum recurrence with the bits of the generic level
+    loop at every column, so a column's value does not depend on the
+    others.  Fewer than _PAIR_LEVELS columns x depth run _scalar_series on
+    each column in turn; more, or a depth above DEPTH_CAP, run _pair_series
+    on all at once.  The width picks the faster kernel, not the bits.  The
     cutoff must lie in [1, DEFAULT_MAX_CUTOFF], the ceiling of every
     evaluation, which also bounds the inverse-power tables.
     """
@@ -322,6 +376,8 @@ def series_value_batch(indices: Composition, args: np.ndarray, cutoff: int) -> n
         raise ValueError(f"argument matrix must have shape ({d}, npoints)")
     if not 1 <= cutoff <= DEFAULT_MAX_CUTOFF:
         raise ValueError(f"cutoff must be an integer in [1, {DEFAULT_MAX_CUTOFF}], got {cutoff}")
+    if a.shape[1] * d >= _PAIR_LEVELS or d > DEPTH_CAP:
+        return _pair_series(parts, a, cutoff)
     columns = a.T.tolist()
     return np.array([_scalar_series(parts, col, cutoff) for col in columns], dtype=np.complex128)
 

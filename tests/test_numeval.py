@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 import sys
@@ -78,7 +79,7 @@ def test_prefix_sum_matches_nested_loops():
         assert abs(v - w) < 1e-13 * max(1, abs(w))
 
 
-def test_one_column_deeper_than_the_cap_runs_the_generic_loop():
+def test_one_column_deeper_than_the_cap_runs_on_numpy():
     parts, args = (1, 2, 1, 1, 3), (0.5, 0.6j, 1.1, 0.4, 0.7)
     column = np.array(args, dtype=np.complex128)[:, None]
     v = complex(series_value_batch(Composition(parts), column, 20)[0])
@@ -140,18 +141,43 @@ def test_one_column_kernel_matches_generic_loop_bit_for_bit():
         assert repr(got) == repr(ref), (parts, args, cutoff)
 
 
-@pytest.mark.parametrize("width", [2, 20, 40])
-def test_kernel_matches_generic_loop_bit_for_bit_at_every_width(width):
+@pytest.mark.parametrize("width", [2, 20, 40, 70])
+def test_kernel_matches_generic_loop_bit_for_bit_at_every_width(width, monkeypatch):
     # each case's column among width - 1 others: every column has the bits
-    # of the generic loop at that column alone
+    # of the generic loop at that column alone, whichever kernel the width
+    # and depth select (the float-pair one from 64 columns x depth on, and
+    # above the depth cap)
+    pair_calls = []
+    pair_series = numeval._pair_series
+    monkeypatch.setattr(
+        numeval, "_pair_series", lambda *a: pair_calls.append(a[0]) or pair_series(*a)
+    )
     rng = random.Random(width)
     for parts, args, cutoff in _one_column_cases():
         a = _wide_group(rng, parts, width)
         a[:, rng.randrange(width)] = args
+        pair_calls.clear()
         got = series_value_batch(Composition(parts), a, cutoff)
         assert got.shape == (width,)
+        assert bool(pair_calls) == (width * len(parts) >= 64 or len(parts) > 4), (parts, width)
         for j, col in enumerate(a.T.tolist()):
             ref = series_scalar_reference(parts, col, cutoff)
+            assert repr(complex(got[j])) == repr(ref), (parts, col, cutoff)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_pair_kernel_keeps_the_sign_of_every_zero(depth):
+    # every column over signed zeros, reals and imaginaries at once: the
+    # generic loop's bits, a zero part's sign included (real arguments keep
+    # an imaginary zero throughout)
+    values = [complex(r, i) for r in (0.0, -0.0, 0.5, -0.5) for i in (0.0, -0.0, 0.5, -0.5)]
+    cols = list(itertools.product(values, repeat=depth))
+    a = np.array(cols, dtype=np.complex128).T
+    parts = (2, 1, 3)[:depth]
+    for cutoff in (1, 2, 3, 7):
+        got = numeval._pair_series(parts, a, cutoff)
+        for j, col in enumerate(cols):
+            ref = series_scalar_reference(parts, list(col), cutoff)
             assert repr(complex(got[j])) == repr(ref), (parts, col, cutoff)
 
 

@@ -261,24 +261,44 @@ def test_eval_li_and_batch_agree_bit_for_bit():
         assert batch == single.value, (parts, args, target)
 
 
+def _factor_and_others(rng, d, nothers):
+    """A seeded depth-d factor, a point, and nothers points whose suffix
+    moduli are half the point's, so that a group holding them all has the
+    point's cutoff."""
+    parts = [rng.randint(1, 3) for _ in range(d)]
+    names = [f"v{k}" for k in range(d)]
+    suffix = [rng.uniform(0.05, 0.98) for _ in range(d)] + [1.0]
+    point = {
+        v: suffix[k] / suffix[k + 1] * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        for k, v in enumerate(names)
+    }
+    others = [
+        {v: 0.5 * z * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for v, z in point.items()}
+        for _ in range(nothers)
+    ]
+    return li_expr(parts, [ArgMonomial.variable(v) for v in names]), point, others
+
+
 def test_eval_batch_value_does_not_depend_on_the_other_points():
     # a factor at a point has the same bits alone as beside a second point
     # whose suffix moduli are smaller, so that the group's cutoff is the same
     rng = random.Random(8)
     for i in range(300):
-        d = 1 + i % 3
-        parts = [rng.randint(1, 3) for _ in range(d)]
-        names = [f"v{k}" for k in range(d)]
-        suffix = [rng.uniform(0.05, 0.98) for _ in range(d)] + [1.0]
-        point = {
-            v: suffix[k] / suffix[k + 1] * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-            for k, v in enumerate(names)
-        }
-        other = {v: 0.5 * z * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for v, z in point.items()}
-        e = li_expr(parts, [ArgMonomial.variable(v) for v in names])
+        e, point, others = _factor_and_others(rng, 1 + i % 3, 1)
         alone, _ = eval_expr_batch(e, [point], 1e-12)
-        beside, _ = eval_expr_batch(e, [point, other], 1e-12)
-        assert repr(complex(alone[0])) == repr(complex(beside[0])), (parts, point)
+        beside, _ = eval_expr_batch(e, [point, *others], 1e-12)
+        assert repr(complex(alone[0])) == repr(complex(beside[0])), (e, point)
+
+
+def test_eval_batch_value_is_the_same_in_a_wide_group():
+    # the same among 63 other points: a group of 64 columns runs the
+    # float-pair kernel at every depth, and Li_1 one closed form per column
+    rng = random.Random(9)
+    for i in range(30):
+        e, point, others = _factor_and_others(rng, 1 + i % 3, 63)
+        alone, _ = eval_expr_batch(e, [point], 1e-12)
+        among, _ = eval_expr_batch(e, [point, *others], 1e-12)
+        assert repr(complex(alone[0])) == repr(complex(among[0])), (e, point)
 
 
 @pytest.mark.parametrize("parts", [(13,), (1, 1, 1, 1, 1)], ids=["weight-13", "depth-5"])
