@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import chain, product
 from typing import Iterable, Sequence
 
-from .symalg import ArgMonomial, _Keyed, _as_fraction, _merge, _require_ints
+from .symalg import ArgMonomial, _Keyed, _Sum, _as_fraction, _merge, _require_ints
 
 __all__ = [
     "Combination",
@@ -145,7 +145,7 @@ def _shape(x) -> tuple[int, int] | None:
 
 
 @dataclass(frozen=True)
-class Combination:
+class Combination(_Sum):
     """Normalized rational combination of classical symbols, of tensor
     words (tuples of symbols) or of generators.
 
@@ -178,15 +178,6 @@ class Combination:
     @staticmethod
     def single(x: PolylogSymbol | Word | GeneratorTerm, coeff: Fraction | int = 1) -> "Combination":
         return Combination.from_terms([(x, _as_fraction(coeff))])
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "Combination") -> "Combination":
-        return Combination.from_terms(self.terms + other.terms)
-
-    def __sub__(self, other: "Combination") -> "Combination":
-        return self + other.scale(-1)
 
     def scale(self, c: Fraction | int) -> "Combination":
         c = _as_fraction(c)
@@ -310,8 +301,8 @@ class _Ids:
     def symbol(self, i: int) -> PolylogSymbol:
         if i not in self.symbols:
             n, a = divmod(i, _ARGS)
-            arg = self.elements[a] or _symbol_from_key((n, self.keys[a])).arg
-            self.symbols[i] = PolylogSymbol(n, arg)
+            arg = self.elements[a]  # None for a power, whose symbol its key builds
+            self.symbols[i] = PolylogSymbol(n, arg) if arg else _symbol_from_key((n, self.keys[a]))
         return self.symbols[i]
 
 

@@ -162,6 +162,10 @@ def _log_tail(parts: tuple[int, ...], rho: float, y: float) -> float:
     return log_c + j * math.log1p(log_y) - last * log_y + y * math.log(rho) - math.log1p(-r)
 
 
+def _is_count(v) -> bool:  # an int or a numpy integer, not a bool: a cutoff that can exist
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def tail_bound(indices: Composition, suffix_rho: float, cutoff: int) -> float:
     """Certified upper bound on the series mass with outermost index > cutoff.
 
@@ -174,7 +178,7 @@ def tail_bound(indices: Composition, suffix_rho: float, cutoff: int) -> float:
     rho = float(suffix_rho)
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"suffix_rho must lie in [0, 1), got {rho}")
-    if cutoff < 1:
+    if not (_is_count(cutoff) and cutoff >= 1):
         raise ValueError("cutoff must be a positive integer")
     if rho == 0.0:
         return 0.0
@@ -374,7 +378,7 @@ def series_value_batch(indices: Composition, args: np.ndarray, cutoff: int) -> n
     a = np.asarray(args, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != d:
         raise ValueError(f"argument matrix must have shape ({d}, npoints)")
-    if not 1 <= cutoff <= DEFAULT_MAX_CUTOFF:
+    if not (_is_count(cutoff) and 1 <= cutoff <= DEFAULT_MAX_CUTOFF):
         raise ValueError(f"cutoff must be an integer in [1, {DEFAULT_MAX_CUTOFF}], got {cutoff}")
     if a.shape[1] * d >= _PAIR_LEVELS or d > DEPTH_CAP:
         return _pair_series(parts, a, cutoff)
@@ -390,9 +394,11 @@ def _check_moduli(moduli: np.ndarray) -> float:
     if not top <= DEFAULT_RHO_MAX:  # NaN fails too
         column = int(np.argmax((~(moduli <= DEFAULT_RHO_MAX)).any(axis=0)))
         k = int(np.argmax(moduli[:, column]))
+        m = float(moduli[k, column])  # in full where 6 digits would read as the bound
+        shown = f"{m:.6g}" if float(f"{m:.6g}") > DEFAULT_RHO_MAX else repr(m)
         err = DivergentRequest(
             f"suffix product |a_{k + 1}...a_{moduli.shape[0]}| = "
-            f"{moduli[k, column]:.6g} exceeds rho_max = {DEFAULT_RHO_MAX}"
+            f"{shown} exceeds rho_max = {DEFAULT_RHO_MAX}"
         )
         err.column = column
         raise err
@@ -407,19 +413,15 @@ def _eval_columns(
     Returns (values, tail bound, cutoff).  Every column must pass the caps
     and the suffix-product check; a DivergentRequest carries the index of
     the first failing column as `column`.  Li_1 is the closed form -log(1-x)
-    (principal branch, bound 0, cutoff 1), one cmath.log per column; a single
-    column skips the numpy moduli check.  Any other composition is summed to
-    one cutoff, that of the largest suffix modulus over all columns: the tail
-    bound grows with rho, so it certifies each column on its own.
+    (principal branch, bound 0, cutoff 1), one cmath.log per column.  Any
+    other composition is summed to one cutoff, that of the largest suffix
+    modulus over all columns: the tail bound grows with rho, so it certifies
+    each column on its own.
     """
     if indices.depth > DEPTH_CAP:
         raise ValueError(f"depth {indices.depth} above cap {DEPTH_CAP}")
     if indices.weight > WEIGHT_CAP:
         raise ValueError(f"weight {indices.weight} above cap {WEIGHT_CAP}")
-    if indices.parts == (1,) and argmat.shape[1] == 1:  # one closed form: no numpy dispatch
-        x = complex(argmat[0, 0])
-        if abs(x) <= DEFAULT_RHO_MAX:
-            return np.array([-cmath.log(1.0 - x)]), 0.0, 1
     top = _check_moduli(suffix_moduli(argmat))
     if indices.parts == (1,):
         return np.array([-cmath.log(1.0 - x) for x in argmat[0].tolist()]), 0.0, 1

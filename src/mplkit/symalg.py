@@ -235,6 +235,7 @@ class ArgMonomial(_Keyed):
         return type(self)(self.phase + other.phase, tuple(exps.items()))
 
     def power(self, r: int) -> "ArgMonomial":
+        _require_ints(r=r)
         return type(self)(self.phase * r, tuple((v, e * r) for v, e in self.exponents))
 
     def roots(self, s: int) -> list["ArgMonomial"]:
@@ -350,8 +351,21 @@ class Term(_Keyed):
         return f"({self.coeff}) {body}"
 
 
+class _Sum:
+    """Sum algebra of `Expr` and `Combination`, over their `terms`, `from_terms` and `scale`."""
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        return self.from_terms(self.terms + other.terms)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+
 @dataclass(frozen=True)
-class Expr:
+class Expr(_Sum):
     """Normalized rational linear combination of products of factors."""
 
     terms: tuple[Term, ...] = ()
@@ -375,15 +389,6 @@ class Expr:
         for t in self.terms:
             out |= t.variables
         return out
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "Expr") -> "Expr":
-        return Expr.from_terms(self.terms + other.terms)
-
-    def __sub__(self, other: "Expr") -> "Expr":
-        return self + (-other)
 
     def __neg__(self) -> "Expr":
         return self.scale(-1)

@@ -3,6 +3,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -55,6 +57,28 @@ def test_eval_divergent_exit_2(capsys):
     code, _, err = run(capsys, "eval", "--indices", "2", "--args", "1.5")
     assert code == 2
     assert "divergent" in err
+
+
+def test_eval_li1_and_li2_share_the_domain_rule_at_the_boundary():
+    # |x| is 0.99 to Python's abs and 0.9900000000000001 to numpy's SIMD abs
+    # on x86-64 builds; Li_1 and Li_2 read the same modulus, so both commands
+    # exit 2 there, and both print a value where numpy's abs reads 0.99
+    x = "-0.6774488236435029+0.7219162633879598j"
+    modulus = float(numeval.suffix_moduli([complex(x)])[0])
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    for indices in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mplkit.cli", "eval", "--indices", indices, f"--args={x}"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        if modulus > numeval.DEFAULT_RHO_MAX:
+            assert proc.returncode == 2, (indices, proc.stdout)
+            assert proc.stderr == (
+                f"divergent request: suffix product |a_1...a_1| = {modulus!r} "
+                "exceeds rho_max = 0.99\n"
+            )
+        else:
+            assert proc.returncode == 0, (indices, proc.stderr)
 
 
 def test_eval_cutoff_overflow_exit_3(capsys, monkeypatch):

@@ -749,6 +749,9 @@ _E = PolylogCombination.single(PolylogSymbol(3, A))
         (lambda: root_sum_generator(GeneratorCombination(), 1.0, 1), "slot", 1.0),
         (lambda: root_sum_generator(GeneratorCombination(), 1, Fraction(1)), "s", Fraction(1)),
         (lambda: A.roots(1.5), "s", 1.5),
+        pytest.param(lambda: A.power(True), "r", True, id="power-r-True"),
+        pytest.param(lambda: A.power(Fraction(1, 2)), "r", Fraction(1, 2), id="power-r-1/2"),
+        pytest.param(lambda: A.power(2.0), "r", 2.0, id="power-r-2.0"),
         (lambda: PolylogSymbol(True, A), "n", True),
         (lambda: PolylogSymbol("2", A), "n", "2"),
         (lambda: GeneratorTerm("5", (A, B)), "weight", "5"),

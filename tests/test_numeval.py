@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import random
+import re
 import sys
 import threading
 
@@ -246,6 +247,23 @@ def test_one_column_kernel_checks_shape_and_cutoff():
             series_value_batch(comp, np.full((2, 1), 0.5), cutoff)
 
 
+@pytest.mark.parametrize("cutoff", [2.5, 2.0, True, np.float64(3.0)], ids=repr)
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda m: series_value_batch(Composition((2,)), [[0.5]], m),
+         "cutoff must be an integer in [1, 1000000], got {}"),
+        (lambda m: tail_bound(Composition((2,)), 0.5, m), "cutoff must be a positive integer"),
+    ],
+    ids=["series_value_batch", "tail_bound"],
+)
+def test_cutoff_must_be_an_integer(call, message, cutoff):
+    with pytest.raises(ValueError, match="^" + re.escape(message.format(cutoff)) + "$"):
+        call(cutoff)
+    # a numpy integer is an integer
+    assert np.array_equal(call(np.int64(3)), call(3))
+
+
 def test_kernel_refuses_a_cutoff_past_the_ceiling(monkeypatch):
     # refused before any inverse-power table grows
     monkeypatch.setattr(numeval, "_INV_POWERS", {})
@@ -340,6 +358,44 @@ def test_divergent_request():
     with pytest.raises(DivergentRequest):
         # inner suffix |a2| fine, product |a1 a2| too big
         eval_li(EvalRequest(Composition((2, 1)), (2.0, 0.6), 1e-10))
+
+
+def test_li1_domain_rule_is_one_rule_at_the_boundary():
+    # on |x| = 0.99 the last bit of the modulus decides, and numpy's SIMD abs
+    # and Python's abs disagree in it on many points: every path reads the
+    # same suffix_moduli, so eval_li, a wider group and eval_expr_batch at
+    # one or two points accept or refuse each point together
+    from mplkit.symalg import ArgMonomial, eval_expr_batch, li_expr
+
+    rng = random.Random(2029)
+    li1, x = Composition((1,)), ArgMonomial.variable("x")
+    outcomes = set()
+    for _ in range(200):
+        point = {"x": 0.99 * cmath.exp(1j * rng.uniform(-math.pi, math.pi))}
+        z = x.instantiate(point)  # the argument eval_expr_batch sees
+        calls = (
+            lambda: eval_li(EvalRequest(li1, (z,), 1e-12)).value,
+            lambda: numeval._eval_columns(li1, np.array([[z, 0.5]]), 1e-12)[0][0],
+            lambda: eval_expr_batch(li_expr([1], [x]), [point], 1e-12)[0][0],
+            lambda: eval_expr_batch(li_expr([1], [x]), [point, {"x": 0.5}], 1e-12)[0][0],
+        )
+        got = []
+        for call in calls:
+            try:
+                got.append(repr(complex(call())))
+            except DivergentRequest:
+                got.append("refused")
+        assert len(set(got)) == 1, (z, got)
+        outcomes.add(got[0] == "refused")
+    assert outcomes == {True, False}  # both sides of the boundary were hit
+
+
+def test_divergence_message_shows_a_modulus_just_past_the_bound_in_full():
+    above = np.nextafter(numeval.DEFAULT_RHO_MAX, 1.0)
+    with pytest.raises(DivergentRequest, match=r"= 0\.9900000000000001 exceeds rho_max = 0\.99$"):
+        numeval._check_moduli(np.array([[0.5], [above]]))
+    with pytest.raises(DivergentRequest, match=r"\|a_1\.\.\.a_1\| = 1\.2 exceeds rho_max = 0\.99$"):
+        numeval._check_moduli(np.array([[1.2]]))
 
 
 @pytest.mark.parametrize(
