@@ -1,9 +1,9 @@
 """Command-line surface: eval | reduce | verify | surject.
 
-Plan flags default to VerificationPlan's fields, or to a set MPLKIT_* variable
-parsed like the flag.  Output files are written to a temporary sibling and
-renamed, so a failing command never leaves a partial file behind.  The
-library's exceptions map to exit codes in one table, FAILURES, applied by `main`.
+Plan flags default to VerificationPlan's fields.  Output files are written to
+a temporary sibling and renamed, so a failing command never leaves a partial
+file behind.  The library's exceptions map to exit codes in one table,
+FAILURES, applied by `main`.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--prec",
         type=float,
-        default=os.environ.get("MPLKIT_PREC", 1e-12),
+        default=1e-12,
         help="absolute error target (default 1e-12)",
     )
     p_eval.set_defaults(func=cmd_eval)
@@ -199,9 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_plan_flags(p) -> None:
         for flag, field in PLAN_FLAGS.items():
             default = getattr(VerificationPlan, field)
-            # argparse parses a string default, as from the environment, with `type`
-            env = os.environ.get(f"MPLKIT_{flag.upper()}", default)
-            p.add_argument(f"--{flag}", type=type(default), default=env)
+            p.add_argument(f"--{flag}", type=type(default), default=default)
         p.add_argument(
             "--real", action="store_true", help="sample real points instead of complex"
         )

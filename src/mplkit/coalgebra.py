@@ -85,8 +85,7 @@ class PolylogSymbol(_Keyed):
     arg: GroupElement
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int:  # checked inline: the preimage path builds many
-            _require_ints(n=self.n)
+        _require_ints(n=self.n)
         if self.n < 2:
             raise ValueError(f"symbol weight must be >= 2, got {self.n}")
         object.__setattr__(self, "_k", (self.n, self.arg._k))
@@ -107,8 +106,7 @@ class GeneratorTerm(_Keyed):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "args", tuple(self.args))
-        if type(self.weight) is not int:
-            _require_ints(weight=self.weight)
+        _require_ints(weight=self.weight)
         if not self.args:
             raise ValueError("generator needs depth at least 1")
         if self.weight < len(self.args):

@@ -567,7 +567,7 @@ def eval_expr_batch(
     rounded: a depth-1 orbit is the one term c N^(1-n) Li_n(W) of the
     distribution relation, a depth-2 orbit c N1 N2 times `_orbit_series`'s
     filtered double sum over (W1, W2).  The suffix-product check applies to every
-    orbit at every point, at |w_k| = |W_k|^(1/N_k).
+    orbit at every point, on the suffix_moduli of its base term's arguments.
 
     The absolute truncation budget is split evenly over the depth-2 orbits
     and the factor evaluations of the other terms, the depth-1 orbits among
@@ -600,7 +600,7 @@ def eval_expr_batch(
         return values, masses
     monomials: dict[ArgMonomial, int] = {}  # monomial -> row of its values
     for m in [m for t in terms for f in t.factors for m in f.args] + [
-        m for o in pairs for m in o.powers
+        m for o in orbits for m in o.powers + o.terms[0].factors[0].args
     ]:
         monomials.setdefault(m, len(monomials))
     monomial_matrix = monomial_values(list(monomials), assignments)
@@ -608,10 +608,10 @@ def eval_expr_batch(
     def located(exc: DivergentRequest, factor: MPLFactor, term: Term) -> DivergentRequest:
         return DivergentRequest(f"term {term}: {factor}: {exc} at point {exc.column % npts}")
 
-    for o in orbits:  # |w_k| = |W_k|^(1/N_k)
-        moduli = np.abs(monomial_matrix[[monomials[m] for m in o.powers]])
+    for o in orbits:  # on the suffix products w_k of its base term
+        rows = [monomials[m] for m in o.terms[0].factors[0].args]
         try:
-            _check_moduli(moduli ** (1.0 / np.array(o.orders))[:, None])
+            _check_moduli(suffix_moduli(monomial_matrix[rows]))
         except DivergentRequest as exc:
             raise located(exc, o.terms[0].factors[0], o.terms[0]) from None
     share = float(target_error) / n_evals

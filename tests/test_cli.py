@@ -583,41 +583,70 @@ def test_unwritable_output_exit_2(tmp_path, capsys, argv):
 
 
 # ---------------------------------------------------------------------------
-# environment defaults
+# the environment sets nothing
+
+_JUNK_ENV = {
+    "MPLKIT_SEED": "abc",
+    "MPLKIT_POINTS": "abc",
+    "MPLKIT_RADIUS": "abc",
+    "MPLKIT_TOL": "1e-30",
+    "MPLKIT_PREC": "abc",
+}
 
 
 def test_env_defaults_overridden_by_flags(tmp_path, capsys, monkeypatch):
-    from mplkit.reduction import weight4_fixture_identity
-    from mplkit.serialize import identity_dumps
-
+    # a set MPLKIT_POINTS changes nothing; the flag alone sets the count
     path = tmp_path / "fixture.json"
-    path.write_text(identity_dumps(weight4_fixture_identity()))
+    path.write_text(json.dumps(_fixture_doc()))
     monkeypatch.setenv("MPLKIT_POINTS", "3")
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0
-    assert "points:       3" in out
+    assert f"points:       {VerificationPlan.point_count}" in out
     code, out, _ = run(capsys, "verify", str(path), "--points", "5")
     assert code == 0
     assert "points:       5" in out
 
 
 def test_bad_env_value_is_parsed_only_by_its_flag(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MPLKIT_SEED", "abc")
+    # no flag reads the environment, so a junk value is never parsed
+    for name, value in _JUNK_ENV.items():
+        monkeypatch.setenv(name, value)
     code, out, err = run(capsys, "eval", "--indices", "2", "--args", "0.5")
     assert code == 0 and err == ""
     path = tmp_path / "fixture.json"
     path.write_text(json.dumps(_fixture_doc()))
     for argv in (("verify", str(path)), ("reduce", "--k", "2", "--l", "1", "--verify")):
-        with pytest.raises(SystemExit) as exit_info:
-            main(list(argv))
-        _, err = capsys.readouterr()
-        assert exit_info.value.code == 2
-        assert "argument --seed: invalid int value: 'abc'" in err
-        assert "Traceback" not in err
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert "result:       pass" in out
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", str(path), "--seed", "abc"])
+    assert exit_info.value.code == 2
+    assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_junk_environment_leaves_every_command_unchanged(tmp_path):
+    # in a fresh interpreter, all five variables set to junk: the same exit
+    # code and the same stdout bytes as in an environment without them
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(_fixture_doc()))
+    clean = {k: v for k, v in os.environ.items() if not k.startswith("MPLKIT_")}
+    clean["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+    for argv in (["reduce", "--k", "2", "--l", "1", "--verify"], ["verify", str(path)]):
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "mplkit.cli", *argv],
+                env=env, capture_output=True, timeout=120,
+            )
+            for env in (clean, {**clean, **_JUNK_ENV})
+        ]
+        assert runs[0].returncode == runs[1].returncode == 0, runs[1].stderr
+        assert runs[0].stdout == runs[1].stdout
 
 
 def test_plan_defaults_are_verification_plan_defaults(monkeypatch):
-    for name in ("SEED", "POINTS", "RADIUS", "TOL", "PREC"):
-        monkeypatch.delenv(f"MPLKIT_{name}", raising=False)
+    for name, value in _JUNK_ENV.items():
+        monkeypatch.setenv(name, value)
     for argv in (["verify", "doc.json"], ["reduce", "--k", "2", "--l", "1"]):
         assert cli._plan_from_args(cli.build_parser().parse_args(argv)) == VerificationPlan()
+    assert cli.build_parser().parse_args(["eval", "--indices", "2", "--args", "0.5"]).prec == 1e-12

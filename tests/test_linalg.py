@@ -61,6 +61,13 @@ def test_rhs_rows_of_unequal_width_are_refused():
             solve_exact([[1, 0], [0, 1]], rhs)
 
 
+def test_non_square_matrix_and_short_rhs_are_refused():
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        solve_exact([[1, 2]], [[1]])
+    with pytest.raises(ValueError, match="^rhs must have one row per matrix row$"):
+        solve_exact([[1, 0], [0, 1]], [[1]])
+
+
 def test_float_entries_are_refused():
     with pytest.raises(TypeError, match="exact rational required, got float 0.1"):
         solve_exact([[0.1]], [[1]])

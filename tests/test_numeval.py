@@ -503,6 +503,13 @@ def test_choose_cutoff_zero_rho():
     assert choose_cutoff(Composition((2, 1)), 0.0, 1e-10) == 1
 
 
+def test_choose_cutoff_refuses_a_zero_target_and_rho_one():
+    with pytest.raises(ValueError, match=r"^target_error must be positive$"):
+        choose_cutoff(Composition((2,)), 0.5, 0.0)
+    with pytest.raises(ValueError, match=r"^suffix_rho must lie in \[0, 1\), got 1\.0$"):
+        choose_cutoff(Composition((2,)), 1.0, 1e-10)
+
+
 def test_choose_cutoff_monotone_in_target():
     c = Composition((1, 1))
     previous = 0
@@ -695,6 +702,8 @@ def test_generating_rejects_poles_and_divergence():
         eval_generating_series(0.3, 0.2, 0.6, 0.0, 1e-10)
     with pytest.raises(DivergentRequest):
         eval_generating_series(1.0, 0.2, 0.0, 0.0, 1e-10)
+    with pytest.raises(ValueError, match=r"^target_error must be positive$"):
+        eval_generating_series(0.3, 0.2, 0.0, 0.0, 0.0)
 
 
 def test_generating_reuses_the_confirming_probe(monkeypatch):

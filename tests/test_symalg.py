@@ -81,6 +81,11 @@ def test_instantiate_examples():
         assert abs(mj.instantiate({"x": 0.8}) ** 3 - 0.8) < 1e-13
 
 
+def test_monomial_str_names_a_root_of_unity_other_than_minus_one():
+    assert str(ArgMonomial.make({"x": 1}, 3, 1)) == "zeta_3^1*x"
+    assert str(ArgMonomial.make({"x": Fraction(1, 2)}, 2, 1)) == "-1*x^1/2"
+
+
 def test_instantiate_errors():
     m = ArgMonomial.make({"x": Fraction(1, 2)})
     with pytest.raises(UnboundVariable):
@@ -126,6 +131,15 @@ def test_instantiate_multiplicative_no_carry():
 
 # ---------------------------------------------------------------------------
 # normalization
+
+
+def test_expr_negation_scaling_str_and_variables():
+    e = li_expr([2], [X]) + li_expr([1, 1], [X, Y], Fraction(-1, 2))
+    assert str(e) == "(1) Li_(2)(x) + (-1/2) Li_(1,1)(x, y)"
+    assert str(-e) == "(-1) Li_(2)(x) + (1/2) Li_(1,1)(x, y)"
+    assert str(2 * e) == "(2) Li_(2)(x) + (-1) Li_(1,1)(x, y)"
+    assert e.scale(0) == Expr.zero() and str(e.scale(0)) == "0"
+    assert e.variables == frozenset({"x", "y"})
 
 
 def test_normalize_merges_like_terms():
@@ -349,11 +363,12 @@ def test_eval_batch_one_kernel_call_and_one_cutoff_per_composition(monkeypatch):
         kernels.clear()
         helper.clear()
         eval_expr_batch(side, points, target)
-        # every distinct monomial of the per-term path and every orbit power
-        # valued by one helper call, none point by point
+        # every distinct monomial of the per-term path, every orbit power and
+        # every orbit's base-term argument valued by one helper call, none
+        # point by point
         assert len(helper) == 1 and not instantiated
         assert set(helper[0]) == {m for t in leftover for f in t.factors for m in f.args} | {
-            m for o in orbits for m in o.powers
+            m for o in orbits for m in o.powers + o.terms[0].factors[0].args
         }
         compositions = {f.indices for t in leftover for f in t.factors}
         called = [indices for indices, *_ in kernels]
@@ -368,6 +383,9 @@ def test_eval_batch_one_kernel_call_and_one_cutoff_per_composition(monkeypatch):
             rho = float(numeval.suffix_moduli(argmat).max())
             assert 1 <= cutoff and numeval.tail_bound(indices, rho, cutoff) <= per_factor
             assert cutoff == 1 or numeval.tail_bound(indices, rho, cutoff - 1) > per_factor
+    helper.clear()
+    eval_expr_batch(reduce_li(4, 4).rhs, points, target)
+    assert len(helper[0]) == 36  # 3 per-term and orbit-power rows, 33 base-term arguments
 
 
 def test_eval_batch_grouped_values_match_eval_li(monkeypatch):
@@ -595,6 +613,12 @@ def test_root_orbits_group_on_every_argument():
         assert len(orbits) == orbit_count and len(leftover) == 2 - 2 * orbit_count
 
 
+def test_root_orbits_leave_an_unmerged_repeat_over():
+    # two copies of one term give one suffix-phase tuple for two rows: no coset
+    (t,) = li_expr([2], [X]).terms
+    assert root_orbits(Expr((t, t))) == ([], [t, t])
+
+
 def test_root_orbits_leave_products_and_depth_three():
     product = Expr.single(1, [li_factor([1], [X]), li_factor([3], [Y])])
     deep = li_expr([1, 1, 1], [X, Y, X])
@@ -615,6 +639,88 @@ def test_orbit_suffix_check_is_on_the_roots_and_names_the_point():
     assert len(root_orbits(single)[0]) == 1
     with pytest.raises(DivergentRequest, match=r"= 0.992472 exceeds rho_max = 0.99 at point 0$"):
         eval_expr_batch(single, [{"x": 0.985}], 1e-10)
+
+
+def test_orbit_and_its_base_term_share_the_domain_rule_at_the_boundary():
+    # at |sqrt x| = 0.99 the last bit of the base term's suffix modulus
+    # decides; the orbit Li_2(sqrt x) + Li_2(-sqrt x) is checked on that same
+    # suffix_moduli value, so it and its base term alone accept or refuse
+    # each point together
+    from mplkit.numeval import DivergentRequest
+
+    e = root_expand(li_expr([2], [X]), "x", 2)
+    (orbit,), _ = root_orbits(e)
+    base = Expr(orbit.terms[:1])
+
+    def accepted(expr, point):
+        try:
+            eval_expr_batch(expr, [point], 1e-12)
+        except DivergentRequest:
+            return False
+        return True
+
+    rng = random.Random(2030)
+    outcomes = set()
+    for _ in range(200):
+        point = {"x": 0.9801 * cmath.exp(1j * rng.uniform(-math.pi, math.pi))}
+        outcome = accepted(e, point)
+        assert outcome == accepted(base, point), point
+        outcomes.add(outcome)
+    assert outcomes == {True, False}  # both sides of the boundary were hit
+
+
+_SIGNS = (ArgMonomial.make({}), ArgMonomial.make({}, 2, 1))
+
+
+def _mu2_orbit(parts, w1, w2, coeff=1):
+    """coeff times the four terms of Li_parts with suffix products (+-w1, +-w2):
+    the mu_2 x mu_2 orbit of Li_parts(+-w1/w2, +-w2)."""
+    return Expr.from_terms(
+        Term(coeff, (li_factor(parts, [s1 * w1 * (s2 * w2).power(-1), s2 * w2]),))
+        for s1 in _SIGNS
+        for s2 in _SIGNS
+    )
+
+
+_ROOT_X, _ROOT_Y = ArgMonomial.make({"x": Fraction(1, 2)}), ArgMonomial.make({"y": Fraction(1, 2)})
+_ORBIT_POINT = {"x": 0.3 + 0.1j, "y": 0.2 - 0.3j}
+
+
+def test_orbit_error_paths():
+    from mplkit.numeval import BudgetUnderflow
+
+    (orbit,), leftover = root_orbits(_mu2_orbit((2, 1), _ROOT_X, _ROOT_Y))
+    assert leftover == [] and orbit.orders == (2, 2) and orbit.powers == (X, Y)
+    with pytest.raises(ValueError, match=r"^weight 13 above cap 12$"):
+        eval_expr_batch(_mu2_orbit((7, 6), _ROOT_X, _ROOT_Y), [_ORBIT_POINT], 1e-10)
+    huge = _mu2_orbit((2, 1), _ROOT_X, _ROOT_Y, 10**300)
+    with pytest.raises(BudgetUnderflow, match=r"^error target 1e-300 leaves a target of 0 "
+                       r"for the orbit of \(10{300}\) Li_\(2,1\)\(x\^1/2\*y\^-1/2, y\^1/2\)$"):
+        eval_expr_batch(huge, [_ORBIT_POINT], 1e-300)
+
+
+def test_orbit_cutoff_ceiling_is_a_cutoff_overflow(monkeypatch):
+    from mplkit.numeval import CutoffOverflow
+
+    monkeypatch.setattr(numeval, "DEFAULT_MAX_CUTOFF", 4)
+    with pytest.raises(CutoffOverflow, match=r"^orbit tail bound exceeds target 1\.250e-11 "
+                       r"at the cutoff ceiling 4$"):
+        eval_expr_batch(_mu2_orbit((2, 1), _ROOT_X, _ROOT_Y), [_ORBIT_POINT], 1e-10)
+
+
+def test_orbit_whose_powers_underflow_is_zero_with_bound_zero(monkeypatch):
+    # suffixes +-y and +-x pass the check at 1e-200, and W = x^2, y^2 round to 0
+    series = []
+    orbit_series = numeval._orbit_series
+    monkeypatch.setattr(
+        numeval, "_orbit_series", lambda *a: series.append(orbit_series(*a)) or series[-1]
+    )
+    e = _mu2_orbit((2, 1), Y, X)
+    assert [o.powers for o in root_orbits(e)[0]] == [(Y.power(2), X.power(2))]
+    values, masses = eval_expr_batch(e, [{"x": 1e-200, "y": 1e-200}], 1e-10)
+    assert values.tolist() == [0j] and masses.tolist() == [0.0]
+    ((orbit_values, bound),) = series
+    assert orbit_values.tolist() == [0j] and bound == 0.0
 
 
 @pytest.mark.parametrize("kl", [(2, 2), (3, 2)])
