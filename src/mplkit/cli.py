@@ -108,7 +108,7 @@ def _print_report_table(report) -> None:
 
 
 def cmd_eval(args) -> int:
-    from .numeval import EvalRequest, eval_li  # the one command that always loads numpy
+    from .numeval import EvalRequest, eval_li  # one point: Python scalars, no numpy
 
     parts = tuple(int(p) for p in args.indices.split(","))
     values = tuple(complex(a) for a in args.args.split(","))

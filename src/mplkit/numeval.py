@@ -27,27 +27,28 @@ bound is evaluated in the log domain and is infinite while r(M+1) >= 1.
 
 The recurrence rounds one way at every width: as the generic level loop
 does on Python complex scalars (tests/_oracles.py keeps it as the
-reference), so a column's value has the same bits alone as in any group.  A narrow group
-runs it one column at a time, on scalars: one straight-line loop per depth
-1-4 with the levels in local variables.  A group of at least 64 columns x
-depth, or deeper than DEPTH_CAP, runs every column at once on float64 rows
-of real and imaginary parts, each complex product spelled out as its float
-products and sums in the order Python rounds them; numpy's own complex
-product fuses a multiply and an add on SIMD lanes and would round
+reference), so a column's value has the same bits alone as in any group.
+A narrow group runs it one column at a time, on scalars: one straight-line
+loop per depth 1-4 with the levels in local variables.  A group of at least
+64 columns x depth, or deeper than DEPTH_CAP, runs every column at once on
+float64 rows of real and imaginary parts, each complex product spelled out
+as its float products and sums in the order Python rounds them; numpy's own
+complex product fuses a multiply and an add on SIMD lanes and would round
 otherwise.  1/m^n comes from a per-index array("d") of inverse powers,
 _INV_POWERS[n], which grows in place to the largest cutoff asked of it and
 is never rebuilt; every entry is 1.0 / float(m) ** n.
 
-Every evaluation, eval_li's single point and eval_expr_batch's
-composition groups alike, goes through one entry, `_eval_columns`.  It
-applies the depth and weight caps and the suffix-product check
-rho <= DEFAULT_RHO_MAX, takes Li_1 from its closed form -log(1 - x), one
-cmath.log per column, and sums every other series below DEFAULT_MAX_CUTOFF
-to one cutoff per call: the cutoff of the largest suffix modulus over all
-its columns.  The tail bound grows with rho, so that cutoff certifies every
-column on its own, as the per-sum error analysis of Vollinga and Weinzierl
-(CPC 167 (2005) 177) allows.  At one cutoff a factor has the same bits
-from eval_li as from a group of any width.
+Every evaluation, eval_li's single point and eval_expr_batch's composition
+groups alike, goes through one entry, `_eval_columns`, on one argument tuple
+per column.  It applies the depth and weight caps and the check rho <=
+DEFAULT_RHO_MAX on suffix_moduli (Python's abs, multiplied from the last
+slot), takes Li_1 from its closed form -log(1 - x), one cmath.log per
+column, and sums every other series below DEFAULT_MAX_CUTOFF to one cutoff
+per call: that of the largest suffix modulus over all its columns.  The
+tail bound grows with rho, so that cutoff certifies every column on its
+own, as the per-sum error analysis of Vollinga and Weinzierl (CPC 167
+(2005) 177) allows.  At one cutoff a factor has the same bits from eval_li
+as from a group of any width; one point runs on Python scalars throughout.
 
 A full root-of-unity orbit of Li_{a,b} terms, whose suffix values run over
 mu_N1 x mu_N2 times (w1, w2), is summed as one series instead: the roots
@@ -58,7 +59,8 @@ product per block of q1, with a closed-form tail geometric in q1 and in q2;
 eval_expr_batch applies the suffix-product check to the w_k first.
 
 The module owns every float path, eval_expr_batch and the monomial values
-behind ArgMonomial.instantiate included, and is the one that imports numpy.
+behind ArgMonomial.instantiate included, and is the one that imports numpy,
+in each function that builds an array: `mplkit eval` loads none.
 Composition, the caps, the constants and the evaluation errors are symalg's,
 re-exported here.
 """
@@ -68,13 +70,15 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 import sys
 import threading
 from array import array
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-import numpy as np
+if TYPE_CHECKING:  # the annotations' np; the code imports numpy where it builds arrays
+    import numpy as np
 
 from .symalg import (  # the shared vocabulary (re-exported), then the exact types
     DEFAULT_MAX_CUTOFF, DEFAULT_RHO_MAX, DEPTH_CAP, WEIGHT_CAP, Composition, CutoffOverflow,
@@ -135,14 +139,19 @@ class EvalResult:
     cutoff: int
 
 
-def suffix_moduli(args: Sequence[complex] | np.ndarray) -> np.ndarray:
-    """|a_k * a_{k+1} * ... * a_d| for k = 1..d along axis 0 (in slot order).
-
-    Takes one argument tuple or a (depth, npoints) matrix; the domain check
-    of every evaluation uses this formula.
-    """
-    moduli = np.abs(np.asarray(args, dtype=np.complex128))
-    return np.multiply.accumulate(moduli[::-1])[::-1]
+def suffix_moduli(args: Sequence[complex] | np.ndarray) -> list[float] | np.ndarray:
+    """|a_k * a_{k+1} * ... * a_d| for k = 1..d, in slot order: Python's abs
+    of each argument, multiplied as a running product from the last slot; a
+    list of floats for one argument tuple, a (depth, npoints) array of each
+    column's for a matrix.  The domain check of every evaluation reads it."""
+    if getattr(args, "ndim", 1) == 2:
+        import numpy as np
+        return np.array([suffix_moduli(col) for col in args.T.tolist()]).reshape(-1, len(args)).T
+    running, moduli = 1.0, []
+    for a in reversed(args):
+        running *= abs(a)
+        moduli.append(running)
+    return moduli[::-1]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -163,7 +172,8 @@ def _log_tail(parts: tuple[int, ...], rho: float, y: float) -> float:
 
 
 def _is_count(v) -> bool:  # an int or a numpy integer, not a bool: a cutoff that can exist
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+    # int first: the Integral check runs through ABCMeta, ten times slower
+    return not isinstance(v, bool) and (isinstance(v, int) or isinstance(v, numbers.Integral))
 
 
 def tail_bound(indices: Composition, suffix_rho: float, cutoff: int) -> float:
@@ -306,17 +316,20 @@ def _scalar_series(parts: tuple[int, ...], col: list[complex], cutoff: int) -> c
     return c4
 
 
-def _pair_series(parts: tuple[int, ...], a: np.ndarray, cutoff: int) -> np.ndarray:
-    """The recurrence of _scalar_series on every column of a (depth, ncols)
-    matrix at once, on flat float64 rows of real and imaginary parts, one
-    block of ncols per level.  Each complex operation is written out as
-    Python's complex arithmetic computes it, every float product and sum
-    rounded on its own, so each column has the bits of _scalar_series at
-    that column (numpy's complex product fuses a multiply and an add on
-    SIMD lanes, and its bits differ).  Every level reads the previous
-    step's values, as the top-down scalar loop does, so one step is the
-    same nineteen ufunc calls whatever the depth."""
-    d, n = a.shape
+def _pair_series(parts: tuple[int, ...], columns: list, cutoff: int) -> np.ndarray:
+    """The recurrence of _scalar_series on every argument tuple of columns at
+    once, on flat float64 rows of real and imaginary parts, one block of
+    ncols per level.  Each complex operation is written out as Python's
+    complex arithmetic computes it, every float product and sum rounded on
+    its own, so each column has the bits of _scalar_series at that column
+    (numpy's complex product fuses a multiply and an add on SIMD lanes, and
+    its bits differ).  Every level reads the previous step's values, as the
+    top-down scalar loop does, so one step is the same nineteen ufunc calls
+    whatever the depth."""
+    import numpy as np
+
+    d, n = len(parts), len(columns)
+    a = np.array(columns, dtype=np.complex128).reshape(n, d).T
     br, bi = np.ones((d + 1, n)), np.zeros((d + 1, n))  # b_{k+1} at row k, b_{d+1} = 1
     for k in range(d - 1, -1, -1):
         xr, xi = a[k].real, a[k].imag
@@ -361,18 +374,26 @@ def _pair_series(parts: tuple[int, ...], a: np.ndarray, cutoff: int) -> np.ndarr
     return out
 
 
+def _kernel(parts: tuple[int, ...], columns: list, cutoff: int):
+    """The series at each argument tuple of columns, same bits either way: _scalar_series
+    on each below _PAIR_LEVELS columns x depth, else (or above DEPTH_CAP) _pair_series."""
+    if len(columns) * len(parts) >= _PAIR_LEVELS or len(parts) > DEPTH_CAP:
+        return _pair_series(parts, columns, cutoff)
+    return [_scalar_series(parts, col, cutoff) for col in columns]
+
+
 def series_value_batch(indices: Composition, args: np.ndarray, cutoff: int) -> np.ndarray:
     """Truncated nested sum for a (depth, npoints) argument matrix.
 
     Returns the length-npoints vector of partial sums to the cutoff: the
     suffix-scaled prefix-sum recurrence with the bits of the generic level
     loop at every column, so a column's value does not depend on the
-    others.  Fewer than _PAIR_LEVELS columns x depth run _scalar_series on
-    each column in turn; more, or a depth above DEPTH_CAP, run _pair_series
-    on all at once.  The width picks the faster kernel, not the bits.  The
-    cutoff must lie in [1, DEFAULT_MAX_CUTOFF], the ceiling of every
-    evaluation, which also bounds the inverse-power tables.
+    others; _kernel picks the kernel by width.  The cutoff must lie in [1,
+    DEFAULT_MAX_CUTOFF], the ceiling of every evaluation, which also bounds
+    the inverse-power tables.
     """
+    import numpy as np
+
     parts = indices.parts
     d = len(parts)
     a = np.asarray(args, dtype=np.complex128)
@@ -380,55 +401,49 @@ def series_value_batch(indices: Composition, args: np.ndarray, cutoff: int) -> n
         raise ValueError(f"argument matrix must have shape ({d}, npoints)")
     if not (_is_count(cutoff) and 1 <= cutoff <= DEFAULT_MAX_CUTOFF):
         raise ValueError(f"cutoff must be an integer in [1, {DEFAULT_MAX_CUTOFF}], got {cutoff}")
-    if a.shape[1] * d >= _PAIR_LEVELS or d > DEPTH_CAP:
-        return _pair_series(parts, a, cutoff)
-    columns = a.T.tolist()
-    return np.array([_scalar_series(parts, col, cutoff) for col in columns], dtype=np.complex128)
+    return np.asarray(_kernel(parts, a.T.tolist(), cutoff), dtype=np.complex128)
 
 
-def _check_moduli(moduli: np.ndarray) -> float:
-    """The largest of a (depth, ncols) matrix of suffix moduli, which must not
-    exceed DEFAULT_RHO_MAX; a DivergentRequest names the first failing
-    column's largest one and carries the column's index as `column`."""
-    top = float(moduli.max(initial=0.0))
-    if not top <= DEFAULT_RHO_MAX:  # NaN fails too
-        column = int(np.argmax((~(moduli <= DEFAULT_RHO_MAX)).any(axis=0)))
-        k = int(np.argmax(moduli[:, column]))
-        m = float(moduli[k, column])  # in full where 6 digits would read as the bound
-        shown = f"{m:.6g}" if float(f"{m:.6g}") > DEFAULT_RHO_MAX else repr(m)
-        err = DivergentRequest(
-            f"suffix product |a_{k + 1}...a_{moduli.shape[0]}| = "
-            f"{shown} exceeds rho_max = {DEFAULT_RHO_MAX}"
-        )
-        err.column = column
-        raise err
-    return top
+def _check_moduli(columns: Sequence[Sequence[complex]]) -> float:
+    """The largest suffix_moduli over argument tuples, none above DEFAULT_RHO_MAX;
+    a DivergentRequest names the first failing column's largest (in full where
+    6 digits would read as the bound) and carries the column's index as `column`."""
+    peaks = [max(suffix_moduli(col)) for col in columns]  # a NaN runs to slot 1: max keeps it
+    for column, peak in enumerate(peaks):
+        if not peak <= DEFAULT_RHO_MAX:  # NaN fails too
+            moduli = suffix_moduli(columns[column])
+            shown = f"{peak:.6g}" if float(f"{peak:.6g}") > DEFAULT_RHO_MAX else repr(float(peak))
+            err = DivergentRequest(
+                f"suffix product |a_{moduli.index(max(moduli)) + 1}...a_{len(moduli)}| = "
+                f"{shown} exceeds rho_max = {DEFAULT_RHO_MAX}"
+            )
+            err.column = column
+            raise err
+    return max(peaks, default=0.0)
 
 
 def _eval_columns(
-    indices: Composition, argmat: np.ndarray, target_error: float
-) -> tuple[np.ndarray, float, int]:
-    """Li_indices at every column of a (depth, ncols) argument matrix.
+    indices: Composition, columns: Sequence[Sequence[complex]], target_error: float
+) -> tuple[Sequence[complex], float, int]:
+    """Li_indices at each argument tuple of columns, one tuple per column.
 
-    Returns (values, tail bound, cutoff).  Every column must pass the caps
-    and the suffix-product check; a DivergentRequest carries the index of
-    the first failing column as `column`.  Li_1 is the closed form -log(1-x)
-    (principal branch, bound 0, cutoff 1), one cmath.log per column.  Any
-    other composition is summed to one cutoff, that of the largest suffix
-    modulus over all columns: the tail bound grows with rho, so it certifies
-    each column on its own.
+    Returns (values, tail bound, cutoff), the values in column order.  Every
+    column must pass the caps and the check on its suffix_moduli; a
+    DivergentRequest carries the index of the first failing column as
+    `column`.  Li_1 is the closed form -log(1-x) (principal branch, bound 0,
+    cutoff 1), one cmath.log per column.  Any other composition is summed to
+    one cutoff, that of the largest suffix modulus over all columns: the tail
+    bound grows with rho, so it certifies each column on its own.
     """
     if indices.depth > DEPTH_CAP:
         raise ValueError(f"depth {indices.depth} above cap {DEPTH_CAP}")
     if indices.weight > WEIGHT_CAP:
         raise ValueError(f"weight {indices.weight} above cap {WEIGHT_CAP}")
-    top = _check_moduli(suffix_moduli(argmat))
+    top = _check_moduli(columns)
     if indices.parts == (1,):
-        return np.array([-cmath.log(1.0 - x) for x in argmat[0].tolist()]), 0.0, 1
-    cutoff = choose_cutoff(indices, top, target_error)
-    # the bound choose_cutoff's confirming probe computed, not a new probe
-    bound = _cutoff_and_bound(indices, top, target_error, DEFAULT_MAX_CUTOFF)[1]
-    return series_value_batch(indices, argmat, cutoff), bound, cutoff
+        return [-cmath.log(1.0 - col[0]) for col in columns], 0.0, 1
+    cutoff, bound = _cutoff_and_bound(indices, top, target_error, DEFAULT_MAX_CUTOFF)
+    return _kernel(indices.parts, columns, cutoff), bound, cutoff
 
 
 _ORBIT_BLOCK = 1 << 16  # entries of one block of the orbit series' denominator table
@@ -469,6 +484,8 @@ def _orbit_series(
     target.  The double sum is one matrix product per block of q1 against a
     (q1, q2) denominator table that holds no column axis.
     """
+    import numpy as np
+
     (a, b), (n1, n2) = parts, orders
     if a + b > WEIGHT_CAP:
         raise ValueError(f"weight {a + b} above cap {WEIGHT_CAP}")
@@ -514,10 +531,8 @@ def eval_li(req: EvalRequest) -> EvalResult:
     closed form -log(1-x) (principal branch), exact up to rounding, which
     avoids the slow geometric series near the convergence boundary.
     """
-    values, bound, cutoff = _eval_columns(
-        req.indices, np.array(req.args)[:, None], req.target_error
-    )
-    return EvalResult(complex(values[0]), bound, cutoff)
+    values, bound, cutoff = _eval_columns(req.indices, (req.args,), req.target_error)
+    return EvalResult(values[0], bound, cutoff)
 
 
 def monomial_values(
@@ -528,15 +543,17 @@ def monomial_values(
     The principal branch of every fractional power, as exp turns the sum into
     the product.  cmath.log of each variable at each point is taken once;
     each variable's term is added, elementwise, only to the monomials that
-    use it.
+    use it.  A bare variable (phase 0, exponent 1) is its value, not exp(log v).
     """
+    import numpy as np
+
     names = sorted({v for m in monomials for v, _ in m.exponents})
     column = {v: i for i, v in enumerate(names)}
     exps = np.zeros((len(monomials), len(names)))
     for row, m in enumerate(monomials):
         for v, e in m.exponents:
             exps[row, column[v]] = _exact_float(e, "exponent of {} in an argument monomial", v)
-    logs = np.empty((len(names), len(assignments)), dtype=np.complex128)
+    bases, logs = (np.empty((len(names), len(assignments)), dtype=np.complex128) for _ in range(2))
     for i, v in enumerate(names):
         for p, assignment in enumerate(assignments):
             try:
@@ -545,7 +562,7 @@ def monomial_values(
                 raise UnboundVariable(v) from None
             if base == 0:
                 raise ZeroBase(f"variable {v} assigned zero")
-            logs[i, p] = cmath.log(base)
+            bases[i, p], logs[i, p] = base, cmath.log(base)
     phases = np.array([float(m.phase) for m in monomials])
     z = np.empty((len(monomials), len(assignments)), dtype=np.complex128)
     z[...] = (2j * math.pi * phases)[:, None]
@@ -553,7 +570,11 @@ def monomial_values(
     for i in range(len(names)):
         np.multiply(exps[:, i, None], logs[i], out=term)
         np.add(z, term, out=z, where=exps[:, i, None] != 0.0)
-    return np.exp(z, out=z)
+    np.exp(z, out=z)
+    for row, m in enumerate(monomials):
+        if m.phase == 0 and len(m.exponents) == 1 and m.exponents[0][1] == 1:
+            z[row] = bases[column[m.exponents[0][0]]]
+    return z
 
 def eval_expr_batch(
     e: Expr,
@@ -586,6 +607,8 @@ def eval_expr_batch(
     of |coefficient x orbit value| over the orbits and of |coefficient| times
     the product of the factors' moduli over the other terms.
     """
+    import numpy as np
+
     npts = len(assignments)
     orbits, leftover = root_orbits(e)
     pairs = [o for o in orbits if o.indices.depth == 2]
@@ -611,7 +634,7 @@ def eval_expr_batch(
     for o in orbits:  # on the suffix products w_k of its base term
         rows = [monomials[m] for m in o.terms[0].factors[0].args]
         try:
-            _check_moduli(suffix_moduli(monomial_matrix[rows]))
+            _check_moduli(monomial_matrix[rows].T.tolist())
         except DivergentRequest as exc:
             raise located(exc, o.terms[0].factors[0], o.terms[0]) from None
     share = float(target_error) / n_evals
@@ -652,15 +675,14 @@ def eval_expr_batch(
     }
     rows, row = [], {}  # factor values, a block per group; factor -> its row in them
     for indices, factors in groups.items():
-        try:  # one (depth, n_factors * npts) argument matrix, factor-major, not kept
-            flat, _, _ = _eval_columns(
-                indices, monomial_matrix[slots[indices]].reshape(indices.depth, -1), per_factor
-            )
+        try:  # the n_factors * npts argument tuples, factor-major, not kept
+            columns = monomial_matrix[slots[indices]].reshape(indices.depth, -1).T.tolist()
+            flat, _, _ = _eval_columns(indices, columns, per_factor)
         except DivergentRequest as exc:
             factor = list(factors)[exc.column // npts]
             raise located(exc, factor, next(t for t in terms if factor in t.factors)) from None
         row.update(zip(factors, range(len(row), len(row) + len(factors))))
-        rows.append(flat.reshape(len(factors), npts))
+        rows.append(np.reshape(flat, (len(factors), npts)))
     rows.append(np.ones((1, npts), dtype=np.complex128))
 
     factor_values = np.concatenate(rows)
@@ -716,7 +738,7 @@ def eval_generating_series(
         return EvalResult(0.0j, 0.0, 1)
     bulge = 1.0 / ((1.0 - abs(t1)) * (1.0 - 0.5 * abs(t2)))
     pair, target = Composition((1, 1)), float(target_error) / bulge
-    cutoff = choose_cutoff(pair, rho, target)
+    cutoff, bound = _cutoff_and_bound(pair, rho, target, DEFAULT_MAX_CUTOFF)
     total = 0.0j
     inner = 0.0j  # A(s) = sum_{m<s} x^m y^{s-m} / (m - t1)
     xpow = 1.0 + 0.0j
@@ -724,6 +746,4 @@ def eval_generating_series(
         inner = y * inner + xpow * x * y / (s - 1 - t1)
         xpow *= x
         total += inner / (s - t2)
-    # the bound choose_cutoff's confirming probe computed, not a new probe
-    bound = _cutoff_and_bound(pair, rho, target, DEFAULT_MAX_CUTOFF)[1]
     return EvalResult(total, bulge * bound, cutoff)

@@ -14,9 +14,10 @@ It prints two sha256 digests:
 
 A change that means to keep every emitted bit prints the same two lines
 before and after.  The digests are not pinned in the test suite: float bits
-depend on the numpy build, whose SIMD complex abs differs from Python's
-abs, and on the Python version.  perfbench/workloads.py is imported from
-its directory, read only.
+depend on the numpy build (the monomial values of a group come from numpy's
+exp, and the orbit series from its matrix products) and on the Python
+version.  perfbench/workloads.py is imported from its directory, read
+only.
 """
 
 import hashlib

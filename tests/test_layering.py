@@ -1,8 +1,9 @@
 """The exact core runs without numpy, and every public name resolves.
 
-numeval is the one module that imports numpy.  The exact modules import it
-only when a number is asked for, and the numeric names that symalg and the
-package list are looked up in numeval on first use.
+numeval is the one module that imports numpy, and only in the functions that
+build arrays: one point (`mplkit eval`) loads none.  The exact modules import
+numeval only when a number is asked for, and the numeric names that symalg
+and the package list are looked up in numeval on first use.
 """
 
 import ast
@@ -35,6 +36,8 @@ for argv in (["surject", "--weights", "2,2"], ["reduce", "--k", "2", "--l", "2"]
     stage(" ".join(argv))
 assert main(["eval", "--indices", "2", "--args", "0.5"]) == 0
 stage("eval")
+assert main(["reduce", "--k", "2", "--l", "1", "--verify"]) == 0
+stage("reduce --k 2 --l 1 --verify")
 print(json.dumps(stages), file=sys.stderr)
 """
 
@@ -53,9 +56,11 @@ def test_exact_commands_run_without_numpy():
         *(f"import {m}" for m in EXACT_MODULES),
         "surject --weights 2,2",
         "reduce --k 2 --l 2",
+        "eval",  # one point runs on Python scalars
     ]
     assert [name for name, numpy_loaded in exact if numpy_loaded] == []
-    assert (last, loaded) == ("eval", True)  # the check sees numpy when it is there
+    # the check sees numpy when it is there
+    assert (last, loaded) == ("reduce --k 2 --l 1 --verify", True)
 
 
 # the __all__ lists of the two modules whose code moved, as they were

@@ -173,10 +173,9 @@ def test_pair_kernel_keeps_the_sign_of_every_zero(depth):
     # an imaginary zero throughout)
     values = [complex(r, i) for r in (0.0, -0.0, 0.5, -0.5) for i in (0.0, -0.0, 0.5, -0.5)]
     cols = list(itertools.product(values, repeat=depth))
-    a = np.array(cols, dtype=np.complex128).T
     parts = (2, 1, 3)[:depth]
     for cutoff in (1, 2, 3, 7):
-        got = numeval._pair_series(parts, a, cutoff)
+        got = numeval._pair_series(parts, cols, cutoff)
         for j, col in enumerate(cols):
             ref = series_scalar_reference(parts, list(col), cutoff)
             assert repr(complex(got[j])) == repr(ref), (parts, col, cutoff)
@@ -323,7 +322,7 @@ def test_wide_group_columns_agree_with_eval_li_and_mpmath():
         comp = Composition(parts)
         target = 10.0 ** rng.uniform(-13, -7)
         a = _wide_group(rng, parts, 40)
-        values, bound, cutoff = numeval._eval_columns(comp, a, target)
+        values, bound, cutoff = numeval._eval_columns(comp, a.T.tolist(), target)
         assert bound <= target
         rho = suffix_moduli(a).max(axis=0)
         assert cutoff == choose_cutoff(comp, rho.max(), target)  # one cutoff for the group
@@ -361,8 +360,7 @@ def test_divergent_request():
 
 
 def test_li1_domain_rule_is_one_rule_at_the_boundary():
-    # on |x| = 0.99 the last bit of the modulus decides, and numpy's SIMD abs
-    # and Python's abs disagree in it on many points: every path reads the
+    # on |x| = 0.99 the last bit of the modulus decides: every path reads the
     # same suffix_moduli, so eval_li, a wider group and eval_expr_batch at
     # one or two points accept or refuse each point together
     from mplkit.symalg import ArgMonomial, eval_expr_batch, li_expr
@@ -375,7 +373,7 @@ def test_li1_domain_rule_is_one_rule_at_the_boundary():
         z = x.instantiate(point)  # the argument eval_expr_batch sees
         calls = (
             lambda: eval_li(EvalRequest(li1, (z,), 1e-12)).value,
-            lambda: numeval._eval_columns(li1, np.array([[z, 0.5]]), 1e-12)[0][0],
+            lambda: numeval._eval_columns(li1, [(z,), (0.5,)], 1e-12)[0][0],
             lambda: eval_expr_batch(li_expr([1], [x]), [point], 1e-12)[0][0],
             lambda: eval_expr_batch(li_expr([1], [x]), [point, {"x": 0.5}], 1e-12)[0][0],
         )
@@ -390,12 +388,65 @@ def test_li1_domain_rule_is_one_rule_at_the_boundary():
     assert outcomes == {True, False}  # both sides of the boundary were hit
 
 
+def _boundary_points(seed, n=200):
+    rng = random.Random(seed)
+    return [0.99 * cmath.exp(1j * rng.uniform(-math.pi, math.pi)) for _ in range(n)]
+
+
+def _value_or_refused(call) -> str:
+    try:
+        return repr(complex(call()))
+    except DivergentRequest:
+        return "refused"
+
+
+def test_a_bare_variable_is_evaluated_at_the_variable_itself():
+    # the monomial x is x, not exp(log x): eval_expr_batch evaluates Li_2 at
+    # the number eval_li is given, so both return the same bits or both refuse
+    from mplkit.symalg import ArgMonomial, eval_expr_batch, li_expr
+
+    x, li2 = ArgMonomial.variable("x"), Composition((2,))
+    outcomes = set()
+    for z in _boundary_points(2031):
+        assert x.instantiate({"x": z}) == z
+        alone = _value_or_refused(lambda: eval_li(EvalRequest(li2, (z,), 1e-12)).value)
+        batch = _value_or_refused(lambda: eval_expr_batch(li_expr([2], [x]), [{"x": z}], 1e-12)[0][0])
+        assert alone == batch, z
+        outcomes.add(alone == "refused")
+    assert outcomes == {True, False}  # both sides of the boundary were hit
+
+
+def test_one_point_narrow_and_pair_groups_share_the_domain_rule(monkeypatch):
+    # eval_li, a narrow group and a group wide enough for _pair_series read
+    # one Python-float modulus rule: they accept or refuse each point on
+    # |x| = 0.99 together, and an accepted point has the same bits in all
+    pair_calls = []
+    pair_series = numeval._pair_series
+    monkeypatch.setattr(
+        numeval, "_pair_series", lambda *a: pair_calls.append(len(a[1])) or pair_series(*a)
+    )
+    li2, filler = Composition((2,)), [(0.5 + 0.25j,)]
+    outcomes = set()
+    for z in _boundary_points(2032):
+        got = [
+            _value_or_refused(lambda: eval_li(EvalRequest(li2, (z,), 1e-6)).value),
+            *(  # a narrow group of 2 columns, a wide one of 64
+                _value_or_refused(lambda: numeval._eval_columns(li2, group, 1e-6)[0][-1])
+                for group in (filler + [(z,)], filler * 63 + [(z,)])
+            ),
+        ]
+        assert len(set(got)) == 1, (z, got)
+        outcomes.add(got[0] == "refused")
+    assert outcomes == {True, False}  # both sides of the boundary were hit
+    assert set(pair_calls) == {64}  # the wide group, at every accepted point, and no other
+
+
 def test_divergence_message_shows_a_modulus_just_past_the_bound_in_full():
     above = np.nextafter(numeval.DEFAULT_RHO_MAX, 1.0)
     with pytest.raises(DivergentRequest, match=r"= 0\.9900000000000001 exceeds rho_max = 0\.99$"):
-        numeval._check_moduli(np.array([[0.5], [above]]))
+        numeval._check_moduli([(0.5,), (1.0, above)])
     with pytest.raises(DivergentRequest, match=r"\|a_1\.\.\.a_1\| = 1\.2 exceeds rho_max = 0\.99$"):
-        numeval._check_moduli(np.array([[1.2]]))
+        numeval._check_moduli([(1.2,)])
 
 
 @pytest.mark.parametrize(
@@ -433,14 +484,15 @@ def _eval_style_requests(rng, per_depth):
 
 
 def test_eval_li_bound_is_tail_bound_at_the_suffix_modulus_bit_for_bit():
-    # the modulus is suffix_moduli's numpy formula: a modulus computed another
-    # way rounds differently and moves the last bit of many bounds
+    # the modulus is suffix_moduli's formula: a modulus computed another way
+    # (numpy's SIMD abs, say) rounds differently and moves the last bit of
+    # many bounds
     for req in _eval_style_requests(random.Random(15015), 150):
         res = eval_li(req)
         if req.indices.parts == (1,):
             assert (res.tail_bound, res.cutoff) == (0.0, 1)
             continue
-        rho = float(suffix_moduli(req.args).max())
+        rho = max(suffix_moduli(req.args))
         assert res.cutoff == choose_cutoff(req.indices, rho, req.target_error)
         assert res.tail_bound.hex() == tail_bound(req.indices, rho, res.cutoff).hex(), req
 
@@ -585,6 +637,26 @@ def test_choose_cutoff_is_minimal(monkeypatch):
             assert target < tail_bound(comp, rho, m - 1), (parts, rho, target, m)
 
 
+def test_choose_cutoff_steps_up_past_a_landing_the_bound_refuses(monkeypatch):
+    # the Newton steps solve for the true bound; under a bound 4x looser the
+    # landing fails its confirming probe and the cutoff steps up, to the
+    # smallest cutoff the looser bound accepts
+    def looser(indices, rho, cutoff):
+        return 4.0 * tail_bound(indices, rho, cutoff)
+
+    monkeypatch.setattr(numeval, "tail_bound", looser)
+    numeval._cutoff_and_bound.cache_clear()
+    try:
+        cases = [((2,), 0.9, 1e-12), ((2, 1), 0.5, 1e-10), ((1, 1, 3), 0.98, 1e-14)]
+        for parts, rho, target in cases:
+            comp = Composition(parts)
+            m = choose_cutoff(comp, rho, target)
+            assert looser(comp, rho, m) <= target < looser(comp, rho, m - 1), parts
+            assert tail_bound(comp, rho, m - 1) <= target, parts  # the true bound stops lower
+    finally:
+        numeval._cutoff_and_bound.cache_clear()
+
+
 def test_eval_li_reuses_the_confirming_probe(monkeypatch):
     calls = []
 
@@ -602,7 +674,7 @@ def test_eval_li_reuses_the_confirming_probe(monkeypatch):
     ]
     for parts, args, target in cases:
         comp = Composition(parts)
-        rho = float(suffix_moduli(args).max())
+        rho = max(suffix_moduli(args))
         numeval._cutoff_and_bound.cache_clear()
         calls.clear()
         cutoff = choose_cutoff(comp, rho, target)

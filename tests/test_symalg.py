@@ -338,8 +338,8 @@ def counting(monkeypatch, name):
 def test_eval_batch_one_kernel_call_and_one_cutoff_per_composition(monkeypatch):
     from mplkit.reduction import reduce_li
 
-    cutoffs = counting(monkeypatch, "choose_cutoff")
-    kernels = counting(monkeypatch, "series_value_batch")
+    cutoffs = counting(monkeypatch, "_cutoff_and_bound")
+    kernels = counting(monkeypatch, "_kernel")
     helper = []
     monomial_values = numeval.monomial_values
     monkeypatch.setattr(
@@ -371,16 +371,16 @@ def test_eval_batch_one_kernel_call_and_one_cutoff_per_composition(monkeypatch):
             m for o in orbits for m in o.powers + o.terms[0].factors[0].args
         }
         compositions = {f.indices for t in leftover for f in t.factors}
-        called = [indices for indices, *_ in kernels]
+        called = [Composition(parts) for parts, *_ in kernels]
         assert len(called) == len(set(called)) == len(compositions)
         assert set(called) == compositions
         n_evals = sum(len(t.factors) for t in leftover) + len(orbits)
         per_factor = target / (n_evals * max(abs(float(t.coeff)) for t in leftover))
         assert [indices for indices, *_ in cutoffs] == called  # one cutoff per composition
-        for indices, (argmat, cutoff), _ in kernels:
-            assert argmat.shape[1] % 5 == 0
+        for indices, (_, (columns, cutoff), _) in zip(called, kernels):
+            assert len(columns) % 5 == 0
             # the cutoff of the group's largest suffix modulus, for every column
-            rho = float(numeval.suffix_moduli(argmat).max())
+            rho = max(max(numeval.suffix_moduli(col)) for col in columns)
             assert 1 <= cutoff and numeval.tail_bound(indices, rho, cutoff) <= per_factor
             assert cutoff == 1 or numeval.tail_bound(indices, rho, cutoff - 1) > per_factor
     helper.clear()
@@ -391,7 +391,7 @@ def test_eval_batch_one_kernel_call_and_one_cutoff_per_composition(monkeypatch):
 def test_eval_batch_grouped_values_match_eval_li(monkeypatch):
     from mplkit.numeval import EvalRequest, eval_li
 
-    kernels = counting(monkeypatch, "series_value_batch")
+    kernels = counting(monkeypatch, "_kernel")
     xy = ArgMonomial.make({"x": 1, "y": 1})
     li2x = li_factor([2], [X])
     li1y = li_factor([1], [Y])
@@ -413,10 +413,11 @@ def test_eval_batch_grouped_values_match_eval_li(monkeypatch):
     n_evals = sum(len(t.factors) for t in e.terms)
     per_factor = target / (n_evals * max(abs(float(t.coeff)) for t in e.terms))
     eps = np.finfo(float).eps
-    assert sorted(str(indices) for indices, _, _ in kernels) == ["(1,2,1)", "(2)", "(2,1)"]
-    for indices, (argmat, cutoff), got in list(kernels):  # eval_li below adds calls
-        for j in range(argmat.shape[1]):
-            ref = eval_li(EvalRequest(indices, tuple(argmat[:, j]), per_factor)).value
+    assert sorted(str(Composition(parts)) for parts, _, _ in kernels) == ["(1,2,1)", "(2)", "(2,1)"]
+    for parts, (columns, cutoff), got in list(kernels):  # eval_li below adds calls
+        indices = Composition(parts)
+        for j, col in enumerate(columns):
+            ref = eval_li(EvalRequest(indices, col, per_factor)).value
             rounding = 64 * eps * math.sqrt(cutoff * indices.depth) * max(1.0, abs(ref))
             assert abs(got[j] - ref) <= 2 * per_factor + rounding
 
